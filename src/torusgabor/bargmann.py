@@ -28,7 +28,7 @@ import numpy as np
 from . import theta as theta_mod
 from . import transforms
 from .core import GaborError, QuadratureUnderResolvedError, im_min_eig, validate
-from .theta import ScaledComplex, certified_lattice_sum, theta_eval
+from .theta import ScaledComplex, certified_lattice_sum, sum_scaled_exponents, theta_eval
 
 
 def weight_phi(z, params):
@@ -135,25 +135,14 @@ def bargmann(coeffs, z, params, tol=1e-12):
     if coeffs.shape != params.shape:
         raise GaborError(f"coefficients must have shape {params.shape}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    logs, vals = [], []
+    # log(a_n B eps_n(z)) for every nonzero coefficient
+    exps = []
     for idx in np.ndindex(params.shape):
         a = coeffs[idx]
-        if a == 0.0:
-            continue
-        s = _basis_sum(np.asarray(idx, dtype=int), z, params, tol)
-        logs.append(s.logmag + math.log(abs(a)))
-        vals.append((a / abs(a)) * s.phase)
-    if not logs:
-        raw = ScaledComplex(float("-inf"), 1.0 + 0.0j)
-        return SectionValue(raw=raw, weighted_mag=0.0)
-    m = max(logs)
-    acc = 0.0 + 0.0j
-    for lg, unit in zip(logs, vals):
-        acc += unit * math.exp(lg - m)
-    if acc == 0.0:
-        raw = ScaledComplex(float("-inf"), 1.0 + 0.0j)
-    else:
-        raw = ScaledComplex(m + math.log(abs(acc)), acc / abs(acc))
+        if a != 0.0:
+            s = _basis_sum(np.asarray(idx, dtype=int), z, params, tol)
+            exps.append(np.log(a) + s.logmag + 1j * np.angle(s.phase))
+    raw = sum_scaled_exponents(exps)
     wmag = raw.magnitude(-0.5 * params.N * float(weight_phi(z, params)))
     return SectionValue(raw=raw, weighted_mag=float(wmag))
 
@@ -174,21 +163,6 @@ class GramReport:
     grid_history: list
 
 
-def _series_radius_for_cell(params, tol):
-    # absolute target relative to the smallest weighted lead term on the cell
-    Y = params.im
-    lam_min = im_min_eig(params)
-    lam_max = float(np.linalg.eigvalsh(Y)[-1])
-    lead_floor = math.exp(-math.pi * params.N * lam_max * params.d / 4.0)
-    R = 1
-    while theta_mod.gaussian_box_tail(math.pi * params.N * lam_min, R, params.d, 0.5) \
-            > tol * lead_floor:
-        R += 1
-        if R > 200:
-            raise theta_mod.ToleranceUnreachableError("section series did not certify")
-    return R
-
-
 def _gram_at(params, per_axis, series_tol=1e-14):
     d, N, om, Y = params.d, params.N, params.Omega, params.im
     axis = np.arange(per_axis) / per_axis
@@ -196,9 +170,10 @@ def _gram_at(params, per_axis, series_tol=1e-14):
     B = A.copy()
     Pa, Pb = len(A), len(B)
 
-    R = _series_radius_for_cell(params, series_tol)
-    rng = np.arange(-(R + 2), R + 1)
-    ks = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    # absolute series target relative to the smallest weighted lead term on the cell
+    lead_floor = math.exp(-math.pi * N * float(np.linalg.eigvalsh(Y)[-1]) * d / 4.0)
+    R = theta_mod.tail_radius(math.pi * N * im_min_eig(params), d, series_tol * lead_floor)
+    ks = theta_mod.lattice_box(-(R + 2), R, d)
 
     ns = np.indices(params.shape).reshape(d, -1).T
     nd = params.dim_sn

@@ -10,8 +10,6 @@ not change with the summation order of a numpy build.  What can still differ
 between BLAS/LAPACK builds is the output of dense linear algebra: traces of
 matmul-assembled matrices, and singular values at roundoff level, such as the
 1.204261702266806e-16 in tests/golden/frame_check.json.
---threads is accepted and recorded for interface compatibility, but
-evaluation is single-threaded to keep results reproducible.
 """
 
 from __future__ import annotations
@@ -210,7 +208,6 @@ def _provenance(args, params=None, seed=None, extra=None):
         "tool": "torusgabor",
         "version": VERSION,
         "command": f"{args.command} {args.action}",
-        "threads": args.threads,
         "seed": seed,
     }
     if params is not None:
@@ -469,8 +466,6 @@ def _cmd_asymptotics_sweep(args):
 def _add_common(p):
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded in provenance; evaluation stays single-threaded")
 
 
 def build_parser():

@@ -14,6 +14,10 @@ a centered box whose radius carries an explicit Gaussian tail bound, and
 reassembles the exact quasiperiodicity factor.  That factor and the metric
 weights downstream overflow double precision separately but not combined, so
 values travel as a log-magnitude plus a unit phase (ScaledComplex).
+
+Zak sums, periodized windows and Bargmann sections are Gaussian lattice series
+too; this module alone decides how far any of them runs: gaussian_box_tail,
+tail_radius (a-priori radius), lattice_box, and certified_lattice_sum.
 """
 
 from __future__ import annotations
@@ -106,9 +110,9 @@ class ScaledComplex:
 
 
 def sum_scaled_exponents(exponents):
-    """Stable sum_k exp(e_k) over a 1-d array of complex exponents."""
+    """Stable sum_k exp(e_k) over a 1-d array of complex exponents (zero if empty)."""
     e = np.asarray(exponents, dtype=complex)
-    m = float(e.real.max())
+    m = float(e.real.max()) if e.size else 0.0
     s = complex(np.exp(e - m).sum())
     mag = abs(s)
     if mag == 0.0:
@@ -120,13 +124,9 @@ def sum_scaled_exponents(exponents):
 # certified box summation
 
 
-def _shell_points(r, d):
-    """Integer points with sup norm exactly r (just the origin for r = 0)."""
-    if r == 0:
-        return np.zeros((1, d), dtype=int)
-    rng = np.arange(-r, r + 1)
-    pts = np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    return pts[np.abs(pts).max(axis=1) == r]
+def lattice_box(lo, hi, d):
+    """Integer points of the box [lo, hi]^d, shape (K, d), in C order."""
+    return np.indices((hi - lo + 1,) * d).reshape(d, -1).T + lo
 
 
 def gaussian_box_tail(a, R, d, offset=0.5):
@@ -149,6 +149,19 @@ def gaussian_box_tail(a, R, d, offset=0.5):
     return float("inf")
 
 
+def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
+    """Smallest R >= 1 with factor * gaussian_box_tail(a, R, d, offset) <= bound.
+
+    Raises ToleranceUnreachableError when no R <= r_cap reaches the bound.
+    """
+    R = 1
+    while factor * gaussian_box_tail(a, R, d, offset) > bound:
+        R += 1
+        if R > r_cap:
+            raise ToleranceUnreachableError(f"Gaussian tail above {bound:.1e} at radius {r_cap}")
+    return R
+
+
 def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
                           min_radius=0, r_cap=200):
     """Sum exp(exponent_fn(k)) over k in Z^d by expanding centered boxes.
@@ -162,7 +175,9 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
     exponents = []
     r = 0
     while True:
-        exponents.append(np.asarray(exponent_fn(_shell_points(r, d)), dtype=complex))
+        shell = lattice_box(-r, r, d)
+        shell = shell[np.abs(shell).max(axis=1) == r]
+        exponents.append(np.asarray(exponent_fn(shell), dtype=complex))
         if r >= min_radius:
             s = sum_scaled_exponents(np.concatenate(exponents))
             tail = gaussian_box_tail(decay, r, d, offset)
@@ -210,15 +225,18 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
     if z.shape != (params.d,):
         raise GaborError(f"z must be a complex {params.d}-vector")
 
-    # reduce: zr = z + m0 + Omega k0 with small Im(zr)
-    k0 = -np.round(np.linalg.solve(Y, z.imag))
-    z1 = z + om @ k0
-    m0 = -np.round(z1.real)
-    zr = z1 + m0
-    # theta(z) = exp(pi i n k0'Omega k0 + 2 pi i n k0'z) * theta(zr)
-    pref = ScaledComplex.from_exponent(
-        1j * np.pi * order * (k0 @ om @ k0) + 2j * np.pi * order * (k0 @ z)
-    )
+    # reduce: zr = z + m0 + Omega k0 with small Im(zr); overflow is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k0 = -np.round(np.linalg.solve(Y, z.imag))
+        z1 = z + om @ k0
+        m0 = -np.round(z1.real)
+        zr = z1 + m0
+        # theta(z) = exp(pi i n k0'Omega k0 + 2 pi i n k0'z) * theta(zr)
+        pref = ScaledComplex.from_exponent(
+            1j * np.pi * order * (k0 @ om @ k0) + 2j * np.pi * order * (k0 @ z)
+        )
+    if not (pref.logmag < math.inf and np.isfinite(pref.phase)):
+        raise ToleranceUnreachableError("lattice reduction overflows double precision")
 
     chat = np.linalg.solve(Y, zr.imag)
     a = math.pi * order * float(np.linalg.eigvalsh(Y)[0])
@@ -233,6 +251,8 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
         exponent_fn, a, params.d, tol, offset=offset, log_scale=log_scale,
         min_radius=min_radius, r_cap=r_cap,
     )
+    if not pref.logmag + s.logmag < math.inf:
+        raise ToleranceUnreachableError("theta value overflows double precision")
     return ThetaEval(value=pref * s, radius=radius, tail_bound=bound)
 
 
@@ -307,9 +327,7 @@ def _theta1_pair(w, omega, tol=1e-15, r_cap=200):
     offset = max(0.5, abs(chat))
 
     # direct sums for the reduced series and its derivative
-    R = 1
-    while gaussian_box_tail(a, R, 1, offset) * math.exp(log_scale) > tol and R < r_cap:
-        R += 1
+    R = tail_radius(a, 1, tol, offset, factor=math.exp(log_scale), r_cap=r_cap)
     k = np.arange(-R, R + 1)
     e = 1j * math.pi * omega * k * k + 2j * math.pi * k * wr
     m = float(e.real.max())

@@ -10,12 +10,14 @@ all index arithmetic mod N.  Summing |V_g f|^2 over the full N^{2d} grid
 gives N^d ||f||^2 ||g||^2, so the time-frequency shifts of any nonzero
 window form a tight frame and inversion is a single weighted sum.
 
-Continuous-time windows enter through periodization/sampling,
-(P f)[n] = sum_k f(n - kN), and through the Zak transform
+Continuous-time windows enter through the Zak transform
 
     Z_N f(x, xi) = sum_k f(x - Nk) exp(2 pi i N k.xi),
 
-whose truncations are certified by the window's Gaussian decay envelope.
+whose value at xi = 0 is the periodization (P f)[n] = sum_k f(n - kN) that
+samples a window onto I_N.  Every such sum is truncated through the window's
+Gaussian decay envelope, at the radius theta.tail_radius certifies, over a
+theta.lattice_box.
 The short-time transform of phi = sum_n a_n eps_n against a decaying window
 g evaluates as V_g phi(x, xi) = sum_n a_n e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi),
 which on the integer samples (k, l/N) reproduces the discrete transform of
@@ -60,9 +62,7 @@ class GaussianWindow:
         self.params = validate(params)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        q = np.einsum("...i,ij,...j->...", t, self.params.Omega, t)
-        return np.conj(np.exp(1j * np.pi * q / self.params.N))
+        return np.conj(self.conj_fn(t))
 
     def conj_fn(self, t):
         t = np.asarray(t, dtype=float)
@@ -134,41 +134,18 @@ def _require_decay(window):
 # periodization / sampling
 
 
-def _k_box(R, d):
-    # covers radius-R balls around every rounding of a center in [0, 1)^d
-    rng = np.arange(-(R + 1), R + 2)
-    return np.stack(np.meshgrid(*([rng] * d), indexing="ij"), axis=-1).reshape(-1, d)
-
-
-def _tail_radius(C, alpha, params, rel_tol):
-    # absolute target: rel_tol relative to the worst-case on-grid lead term
-    N, d = params.N, params.d
-    a = alpha * N * N
-    lead = C * math.exp(-alpha * d * (N / 2.0) ** 2)
-    R = 1
-    while C * theta.gaussian_box_tail(a, R, d, 0.5) > rel_tol * lead:
-        R += 1
-        if R > 200:
-            raise theta.ToleranceUnreachableError("periodization tail did not certify")
-    return R
-
-
 def periodize_sample(window, rel_tol=1e-14):
     """Sample the periodization (P f)[n] = sum_k f(n - kN) on I_N.
 
-    The lattice sum is truncated at a radius whose Gaussian tail bound is
-    below rel_tol relative to the smallest on-grid leading term.
+    This is the Zak sum of the window at xi = 0, truncated at a radius whose
+    Gaussian tail bound is below rel_tol relative to the smallest on-grid
+    leading term.
     """
     if isinstance(window, SampledWindow):
         return window.coeffs.copy()
     p = window.params
-    C, alpha = window.decay
-    R = _tail_radius(C, alpha, p, rel_tol)
-    ns = np.indices(p.shape).reshape(p.d, -1).T.astype(float)  # (N^d, d)
-    ks = _k_box(R, p.d)                                        # (K, d)
-    t = ns[:, None, :] - p.N * ks[None, :, :]
-    vals = window(t).sum(axis=1)
-    return vals.reshape(p.shape)
+    ns = np.indices(p.shape).reshape(p.d, -1).T.astype(float)
+    return _zak_sum_grid(window, window, ns, np.zeros(p.d), rel_tol).reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +230,17 @@ def dgt_inverse(V, g):
 # Zak transform and the short-time transform of Dirac combs
 
 
-def _zak_sum_grid(fn, C, alpha, params, U, XI, rel_tol=1e-13):
-    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise; U entries in (-N, N)
-    N, d = params.N, params.d
-    U = np.asarray(U, dtype=float)
-    XI = np.asarray(XI, dtype=float)
-    R = _tail_radius(C, alpha, params, rel_tol)
+def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
+    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
+    # entries in (-N, N); fn shares the window's decay envelope.  The tail
+    # target is rel_tol relative to the worst-case on-grid lead term, and the
+    # box is one wider than R to cover every rounding of a center in [0, 1)^d.
+    N, d = window.params.N, window.params.d
+    C, alpha = window.decay
+    lead = C * math.exp(-alpha * d * (N / 2.0) ** 2)
+    R = theta.tail_radius(alpha * N * N, d, rel_tol * lead, factor=C)
     out = np.zeros(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]), dtype=complex)
-    for k in _k_box(R, d):
+    for k in theta.lattice_box(-(R + 1), R + 1, d):
         out = out + fn(U - N * k) * np.exp(2j * np.pi * N * (XI @ k.astype(float)))
     return out
 
@@ -278,9 +258,24 @@ def zak(window, x, xi, rel_tol=1e-13):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     m = np.floor(x / p.N)
     x0 = x - p.N * m
-    C, alpha = window.decay
-    base = _zak_sum_grid(window, C, alpha, p, x0, xi, rel_tol)
+    base = _zak_sum_grid(window, window, x0, xi, rel_tol)
     return complex(np.exp(2j * np.pi * p.N * (xi @ m)) * base)
+
+
+def _stft_rows(window, ns, X, XI, rel_tol):
+    # V_g eps_n at the broadcast points (X, XI), one row per n in ns; the Zak
+    # argument n - x is recentered through the covariance phase
+    window = _require_decay(window)
+    p = window.params
+    X, XI = np.broadcast_arrays(X, XI)
+    out = np.empty((len(ns),) + X.shape[:-1], dtype=complex)
+    for i, n in enumerate(ns):
+        u = n - X
+        m = np.floor(u / p.N + 0.5)
+        zb = _zak_sum_grid(window, window.conj_fn, u - p.N * m, XI, rel_tol)
+        cov = np.exp(2j * np.pi * p.N * np.einsum("...i,...i->...", XI, m))
+        out[i] = np.exp(-2j * np.pi * (XI @ n)) * cov * zb
+    return out
 
 
 def stft_basis_grid(window, X, XI, rel_tol=1e-13):
@@ -290,38 +285,19 @@ def stft_basis_grid(window, X, XI, rel_tol=1e-13):
     C-order enumeration of I_N.  The Zak argument n - x is recentered through
     the covariance phase, so arbitrary (unreduced) positions are fine.
     """
-    window = _require_decay(window)
     p = window.params
-    C, alpha = window.decay
     ns = np.indices(p.shape).reshape(p.d, -1).T.astype(float)
     X = np.atleast_2d(np.asarray(X, dtype=float))
     XI = np.atleast_2d(np.asarray(XI, dtype=float))
-    Xb, XIb = np.broadcast_arrays(X, XI)
-    out = np.empty((p.dim_sn,) + Xb.shape[:-1], dtype=complex)
-    for i, n in enumerate(ns):
-        u = n - Xb
-        m = np.floor(u / p.N + 0.5)
-        zb = _zak_sum_grid(window.conj_fn, C, alpha, p, u - p.N * m, XIb, rel_tol)
-        cov = np.exp(2j * np.pi * p.N * np.einsum("...i,...i->...", XIb, m))
-        out[i] = np.exp(-2j * np.pi * (XIb @ n)) * cov * zb
-    return out
+    return _stft_rows(window, ns, X, XI, rel_tol)
 
 
 def stft_basis(n, x, xi, window, rel_tol=1e-13):
     """V_g eps_n(x, xi) = e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi)."""
-    window = _require_decay(window)
-    p = window.params
     n = np.atleast_1d(np.asarray(n, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    C, alpha = window.decay
-    # reduce n - x into the centered range via Zak covariance in its first slot
-    u = n - x
-    m = np.floor(u / p.N + 0.5)
-    u0 = u - p.N * m
-    zb = _zak_sum_grid(window.conj_fn, C, alpha, p, u0, xi, rel_tol)
-    cov = np.exp(2j * np.pi * p.N * (xi @ m))
-    return complex(np.exp(-2j * np.pi * (xi @ n)) * cov * zb)
+    return complex(_stft_rows(window, n[None, :], x, xi, rel_tol)[0])
 
 
 def stft(coeffs, x, xi, window, rel_tol=1e-13):
@@ -331,8 +307,6 @@ def stft(coeffs, x, xi, window, rel_tol=1e-13):
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != p.shape:
         raise ShapeMismatchError(f"coefficients must have shape {p.shape}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     V = stft_basis_grid(window, x, xi, rel_tol)
     return complex((coeffs.reshape(-1) @ V).reshape(-1)[0])
 
@@ -349,6 +323,8 @@ def tn_grid(params, nx, nxi, midpoint=False):
     integrands the plain w-weighted sum is the spectrally accurate
     trapezoid/midpoint rule.
     """
+    if nx < 1 or nxi < 1:
+        raise GaborError(f"a T_N grid needs nx, nxi >= 1, got nx={nx}, nxi={nxi}")
     off = 0.5 if midpoint else 0.0
     d, N = params.d, params.N
     xs = (np.arange(nx) + off) * (N / nx)

@@ -222,7 +222,7 @@ def test_criterion_13_cli_determinism_and_golden_files(capsys, tmp_path):
         with open(f"{here}/golden/{golden_name}") as fh:
             assert first == fh.read()
         json.loads(first)  # golden documents stay valid JSON
-    # csv mode is deterministic too, seed and threads pinned
+    # csv mode is deterministic too, seed pinned
     scan = ["frame", "scan", "--params", p4, "-K", "2", "--mode", "random",
             "--count", "25", "--seed", "7", "--format", "csv"]
     assert main(list(scan)) == 0

@@ -195,10 +195,32 @@ def test_out_writes_file(tmp_path, capsys):
     assert doc["z0"]["re"] == pytest.approx(0.5, abs=1e-9)
 
 
-def test_threads_recorded_in_provenance(capsys):
-    code, out, _ = _run(capsys, "theta", "zero", "--params", P4, "--threads", "3")
-    assert code == 0
-    assert json.loads(out)["provenance"]["threads"] == 3
+def test_threads_option_is_a_usage_error():
+    # evaluation is single-threaded, so there is no --threads option
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "zero", "--params", P4, "--threads", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("oversample", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ("bergman", "density", "--params", P4),
+    ("spectrum", "restriction", "--params", P4, "--symbol", "step(0.5 - x1)"),
+    ("asymptotics", "sweep", "--symbol", "step(0.5 - x1)", "--omega", "1j", "--n-list", "2"),
+])
+def test_nonpositive_oversample_is_a_domain_error(capsys, command, oversample):
+    code, out, err = _run(capsys, *command, "--oversample", oversample)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
+
+
+def test_theta_eval_overflow_is_a_domain_error(capsys):
+    # the lattice reduction factor overflows; no NaN may be printed as a value
+    code, out, err = _run(capsys, "theta", "eval", "--params", P4, "--z", "1e308j")
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
 
 
 def test_domain_errors_exit_one(capsys):

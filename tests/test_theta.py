@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgabor.core import GaborParams, complex_distance_mod_lattice
 from torusgabor.theta import (
     ContourNearZeroError,
     ScaledComplex,
     ToleranceUnreachableError,
+    _theta1_pair,
     certified_lattice_sum,
     gaussian_box_tail,
     sum_scaled_exponents,
+    tail_radius,
     theta_eval,
     theta_zero_1d,
     winding_number,
@@ -95,6 +99,8 @@ def test_sum_scaled_exponents_cancellation():
     s = sum_scaled_exponents(np.array([800.0, 800.0 + 1j * np.pi]))
     assert s.logmag < 800.0 - 30.0
     assert abs(abs(s.phase) - 1.0) < 1e-12
+    # the empty sum is an exact zero
+    assert sum_scaled_exponents([]).logmag == float("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +126,32 @@ def test_gaussian_box_tail_dominates_actual_tail():
 def test_gaussian_box_tail_rejects_nonpositive_decay():
     assert gaussian_box_tail(0.0, 3, 1) == float("inf")
     assert gaussian_box_tail(-1.0, 3, 1) == float("inf")
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.05, 20.0), d=st.integers(1, 3), log_bound=st.floats(-300.0, 2.0),
+       factor=st.floats(1e-3, 1e6), offset=st.floats(0.0, 2.0), r_cap=st.integers(1, 40))
+def test_tail_radius_is_the_smallest_certified_radius(a, d, log_bound, factor, offset, r_cap):
+    bound = 10.0 ** log_bound
+
+    def tail(R):
+        return factor * gaussian_box_tail(a, R, d, offset)
+
+    try:
+        R = tail_radius(a, d, bound, offset, factor, r_cap)
+    except ToleranceUnreachableError:
+        assert tail(r_cap) > bound
+        return
+    assert 1 <= R <= r_cap
+    assert tail(R) <= bound
+    if R > 1:
+        assert bound < tail(R - 1)
+
+
+def test_theta1_pair_raises_at_radius_cap():
+    # Im Omega = 1e-4 needs radius 343 for tol 1e-15, past the default cap of 200
+    with pytest.raises(ToleranceUnreachableError):
+        _theta1_pair(0.1 + 0j, 1e-4j)
 
 
 def test_certified_sum_gaussian_value():

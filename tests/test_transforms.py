@@ -273,17 +273,24 @@ def test_stft_quasiperiodicity():
 
 
 def test_stft_basis_grid_matches_pointwise_path():
+    # reference: the Zak sum over the fixed box |k| <= 6 with no covariance
+    # reduction, V_n(x, xi) = e^{-2 pi i xi n} sum_k conj h(n - x - Nk) e^{2 pi i N k xi}
     p = _p(0.3 + 1j, N=3)
     w = GaussianWindow(p)
     rng = np.random.default_rng(9)
-    X = rng.uniform(0, 3, (6, 1))
+    X = rng.uniform(-3, 6, (6, 1))
     XI = rng.uniform(0, 1, (6, 1))
     V = stft_basis_grid(w, X, XI)
     assert V.shape == (3, 6)
-    for i, n in enumerate(np.ndindex(p.shape)):
+    ks = np.arange(-6, 7)
+    for n in range(3):
         for j in range(6):
-            got = stft_basis(np.array(n, float), X[j], XI[j], w)
-            assert abs(V[i, j] - got) < 1e-12 * max(1.0, abs(got))
+            x, xi = X[j, 0], XI[j, 0]
+            terms = w.conj_fn((n - x - 3 * ks)[:, None]) * np.exp(2j * np.pi * 3 * ks * xi)
+            ref = np.exp(-2j * np.pi * xi * n) * terms.sum()
+            tol = 1e-12 * max(1.0, abs(ref))
+            assert abs(V[n, j] - ref) < tol
+            assert abs(stft_basis(np.array([n], float), X[j], XI[j], w) - ref) < tol
 
 
 def test_moyal_identity_on_grid():
