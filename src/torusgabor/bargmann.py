@@ -63,7 +63,7 @@ class SectionValue:
     cross_check_residual: float | None = None
 
 
-def _basis_sum(n, z, params, tol, min_radius=0):
+def _basis_sum(n, z, params, tol):
     N, om = params.N, params.Omega
     x = z.real
     c = n / N + np.linalg.solve(params.im, x)
@@ -80,7 +80,6 @@ def _basis_sum(n, z, params, tol, min_radius=0):
 
     s, _, _ = certified_lattice_sum(
         exponent_fn, decay, params.d, tol, offset=offset, log_scale=log_scale,
-        min_radius=min_radius,
     )
     return s
 
@@ -320,9 +319,11 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
     win = transforms.GaussianWindow(params)
     nx = oversample * params.N
     nxi = oversample * params.N
-    X, XI, w = transforms.tn_grid(params, nx, nxi)
-    V = transforms.stft_basis_grid(win, X, XI, rel_tol)
-    rho = (np.abs(V) ** 2).sum(axis=0) / win.l2_norm_sq()
+    *_, w = transforms.tn_axes(params, nx, nxi)
+    rho = np.concatenate([
+        (np.abs(V) ** 2).sum(axis=0)
+        for _, _, V in transforms.stft_basis_tn_grid(win, nx, nxi, rel_tol=rel_tol)
+    ]) / win.l2_norm_sq()
     shape = (nx,) * params.d + (nxi,) * params.d
     values = rho.reshape(shape)
     return DensityReport(

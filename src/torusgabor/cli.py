@@ -569,6 +569,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked here so the message names the option, not the grid sizes
+        # tn_grid would receive
+        if getattr(args, "oversample", 1) < 1:
+            raise GaborError(f"--oversample must be >= 1, got {args.oversample}")
         args.run(args)
     except GaborError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,9 +6,12 @@ transform of the n-th Dirac comb against the Gaussian window,
 
     M[m, n] = (cell / ||h||_L2^2) * sum_p a(x_p/N, xi_p) V_n(p) conj(V_m(p))
 
-on a midpoint grid over x in [0,N)^d, xi in [0,1)^d.  The grid is doubled
-until the trace stabilizes.  For a == 1 this reproduces the identity matrix,
-which anchors the normalization; no further constant is applied.
+on a midpoint grid over x in [0,N)^d, xi in [0,1)^d.  The V_n come from
+transforms.stft_basis_tn_grid chunk by chunk, so the grid is never held
+whole and each distinct Zak sum is evaluated once per grid, not once per
+basis function.  The grid is doubled until the trace stabilizes.  For
+a == 1 this reproduces the identity matrix, which anchors the
+normalization; no further constant is applied.
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -17,6 +20,7 @@ a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -329,22 +333,22 @@ class RestrictionReport:
     symbol_description: str
 
 
-_CHUNK = 1 << 17
-
-
 def _quadrature_matrix(symbol, params, window, oversample):
     nx = oversample * params.N
-    X, XI, cell = transforms.tn_grid(params, nx, nx, midpoint=True)
+    *_, cell = transforms.tn_axes(params, nx, nx, midpoint=True)
     norm_sq = window.l2_norm_sq()
     dim = params.dim_sn
     M = np.zeros((dim, dim), dtype=complex)
-    for start in range(0, X.shape[0], _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        V = transforms.stft_basis_grid(window, X[sl], XI[sl])
-        a = symbol(X[sl] / params.N, XI[sl])
+    for X, XI, V in transforms.stft_basis_tn_grid(window, nx, nx, midpoint=True):
+        a = symbol(X / params.N, XI)
         if symbol.is_real:
             a = np.asarray(a).real
-        M += (V.conj() * a) @ V.T
+        # conj(V) * a in place, and this chunk released before the next one
+        # is built: at most two chunk-sized arrays are alive at a time
+        Va = V.conj()
+        Va *= a
+        M += Va @ V.T
+        del V, Va
     return M * (cell / norm_sq)
 
 
@@ -498,17 +502,28 @@ class SweepReport:
 
 
 def _phase_space_targets(symbol, alphas):
-    m = 2048 if symbol.d == 1 else 48
-    axes = [(np.arange(m) + 0.5) / m] * (2 * symbol.d)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    vals = symbol(pts[:, :symbol.d], pts[:, symbol.d:])
-    vals = np.asarray(vals).real
+    d = symbol.d
+    m = 2048 if d == 1 else 48
+    axis = (np.arange(m) + 0.5) / m
+    # blocks of first-axis rows, about 2^17 points each, so the grid is never
+    # held whole
+    rows = max(1, (1 << 17) // m ** (2 * d - 1))
+    below = {float(a): 0 for a in alphas}
+
+    def blocks():
+        for r0 in range(0, m, rows):
+            mesh = np.meshgrid(axis[r0:r0 + rows], *([axis] * (2 * d - 1)), indexing="ij")
+            pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+            vals = np.asarray(symbol(pts[:, :d], pts[:, d:])).real
+            for a in below:
+                below[a] += np.count_nonzero(vals < a)
+            yield vals
+
     # fsum rounds the exact sum once, so the result does not depend on the
     # order in which a given numpy build would add the samples.
-    integral = math.fsum(vals) / vals.size
-    volumes = {float(a): float(np.count_nonzero(vals < a) / vals.size) for a in alphas}
-    return integral, volumes
+    size = m ** (2 * d)
+    integral = math.fsum(itertools.chain.from_iterable(blocks())) / size
+    return integral, {a: float(c / size) for a, c in below.items()}
 
 
 def _alt_normalizations(params):

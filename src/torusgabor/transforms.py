@@ -22,6 +22,13 @@ The short-time transform of phi = sum_n a_n eps_n against a decaying window
 g evaluates as V_g phi(x, xi) = sum_n a_n e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi),
 which on the integer samples (k, l/N) reproduces the discrete transform of
 the periodized window.
+
+stft_basis_grid evaluates one Zak sum per basis function and point, for
+scattered points.  On the product grid of tn_grid the recentered argument
+n - x - N m takes few values per axis, so stft_basis_tn_grid evaluates each
+distinct Zak sum once, on a table over (offsets)^d x (xi nodes)^d, and
+assembles every V_n by gathering from it, in chunks of _CHUNK grid points.
+Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -314,14 +321,15 @@ def stft(coeffs, x, xi, window, rel_tol=1e-13):
 # ---------------------------------------------------------------------------
 # quadrature grids and reference inner products
 
+# grid points whose basis transforms are held in memory at once
+_CHUNK = 1 << 17
 
-def tn_grid(params, nx, nxi, midpoint=False):
-    """Uniform product grid on T_N = [0, N)^d x [0, 1)^d.
 
-    nx and nxi are points per time and frequency axis.  Returns (X, XI, w)
-    with X, XI of shape (P, d) and w the cell volume; for periodic smooth
-    integrands the plain w-weighted sum is the spectrally accurate
-    trapezoid/midpoint rule.
+def tn_axes(params, nx, nxi, midpoint=False):
+    """Axis nodes and cell volume of the uniform product grid on T_N.
+
+    Returns (xs, xis, w): the nx time nodes in [0, N), the nxi frequency
+    nodes in [0, 1), shared by every axis, and the cell volume w.
     """
     if nx < 1 or nxi < 1:
         raise GaborError(f"a T_N grid needs nx, nxi >= 1, got nx={nx}, nxi={nxi}")
@@ -329,11 +337,84 @@ def tn_grid(params, nx, nxi, midpoint=False):
     d, N = params.d, params.N
     xs = (np.arange(nx) + off) * (N / nx)
     xis = (np.arange(nxi) + off) * (1.0 / nxi)
-    axes = [xs] * d + [xis] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     w = (N / nx) ** d * (1.0 / nxi) ** d
+    return xs, xis, w
+
+
+def tn_grid(params, nx, nxi, midpoint=False):
+    """Uniform product grid on T_N = [0, N)^d x [0, 1)^d.
+
+    nx and nxi are points per time and frequency axis.  Returns (X, XI, w)
+    with X, XI of shape (P, d) and w the cell volume; for periodic smooth
+    integrands the plain w-weighted sum is the spectrally accurate
+    trapezoid/midpoint rule.  Points run in C order over the axes
+    (x_1..x_d, xi_1..xi_d).
+    """
+    xs, xis, w = tn_axes(params, nx, nxi, midpoint)
+    d = params.d
+    pts, _ = _product_points([xs] * d + [xis] * d, 0, (nx * nxi) ** d)
     return pts[:, :d], pts[:, d:], w
+
+
+def _product_points(axes, start, stop):
+    # points start..stop-1 of the C-order product of the axes, shape
+    # (stop - start, len(axes)), and the per-axis indices they came from
+    idx = np.unravel_index(np.arange(start, stop), [len(a) for a in axes])
+    return np.stack([a[i] for a, i in zip(axes, idx)], axis=-1), idx
+
+
+def stft_basis_tn_grid(window, nx, nxi, midpoint=False, rel_tol=1e-13):
+    """V_g eps_n on the points of tn_grid, one chunk of _CHUNK points at a time.
+
+    Yields (X, XI, V) for consecutive point ranges of
+    tn_grid(params, nx, nxi, midpoint); V has shape (N^d, len(X)) and equals
+    stft_basis_grid(window, X, XI, rel_tol) bit for bit.  On this grid the
+    recentered Zak argument n - x - N m takes, per axis, at most N nx float
+    values and m at most three, so the Zak sums are evaluated once, on a
+    table over (distinct offsets)^d x (xi nodes)^d, and each V_n is a gather
+    from it times e^{-2 pi i xi.n} e^{2 pi i N xi.m} gathered from a table
+    over (m values)^d x (xi nodes)^d.
+    """
+    window = _require_decay(window)
+    p = window.params
+    N, d = p.N, p.d
+    xs, xis, _ = tn_axes(p, nx, nxi, midpoint)
+    # rows n = 0..N-1, columns x nodes: the recentering of _stft_rows per axis,
+    # keyed on float values so that every table entry sees the same arguments
+    u = np.arange(N, dtype=float)[:, None] - xs[None, :]
+    m = np.floor(u / N + 0.5)
+    offsets, okey = np.unique(u - N * m, return_inverse=True)
+    mvals, mkey = np.unique(m, return_inverse=True)
+    okey, mkey = okey.reshape(u.shape), mkey.reshape(u.shape)
+    table = np.empty((len(offsets) * nxi) ** d, dtype=complex)
+    for start in range(0, table.size, _CHUNK):
+        stop = min(start + _CHUNK, table.size)
+        pts, _ = _product_points([offsets] * d + [xis] * d, start, stop)
+        table[start:stop] = _zak_sum_grid(
+            window, window.conj_fn, pts[:, :d], pts[:, d:], rel_tol)
+    pts, _ = _product_points([mvals] * d + [xis] * d, 0, (len(mvals) * nxi) ** d)
+    XIM = pts[:, d:]
+    cov = np.exp(2j * np.pi * N * np.einsum("...i,...i->...", XIM, pts[:, :d]))
+    ns = np.indices(p.shape).reshape(d, -1).T
+
+    def chunk(start, stop):
+        pts, idx = _product_points([xs] * d + [xis] * d, start, stop)
+        jxi = np.ravel_multi_index(idx[d:], (nxi,) * d)
+
+        def entry(keys, size, n):
+            # flat table index of the per-axis keys of (n_k, x_k) and the xi node
+            ki = np.ravel_multi_index([keys[k, i] for k, i in zip(n, idx[:d])], (size,) * d)
+            return ki * nxi ** d + jxi
+
+        V = np.empty((len(ns), len(pts)), dtype=complex)
+        for row, n in enumerate(ns):
+            phase = np.exp(-2j * np.pi * (XIM @ n.astype(float))) * cov
+            V[row] = phase[entry(mkey, len(mvals), n)] * table[entry(okey, len(offsets), n)]
+        return pts[:, :d], pts[:, d:], V
+
+    total = (nx * nxi) ** d
+    for start in range(0, total, _CHUNK):
+        yield chunk(start, min(start + _CHUNK, total))
 
 
 def l2_inner_product(w1, w2, rel_tol=1e-12):

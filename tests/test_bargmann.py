@@ -11,6 +11,7 @@ from torusgabor.bargmann import (
     section_winding,
     weight_phi,
 )
+from torusgabor import transforms
 from torusgabor.core import GaborParams, QuadratureUnderResolvedError
 from torusgabor.theta import ScaledComplex
 
@@ -224,6 +225,20 @@ def test_density_integral_and_flattening():
     assert d12.integral == pytest.approx(12.0, abs=1e-8)
     assert d4.values.min() > 0
     assert d12.flatness() < d4.flatness()
+
+
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["one-chunk", "chunk-1000"])
+@pytest.mark.parametrize("p,ov", [(_p(0.3 + 1j, N=5), 6), (_p(d=2, N=2), 4)], ids=["d1", "d2"])
+def test_density_is_bitwise_the_pointwise_grid_sum(monkeypatch, chunk, p, ov):
+    # rho written out with one stft_basis_grid call over the whole grid
+    if chunk is not None:
+        monkeypatch.setattr(transforms, "_CHUNK", chunk)
+    rep = bergman_density(p, oversample=ov)
+    w = transforms.GaussianWindow(p)
+    X, XI, _ = transforms.tn_grid(p, ov * p.N, ov * p.N)
+    V = transforms.stft_basis_grid(w, X, XI, 1e-13)
+    rho = (np.abs(V) ** 2).sum(axis=0) / w.l2_norm_sq()
+    assert np.array_equal(rep.values.reshape(-1).view(np.uint64), rho.view(np.uint64))
 
 
 def test_density_grid_layout():

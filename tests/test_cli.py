@@ -213,6 +213,7 @@ def test_nonpositive_oversample_is_a_domain_error(capsys, command, oversample):
     assert code == 1
     assert out == ""
     assert "error:" in err
+    assert "--oversample" in err
 
 
 def test_theta_eval_overflow_is_a_domain_error(capsys):

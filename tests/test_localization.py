@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusgabor import transforms
 from torusgabor.core import GaborError, GaborParams, QuadratureUnderResolvedError
 from torusgabor.localization import (
     BoxIndicator,
@@ -253,25 +254,39 @@ def test_sweep_accepts_symbol_objects():
 
 
 class _Recorded(Symbol):
-    """Wraps a symbol and keeps the real samples it hands out."""
+    """Wraps a symbol and keeps the real samples it hands out, call by call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.d = inner.d
-        self.samples = None
+        self.blocks = []
 
     def __call__(self, x, xi):
-        self.samples = np.asarray(self.inner(x, xi)).real
-        return self.samples
+        vals = np.asarray(self.inner(x, xi)).real
+        self.blocks.append(vals)
+        return vals
+
+    @property
+    def samples(self):
+        return np.concatenate(self.blocks)
 
 
 class _WideRange(Symbol):
-    """Samples spread over twelve decades, where summation order shows."""
+    """Samples spread over twelve decades, where summation order shows.
+
+    Each point of the 2048^2 midpoint grid has a fixed sample, so the values
+    do not depend on how the grid is split into calls.
+    """
+
+    def __init__(self):
+        rng = np.random.default_rng(7)
+        n = 2048 ** 2
+        self.table = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
 
     def __call__(self, x, xi):
-        rng = np.random.default_rng(7)
-        n = np.asarray(x).shape[0]
-        return rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+        i = np.floor(np.asarray(x)[:, 0] * 2048).astype(int)
+        j = np.floor(np.asarray(xi)[:, 0] * 2048).astype(int)
+        return self.table[i * 2048 + j]
 
 
 def test_phase_space_targets_exact_for_sin2():
@@ -283,16 +298,20 @@ def test_phase_space_targets_exact_for_sin2():
     assert type(volumes[0.5]) is float
 
 
-@pytest.mark.parametrize("inner", [parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2"),
-                                   _WideRange()], ids=["sin2", "wide_range"])
-def test_phase_space_targets_do_not_depend_on_summation_order(inner):
-    sym = _Recorded(inner)
+# factories, so the 2048^2 sample table is built only while its test runs
+@pytest.mark.parametrize("make_inner", [lambda: parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2"),
+                                        _WideRange], ids=["sin2", "wide_range"])
+def test_phase_space_targets_do_not_depend_on_summation_order(make_inner):
+    sym = _Recorded(make_inner())
     integral, volumes = _phase_space_targets(sym, (0.5,))
     vals = sym.samples
     shuffled = np.random.default_rng(0).permutation(vals)
     assert integral == math.fsum(vals[::-1]) / vals.size
     assert integral == math.fsum(shuffled) / vals.size
     assert volumes[0.5] == np.count_nonzero(shuffled < 0.5) / vals.size
+    # the 2048^2 grid is evaluated in blocks, never whole
+    assert vals.size == 2048 ** 2
+    assert max(b.size for b in sym.blocks) <= 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +344,33 @@ def test_restriction_is_linear_in_the_symbol():
                       for nu in set(a.terms) | set(b.terms)})
     rab = restriction_matrix(ab, p, oversample=8).matrix
     assert np.abs(rab - (ra + rb)).max() < 1e-12
+
+
+OM2 = np.array([[0.1 + 1.0j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
+
+
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["one-chunk", "chunk-1000"])
+@pytest.mark.parametrize("params,text,ov", [
+    (GaborParams(d=1, N=6, Omega=np.array([[0.3 + 1j]])), "sin(pi*x1)^2*cos(2*pi*xi1) + xi1", 4),
+    (GaborParams(d=2, N=2, Omega=OM2), "sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2),
+], ids=["d1", "d2"])
+def test_restriction_matrix_is_bitwise_the_pointwise_grid_sum(monkeypatch, chunk, params, text, ov):
+    # the quadrature sum written out with per-point stft_basis_grid calls
+    if chunk is not None:
+        monkeypatch.setattr(transforms, "_CHUNK", chunk)
+    sym = parse_symbol(text, params.d)
+    rep = restriction_matrix(sym, params, oversample=ov, rel_tol=1e-3)
+    w = transforms.GaussianWindow(params)
+    X, XI, cell = transforms.tn_grid(params, rep.oversample * params.N,
+                                     rep.oversample * params.N, midpoint=True)
+    M = np.zeros((params.dim_sn,) * 2, dtype=complex)
+    for start in range(0, len(X), transforms._CHUNK):
+        sl = slice(start, start + transforms._CHUNK)
+        V = transforms.stft_basis_grid(w, X[sl], XI[sl])
+        M += (V.conj() * np.asarray(sym(X[sl] / params.N, XI[sl])).real) @ V.T
+    M *= cell / w.l2_norm_sq()
+    M = 0.5 * (M + M.conj().T)
+    assert np.array_equal(rep.matrix.view(np.uint64), M.view(np.uint64))
 
 
 def test_toeplitz_correspondence_with_weighted_sections():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torusgabor import transforms
 from torusgabor.core import GaborParams
 from torusgabor.theta import theta_eval
 from torusgabor.transforms import (
@@ -20,6 +21,7 @@ from torusgabor.transforms import (
     stft,
     stft_basis,
     stft_basis_grid,
+    stft_basis_tn_grid,
     time_frequency_shift,
     tn_grid,
     zak,
@@ -291,6 +293,34 @@ def test_stft_basis_grid_matches_pointwise_path():
             tol = 1e-12 * max(1.0, abs(ref))
             assert abs(V[n, j] - ref) < tol
             assert abs(stft_basis(np.array([n], float), X[j], XI[j], w) - ref) < tol
+
+
+@pytest.mark.parametrize("d,omega,N", [(1, 1j, 4), (1, 0.3 + 1j, 4), (2, None, 2)],
+                         ids=["d1-i", "d1-0.3+i", "d2-offdiag"])
+@pytest.mark.parametrize("midpoint", [True, False], ids=["midpoint", "nodes"])
+@pytest.mark.parametrize("ov", [3, 4])
+@pytest.mark.parametrize("chunk", [None, 100], ids=["one-chunk", "chunk-100"])
+def test_stft_basis_tn_grid_is_bitwise_the_pointwise_grid_path(
+        monkeypatch, d, omega, N, midpoint, ov, chunk):
+    # the Zak-table path gathers from sums that stft_basis_grid evaluates per
+    # point: same arguments and the same (phase * cov) * zb products, so the
+    # bits agree; a chunk of 100 points splits x-rows of every grid here
+    if chunk is not None:
+        monkeypatch.setattr(transforms, "_CHUNK", chunk)
+    p = _p(omega, N=N, d=d)
+    w = GaussianWindow(p)
+    nx = ov * N
+    X, XI, _ = tn_grid(p, nx, nx, midpoint=midpoint)
+    start = 0
+    for Xc, XIc, V in stft_basis_tn_grid(w, nx, nx, midpoint=midpoint):
+        sl = slice(start, start + len(Xc))
+        assert len(Xc) == min(transforms._CHUNK, len(X) - start)
+        assert np.array_equal(Xc, X[sl]) and np.array_equal(XIc, XI[sl])
+        ref = stft_basis_grid(w, X[sl], XI[sl])
+        assert V.shape == ref.shape
+        assert np.array_equal(V.view(np.uint64), ref.view(np.uint64))
+        start += len(Xc)
+    assert start == len(X)
 
 
 def test_moyal_identity_on_grid():
