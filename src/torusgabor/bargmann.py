@@ -14,7 +14,9 @@ the combination |B a(z)|^2 e^{-N phi(z)} is a genuine function on the torus
 C^d / Lambda, so all magnitude reporting happens in that gauge and raw values
 travel as ScaledComplex.  The basis sections B eps_n are orthogonal in
 L^2(e^{-N phi}) over a fundamental domain and span an N^d-dimensional space;
-the Gram matrix assembled here verifies both numerically.
+the Gram matrix verifies both numerically.  It is the a == 1 contraction of
+the one T_N-grid table (transforms.tn_grid_gram) that restriction matrices
+and the Bergman density read too.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ def weight_phi(z, params):
 def chern_matrix(params):
     """Coefficient matrix (Im Omega)^{-1} of the translation-invariant curvature form."""
     return np.linalg.inv(params.im)
-
-
-# grid points held in memory at once during Gram assembly
-_GRID_CHUNK = 1 << 16
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -162,61 +160,22 @@ class GramReport:
     grid_history: list
 
 
-def _gram_at(params, per_axis, series_tol=1e-14):
-    d, N, om, Y = params.d, params.N, params.Omega, params.im
-    axis = np.arange(per_axis) / per_axis
-    A = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    B = A.copy()
-    Pa, Pb = len(A), len(B)
-
-    # absolute series target relative to the smallest weighted lead term on the cell
-    lead_floor = math.exp(-math.pi * N * float(np.linalg.eigvalsh(Y)[-1]) * d / 4.0)
-    R = theta_mod.tail_radius(math.pi * N * im_min_eig(params), d, series_tol * lead_floor)
-    ks = theta_mod.lattice_box(-(R + 2), R, d)
-
-    ns = np.indices(params.shape).reshape(d, -1).T
-    nd = params.dim_sn
-
-    # weight exponent on the a-grid: e^{-pi N a'Ya}
-    wa = math.pi * N * np.einsum("pi,ij,pj->p", A, Y, A)
-
-    G = np.zeros((nd, nd), dtype=complex)
-    # chunk the b-grid so the stacked section values stay in memory bounds
-    bchunk = max(1, min(Pb, _GRID_CHUNK // max(Pa, 1)))
-    for b0 in range(0, Pb, bchunk):
-        Bc = B[b0:b0 + bchunk]
-        W = np.empty((nd, Pa, len(Bc)), dtype=complex)
-        for i, n in enumerate(ns):
-            q = n[None, :] + N * ks  # (K, d)
-            quad = np.einsum("ki,ij,kj->k", q, om, q)
-            e1 = np.exp(
-                (1j * np.pi / N) * quad[None, :]
-                + 2j * np.pi * (A @ (om @ q.T))
-                - wa[:, None]
-            )  # (Pa, K); every entry has magnitude <= 1
-            e2 = np.exp(-2j * np.pi * (Bc @ q.T))  # (Bc, K)
-            W[i] = e1 @ e2.T
-        Wf = W.reshape(nd, -1)
-        G += Wf @ Wf.conj().T
-    # mean over the grid times the fundamental-domain volume det(Y)
-    G *= float(np.linalg.det(Y)) / (Pa * Pb)
-    # G[m, n] = integral of B eps_n conj(B eps_m) e^{-N phi}
-    return G.conj()
-
-
-def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3, series_tol=1e-14):
+def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3):
     """Gram matrix G_{mn} of the weighted basis sections over a fundamental domain.
 
-    Tensor trapezoid on the periodic cell coordinates (a, b) in [0,1)^{2d},
-    z = -i Omega a + i b, volume element det(Im Omega); the grid is doubled
+    V_h eps_n is B eps_n times one phase of modulus e^{-N phi/2} that does not
+    depend on n, so G = det(Im Omega) / P * tn_grid_gram(h, per, per) on the
+    P = per^{2d} trapezoid nodes, per = oversample * N per axis; per is doubled
     until G changes by less than rel_stab in relative Frobenius norm.
     """
     validate(params)
+    window = transforms.GaussianWindow(params)
+    dety = float(np.linalg.det(params.im))
     per = oversample * params.N
     prev = None
     history = []
     for _ in range(max_doublings + 1):
-        G = _gram_at(params, per, series_tol)
+        G = transforms.tn_grid_gram(window, per, per) * (dety / per ** (2 * params.d))
         if prev is not None:
             change = float(np.linalg.norm(G - prev) / max(np.linalg.norm(G), 1e-300))
             history.append((per, change))
@@ -238,20 +197,15 @@ def _gram_report(params, G, history):
     c = float(diag.mean())
     off = G - np.diag(np.diag(G))
     offres = float(np.abs(off).max() / diag.mean())
-    dety = float(np.linalg.det(params.im))
-    candidates = {
-        # two closed-form predictions for ||B eps_n||^2 under this measure;
-        # they disagree with each other, so both are reported and only the
-        # proportionality G = c I is asserted
-        "sqrt(det Im Omega / (2N)^d)": math.sqrt(dety / (2.0 * params.N) ** params.d),
-        "det Im Omega / (2N)^d": dety / (2.0 * params.N) ** params.d,
-    }
+    # the Moyal identity makes the a == 1 contraction ||h||^2 P / N^d I, so
+    # G = det(Im Omega) ||h||^2 / N^d I with ||h||^2 = sqrt(N^d / (2^d det Im Omega))
+    root = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d)
     return GramReport(
         matrix=G,
         rank=rank,
         onb_constant=c,
         offdiag_residual=offres,
-        onb_constant_candidates=candidates,
+        onb_constant_candidates={"sqrt(det Im Omega / (2N)^d)": root},
         grid_history=history,
     )
 

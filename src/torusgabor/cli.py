@@ -9,12 +9,15 @@ integral and flatness) are order-fixed: they go through math.fsum, so they do
 not change with the summation order of a numpy build.  What can still differ
 between BLAS/LAPACK builds is the output of dense linear algebra: traces of
 matmul-assembled matrices, and singular values at roundoff level, such as the
-1.204261702266806e-16 in tests/golden/frame_check.json.
+1.204261702266806e-16 in tests/golden/frame_check.json.  Density values, like
+restriction traces, are assembled by matmul (the T_N-grid table), so their
+last bits can differ between BLAS builds too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -130,25 +133,38 @@ def _flatten_doc(obj, prefix=""):
 # argument parsing helpers
 
 
+@contextlib.contextmanager
+def _parsing(what):
+    # malformed input text ends in a domain error with a message
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, OSError) as exc:
+        raise GaborError(f"cannot parse {what}: {exc!r}") from None
+
+
 def _load_text(arg):
     if arg.lstrip().startswith(("{", "[")):
         return arg
-    with open(arg) as fh:
+    with _parsing(repr(arg)), open(arg) as fh:
         return fh.read()
 
 
 def _load_params(arg):
-    return params_from_json(_load_text(arg))
+    text = _load_text(arg)
+    with _parsing("params: need JSON with d, N, omega_re, omega_im"):
+        return params_from_json(text)
 
 
 def _load_array(arg, shape, name):
-    obj = json.loads(_load_text(arg))
-    got = tuple(obj["shape"])
-    if got != shape:
-        raise GaborError(f"{name} must have shape {shape}, got {got}")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    return (re + 1j * im).reshape(shape)
+    text = _load_text(arg)
+    with _parsing(f"{name}: need JSON with shape, re, im"):
+        obj = json.loads(text)
+        got = tuple(obj["shape"])
+        if got != shape:
+            raise GaborError(f"{name} must have shape {shape}, got {got}")
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
+        return (re + 1j * im).reshape(shape)
 
 
 def _array_doc(arr):
@@ -164,43 +180,50 @@ def _parse_complex_vector(text, d):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != d:
         raise GaborError(f"expected {d} comma-separated components, got {len(parts)}")
-    try:
+    with _parsing(f"complex components {text!r}"):
         return np.array([complex(p) for p in parts])
-    except ValueError as exc:
-        raise GaborError(f"bad complex component in {text!r}: {exc}") from None
 
 
 def _parse_points(arg, params):
     text = _load_text(arg) if (arg.lstrip().startswith("[") or os.path.exists(arg)) else arg
-    if text.lstrip().startswith("["):
-        pairs = [(np.asarray(k, int), np.asarray(l, int)) for k, l in json.loads(text)]
-    else:
-        pairs = []
-        for chunk in text.split(";"):
-            k_str, l_str = chunk.split(",")
-            pairs.append((
-                np.array([int(v) for v in k_str.split()], int),
-                np.array([int(v) for v in l_str.split()], int),
-            ))
-    return frames.PointSet.from_pairs(pairs, params)
+    with _parsing("--points: need 'k,l;k,l;...' or a JSON list of [k, l] pairs"):
+        if text.lstrip().startswith("["):
+            pairs = [(np.asarray(k, int), np.asarray(l, int)) for k, l in json.loads(text)]
+        else:
+            pairs = []
+            for chunk in text.split(";"):
+                k_str, l_str = chunk.split(",")
+                pairs.append((
+                    np.array([int(v) for v in k_str.split()], int),
+                    np.array([int(v) for v in l_str.split()], int),
+                ))
+        return frames.PointSet.from_pairs(pairs, params)
 
 
 def _parse_omega(text, d):
     s = text.strip()
-    if s.startswith("{"):
-        obj = json.loads(s)
-        return np.asarray(obj["omega_re"], float) + 1j * np.asarray(obj["omega_im"], float)
-    if d != 1:
-        raise GaborError("scalar --omega is for d = 1; pass omega_re/omega_im JSON")
-    return np.array([[complex(s)]])
+    with _parsing("--omega: need 'a+bj' or JSON with omega_re, omega_im"):
+        if s.startswith("{"):
+            obj = json.loads(s)
+            return np.asarray(obj["omega_re"], float) + 1j * np.asarray(obj["omega_im"], float)
+        if d != 1:
+            raise GaborError("scalar --omega is for d = 1; pass omega_re/omega_im JSON")
+        return np.array([[complex(s)]])
 
 
-def _floats(text):
-    return [float(v) for v in text.split(",")]
+def _number_list(convert):
+    # argparse type; a ValueError here makes argparse exit with a usage error
+    def parse(text):
+        vals = [convert(v) for v in text.split(",")]
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError(text)
+        return vals
+    parse.__name__ = f"comma-separated {convert.__name__} list"
+    return parse
 
 
-def _ints(text):
-    return [int(v) for v in text.split(",")]
+_floats = _number_list(float)
+_ints = _number_list(int)
 
 
 def _provenance(args, params=None, seed=None, extra=None):
@@ -392,7 +415,6 @@ def _cmd_spectrum_restriction(args):
     rep = localization.restriction_matrix(
         symbol, params, oversample=args.oversample, rel_tol=args.rel_tol)
     spec = localization.spectrum(rep)
-    alphas = _floats(args.alpha_grid)
     doc = {
         "provenance": _provenance(
             args, params,
@@ -404,7 +426,7 @@ def _cmd_spectrum_restriction(args):
         "nonnormal": spec.nonnormal,
         "eigenvalues": [_cnum(v) for v in spec.eigenvalues],
         "singular_values": [float(v) for v in spec.singular_values],
-        "counts_below": {_fmt_float(a): spec.count_below(a) for a in alphas},
+        "counts_below": {_fmt_float(a): spec.count_below(a) for a in args.alpha_grid},
         "plunge_fraction": spec.plunge_fraction(args.plunge_delta),
     }
     header = ["index", "eigenvalue_re", "eigenvalue_im", "singular_value"]
@@ -418,8 +440,7 @@ def _cmd_spectrum_restriction(args):
 
 def _cmd_asymptotics_sweep(args):
     omega = _parse_omega(args.omega, args.d)
-    alphas = _floats(args.alpha_grid)
-    n_list = _ints(args.n_list)
+    alphas, n_list = args.alpha_grid, args.n_list
     rep = localization.asymptotic_sweep(
         args.symbol, n_list, omega, d=args.d, alphas=alphas,
         oversample=args.oversample, rel_tol=args.rel_tol)
@@ -543,7 +564,7 @@ def build_parser():
     p.add_argument("--symbol", required=True)
     p.add_argument("--oversample", type=int, default=4)
     p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--alpha-grid", default="0.5")
+    p.add_argument("--alpha-grid", type=_floats, default="0.5")
     p.add_argument("--plunge-delta", type=float, default=0.1)
     _add_common(p)
     p.set_defaults(run=_cmd_spectrum_restriction)
@@ -555,8 +576,8 @@ def build_parser():
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--omega", required=True,
                    help="'a+bj' for d = 1, or JSON with omega_re/omega_im")
-    p.add_argument("--n-list", required=True, help="comma-separated grid sizes")
-    p.add_argument("--alpha-grid", default="0.5")
+    p.add_argument("--n-list", type=_ints, required=True, help="comma-separated grid sizes")
+    p.add_argument("--alpha-grid", type=_floats, default="0.5")
     p.add_argument("--oversample", type=int, default=4)
     p.add_argument("--rel-tol", type=float, default=1e-8)
     _add_common(p)
@@ -568,6 +589,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse before Python 3.12 turns the option value "--" into []
+    for name, value in vars(args).items():
+        if isinstance(value, list) and not value:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         # checked here so the message names the option, not the grid sizes
         # tn_grid would receive

@@ -88,6 +88,8 @@ class GaborParams:
 def validate(params):
     """Check the Siegel conditions; return params unchanged if they hold."""
     om = params.Omega
+    if not np.all(np.isfinite(om)):
+        raise GaborError("Omega must have finite entries")
     scale = float(np.abs(om).max())
     asym = float(np.abs(om - om.T).max())
     if scale > 0.0 and asym > SYMMETRY_RTOL * scale:

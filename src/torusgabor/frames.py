@@ -29,7 +29,7 @@ import numpy as np
 from . import theta as theta_mod
 from . import transforms
 from .bargmann import weight_phi
-from .core import GaborError, dual_lattice_member, validate
+from .core import GaborError, dual_lattice_member, lattice_coefficients, validate
 
 
 class EmptyPointSetError(GaborError):
@@ -173,6 +173,19 @@ def parity_predicate(D, params, z0=None, tol=1e-9):
     )
 
 
+def _lambda_membership(params, zs, z0, tol=1e-9):
+    # idx -> whether sum_j zs[idx] - N z0 lies in Lambda; lattice coefficients
+    # are real-linear, so each z_j and N z0 is solved once, not per subset
+    coef = np.array([np.concatenate(lattice_coefficients(z, params)) for z in zs])
+    base = np.concatenate(lattice_coefficients(params.N * np.array([z0]), params))
+
+    def member(idx):
+        c = coef[idx].sum(axis=0) - base
+        return bool(np.abs(c - np.round(c)).max() <= tol)
+
+    return member
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class FrameReport:
     """Frame bounds and verdicts for one sampling set."""
@@ -298,18 +311,17 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     h = _window_samples(window, params)
     positions = list(itertools.product(np.ndindex(params.shape), np.ndindex(params.shape)))
     total_positions = len(positions)
+    if not 1 <= K <= total_positions:
+        raise GaborError(f"subset size K must be in 1..{total_positions}, got {K}")
     atoms_all = np.stack([
         transforms.time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
         for k, l in positions
     ])
-    zpos = np.array([
-        complex((-1j * (params.Omega @ np.asarray(k, float) / params.N
-                        + np.asarray(l, float) / params.N))[0]) if params.d == 1 else 0.0
-        for k, l in positions
-    ])
 
     parity_applicable = params.d == 1 and K == params.N
-    z0 = _theta_zero(params) if parity_applicable else None
+    if parity_applicable:
+        zs = PointSet.from_pairs(positions, params).complex_images(params)
+        no_frame = _lambda_membership(params, zs, _theta_zero(params))
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)
@@ -320,8 +332,8 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         subset_iter = itertools.combinations(range(total_positions), K)
         total = n_subsets
     elif mode == "random":
-        if count is None:
-            raise GaborError("random mode needs a draw count")
+        if count is None or count < 1:
+            raise GaborError(f"random mode needs a draw count >= 1, got {count}")
         rng = np.random.default_rng(seed)
         subset_iter = (
             tuple(sorted(rng.choice(total_positions, size=K, replace=False)))
@@ -354,9 +366,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         all_frames = all_frames and oracle_frame
         confusion["oracle_frame" if oracle_frame else "oracle_no_frame"] += 1
         if parity_applicable:
-            s = zpos[idx].sum() - params.N * z0
-            mem = dual_lattice_member(np.array([s]), params, scale=1.0)
-            pred_no_frame = mem.member
+            pred_no_frame = no_frame(idx)
             if pred_no_frame == (not oracle_frame):
                 confusion["agree_no_frame" if pred_no_frame else "agree_frame"] += 1
             else:

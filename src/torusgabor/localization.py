@@ -6,12 +6,11 @@ transform of the n-th Dirac comb against the Gaussian window,
 
     M[m, n] = (cell / ||h||_L2^2) * sum_p a(x_p/N, xi_p) V_n(p) conj(V_m(p))
 
-on a midpoint grid over x in [0,N)^d, xi in [0,1)^d.  The V_n come from
-transforms.stft_basis_tn_grid chunk by chunk, so the grid is never held
-whole and each distinct Zak sum is evaluated once per grid, not once per
-basis function.  The grid is doubled until the trace stabilizes.  For
-a == 1 this reproduces the identity matrix, which anchors the
-normalization; no further constant is applied.
+on a midpoint grid over x in [0,N)^d, xi in [0,1)^d: the contraction
+transforms.tn_grid_gram of the one T_N-grid product table V_n = A_n @ B_n,
+with the symbol as weight; it rejects non-finite symbol samples.  The grid is
+doubled until the trace stabilizes.  For a == 1 this reproduces the identity
+matrix, which anchors the normalization; no further constant is applied.
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -276,7 +275,8 @@ class _Parser:
 def _eval_node(node, x, xi):
     kind = node[0]
     if kind == "num":
-        return node[1]
+        # numpy scalars, so 0/0 or 10^400 give nan/inf instead of raising
+        return np.float64(node[1])
     if kind == "var":
         src = x if node[1] == 0 else xi
         return np.asarray(src, float)[..., node[2]]
@@ -307,7 +307,9 @@ class Expr(Symbol):
         self.description = text
 
     def __call__(self, x, xi):
-        out = _eval_node(self.node, x, xi)
+        # non-finite samples are reported by whoever consumes them
+        with np.errstate(all="ignore"):
+            out = _eval_node(self.node, x, xi)
         x = np.asarray(x, float)
         if np.ndim(out) == 0:
             out = np.full(x.shape[:-1], float(out))
@@ -336,20 +338,13 @@ class RestrictionReport:
 def _quadrature_matrix(symbol, params, window, oversample):
     nx = oversample * params.N
     *_, cell = transforms.tn_axes(params, nx, nx, midpoint=True)
-    norm_sq = window.l2_norm_sq()
-    dim = params.dim_sn
-    M = np.zeros((dim, dim), dtype=complex)
-    for X, XI, V in transforms.stft_basis_tn_grid(window, nx, nx, midpoint=True):
-        a = symbol(X / params.N, XI)
-        if symbol.is_real:
-            a = np.asarray(a).real
-        # conj(V) * a in place, and this chunk released before the next one
-        # is built: at most two chunk-sized arrays are alive at a time
-        Va = V.conj()
-        Va *= a
-        M += Va @ V.T
-        del V, Va
-    return M * (cell / norm_sq)
+
+    def weight(X, XI):
+        a = np.asarray(symbol(X / params.N, XI))
+        return a.real if symbol.is_real else a
+
+    S = transforms.tn_grid_gram(window, nx, nx, weight, midpoint=True)
+    return S * (cell / window.l2_norm_sq())
 
 
 def restriction_matrix(symbol, params, window=None, oversample=4, rel_tol=1e-8,

@@ -24,11 +24,15 @@ which on the integer samples (k, l/N) reproduces the discrete transform of
 the periodized window.
 
 stft_basis_grid evaluates one Zak sum per basis function and point, for
-scattered points.  On the product grid of tn_grid the recentered argument
-n - x - N m takes few values per axis, so stft_basis_tn_grid evaluates each
-distinct Zak sum once, on a table over (offsets)^d x (xi nodes)^d, and
-assembles every V_n by gathering from it, in chunks of _CHUNK grid points.
-Both paths give the same bits.
+scattered points.  On the product grid of tn_grid one product table serves
+every consumer: for a block of whole x-node rows,
+
+    V_n = A_n @ B_n,   A_n[x, k] = conj g(n - N k - x),   B_n[k, xi] = e^{-2 pi i (n - N k).xi},
+
+over the truncation box of _zak_box, for any window with conj_fn and decay.
+tn_grid_gram contracts it into S[m, n] = sum_p w_p conj(V_m(p)) V_n(p): the
+localization matrix of a symbol takes w = the symbol, the Gram matrix of the
+Bargmann sections w = 1.
 """
 
 from __future__ import annotations
@@ -237,17 +241,23 @@ def dgt_inverse(V, g):
 # Zak transform and the short-time transform of Dirac combs
 
 
-def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
-    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
-    # entries in (-N, N); fn shares the window's decay envelope.  The tail
-    # target is rel_tol relative to the worst-case on-grid lead term, and the
-    # box is one wider than R to cover every rounding of a center in [0, 1)^d.
+def _zak_box(window, rel_tol):
+    # the lattice points k of every Zak sum over fn(u - N k), u in (-N, N)^d:
+    # the tail target is rel_tol relative to the worst-case on-grid lead term,
+    # and the box is one wider than R to cover every rounding of u/N
     N, d = window.params.N, window.params.d
     C, alpha = window.decay
     lead = C * math.exp(-alpha * d * (N / 2.0) ** 2)
     R = theta.tail_radius(alpha * N * N, d, rel_tol * lead, factor=C)
+    return theta.lattice_box(-(R + 1), R + 1, d)
+
+
+def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
+    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
+    # entries in (-N, N); fn shares the window's decay envelope
+    N = window.params.N
     out = np.zeros(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]), dtype=complex)
-    for k in theta.lattice_box(-(R + 1), R + 1, d):
+    for k in _zak_box(window, rel_tol):
         out = out + fn(U - N * k) * np.exp(2j * np.pi * N * (XI @ k.astype(float)))
     return out
 
@@ -321,7 +331,7 @@ def stft(coeffs, x, xi, window, rel_tol=1e-13):
 # ---------------------------------------------------------------------------
 # quadrature grids and reference inner products
 
-# grid points whose basis transforms are held in memory at once
+# entries of V (basis functions x grid points) held in memory at once
 _CHUNK = 1 << 17
 
 
@@ -364,57 +374,55 @@ def _product_points(axes, start, stop):
 
 
 def stft_basis_tn_grid(window, nx, nxi, midpoint=False, rel_tol=1e-13):
-    """V_g eps_n on the points of tn_grid, one chunk of _CHUNK points at a time.
+    """V_g eps_n on the points of tn_grid, in blocks of whole x-node rows.
 
     Yields (X, XI, V) for consecutive point ranges of
     tn_grid(params, nx, nxi, midpoint); V has shape (N^d, len(X)) and equals
-    stft_basis_grid(window, X, XI, rel_tol) bit for bit.  On this grid the
-    recentered Zak argument n - x - N m takes, per axis, at most N nx float
-    values and m at most three, so the Zak sums are evaluated once, on a
-    table over (distinct offsets)^d x (xi nodes)^d, and each V_n is a gather
-    from it times e^{-2 pi i xi.n} e^{2 pi i N xi.m} gathered from a table
-    over (m values)^d x (xi nodes)^d.
+    stft_basis_grid(window, X, XI, rel_tol) to roundoff.  Every point of an
+    x node shares the Zak terms, so for a block of x nodes V_n = A_n @ B_n
+    with A_n[x, k] = conj g(n - N k - x) and B_n[k, xi] = e^{-2 pi i (n - N k).xi},
+    one batched matmul over the box of _zak_box.  n - x lies in (-N, N)^d
+    for every x in [0, N)^d, the range that box certifies.  A block holds at
+    most _CHUNK entries of V, and at least one x node.
     """
     window = _require_decay(window)
     p = window.params
     N, d = p.N, p.d
     xs, xis, _ = tn_axes(p, nx, nxi, midpoint)
-    # rows n = 0..N-1, columns x nodes: the recentering of _stft_rows per axis,
-    # keyed on float values so that every table entry sees the same arguments
-    u = np.arange(N, dtype=float)[:, None] - xs[None, :]
-    m = np.floor(u / N + 0.5)
-    offsets, okey = np.unique(u - N * m, return_inverse=True)
-    mvals, mkey = np.unique(m, return_inverse=True)
-    okey, mkey = okey.reshape(u.shape), mkey.reshape(u.shape)
-    table = np.empty((len(offsets) * nxi) ** d, dtype=complex)
-    for start in range(0, table.size, _CHUNK):
-        stop = min(start + _CHUNK, table.size)
-        pts, _ = _product_points([offsets] * d + [xis] * d, start, stop)
-        table[start:stop] = _zak_sum_grid(
-            window, window.conj_fn, pts[:, :d], pts[:, d:], rel_tol)
-    pts, _ = _product_points([mvals] * d + [xis] * d, 0, (len(mvals) * nxi) ** d)
-    XIM = pts[:, d:]
-    cov = np.exp(2j * np.pi * N * np.einsum("...i,...i->...", XIM, pts[:, :d]))
-    ns = np.indices(p.shape).reshape(d, -1).T
+    ns = np.indices(p.shape).reshape(d, -1).T.astype(float)
+    J = ns[:, None, :] - N * _zak_box(window, rel_tol).astype(float)  # (N^d, K, d)
+    XI, _ = _product_points([xis] * d, 0, nxi ** d)
+    B = np.exp(-2j * np.pi * (J @ XI.T))
+    per_x = nxi ** d
+    rows = max(1, _CHUNK // (len(ns) * per_x))
+    for r0 in range(0, nx ** d, rows):
+        r1 = min(r0 + rows, nx ** d)
+        Xb, _ = _product_points([xs] * d, r0, r1)
+        A = window.conj_fn(J[:, None, :, :] - Xb[None, :, None, :])
+        pts, _ = _product_points([xs] * d + [xis] * d, r0 * per_x, r1 * per_x)
+        yield pts[:, :d], pts[:, d:], np.matmul(A, B).reshape(len(ns), -1)
 
-    def chunk(start, stop):
-        pts, idx = _product_points([xs] * d + [xis] * d, start, stop)
-        jxi = np.ravel_multi_index(idx[d:], (nxi,) * d)
 
-        def entry(keys, size, n):
-            # flat table index of the per-axis keys of (n_k, x_k) and the xi node
-            ki = np.ravel_multi_index([keys[k, i] for k, i in zip(n, idx[:d])], (size,) * d)
-            return ki * nxi ** d + jxi
+def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False, rel_tol=1e-13):
+    """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of tn_grid.
 
-        V = np.empty((len(ns), len(pts)), dtype=complex)
-        for row, n in enumerate(ns):
-            phase = np.exp(-2j * np.pi * (XIM @ n.astype(float))) * cov
-            V[row] = phase[entry(mkey, len(mvals), n)] * table[entry(okey, len(offsets), n)]
-        return pts[:, :d], pts[:, d:], V
-
-    total = (nx * nxi) ** d
-    for start in range(0, total, _CHUNK):
-        yield chunk(start, min(start + _CHUNK, total))
+    weight(X, XI) gives w at a block of points (None means w = 1) and must be
+    finite there; the V_n come from stft_basis_tn_grid, so the grid is never
+    held whole.
+    """
+    dim = window.params.dim_sn
+    S = np.zeros((dim, dim), dtype=complex)
+    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint, rel_tol):
+        Vw = V.conj()
+        if weight is not None:
+            w = weight(X, XI)
+            if not np.all(np.isfinite(w)):
+                raise GaborError("weight samples must be finite at every T_N grid point")
+            # in place, so at most two V-sized arrays are alive at a time
+            Vw *= w
+        S += Vw @ V.T
+        del V, Vw
+    return S
 
 
 def l2_inner_product(w1, w2, rel_tol=1e-12):

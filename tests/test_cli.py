@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusgabor import GaborParams, theta_eval
 from torusgabor.cli import main
@@ -260,3 +268,76 @@ def test_json_floats_survive_round_trip(capsys):
     params = GaborParams(d=1, N=4, Omega=np.array([[1j]]))
     ev = theta_eval(np.array([0.123 + 0.456j]), params)
     assert doc["logmag"] == ev.value.logmag
+
+
+P4_NO_OMEGA_RE = '{"d": 1, "N": 4, "omega_im": [[1.0]]}'
+P4_NAN_OMEGA = '{"d": 1, "N": 4, "omega_re": [[NaN]], "omega_im": [[1.0]]}'
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["spectrum", "restriction", "--params", P4, "--symbol", "x1/0"], 1),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "0/0"], 1),
+    (["frame", "check", "--params", P4, "--points", "0,0;1"], 1),
+    (["frame", "check", "--params", P4_NO_OMEGA_RE, "--points", "0,0;1,1"], 1),
+    (["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2,x"], 2),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--alpha-grid", "0.5,a"], 2),
+    (["frame", "scan", "--params", P4, "-K", "0"], 1),
+    (["frame", "scan", "--params", P4, "--mode", "random", "-K", "40", "--count", "3"], 1),
+    (["theta", "zero", "--params", P4_NAN_OMEGA], 1),
+    (["frame", "check", "--params", P4, "--points=--"], 2),
+], ids=["symbol-x1/0", "symbol-0/0", "points-half-pair", "params-no-omega_re",
+        "n-list-letter", "alpha-grid-letter", "scan-K0", "scan-K-above-positions",
+        "params-nan-omega", "points-double-dash"])
+def test_malformed_input_exits_with_a_message(argv, code):
+    # a separate interpreter, so an uncaught exception would show as a traceback
+    import torusgabor
+
+    src = os.path.dirname(os.path.dirname(torusgabor.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "torusgabor.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run_captured(argv):
+    # capsys is not reset between hypothesis examples, so capture here
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parses(convert, text):
+    try:
+        return all(math.isfinite(convert(v)) for v in text.split(","))
+    except ValueError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.text(alphabet="0123456789,.-+ eEainf;_", max_size=12))
+def test_malformed_number_lists_are_usage_errors(text):
+    # only texts that do not parse are run, so no sweep is ever started
+    for convert, option in ((int, "--n-list"), (float, "--alpha-grid")):
+        if _parses(convert, text):
+            continue
+        opts = {"--n-list": "2", "--alpha-grid": "0.5", option: text}
+        argv = ["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j"]
+        argv += [f"{k}={v}" for k, v in opts.items()]
+        code, _, err = _run_captured(argv)
+        assert code == 2
+        assert f"argument {option}" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=st.text(alphabet="0123456789,; -[]x.", max_size=16))
+def test_any_points_text_ends_in_a_report_or_an_error(text):
+    code, _, err = _run_captured(["frame", "check", "--params", P4, f"--points={text}"])
+    assert code in (0, 1, 2)
+    assert (code == 0) == ("error:" not in err)

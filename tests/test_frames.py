@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from torusgabor.frames import (
     scan_subsets,
     zero_set_diagnostic,
 )
-from torusgabor.frames import _theta_zero
+from torusgabor.frames import _lambda_membership, _theta_zero
 from torusgabor.transforms import GaussianWindow, ZeroWindowError, periodize_sample
 
 
@@ -206,6 +208,28 @@ def test_scan_counts_do_not_depend_on_real_part():
     assert res_b.disagreements == []
 
 
+def test_scan_verdicts_equal_the_parity_predicate():
+    # the scan sums lattice coefficients solved once per scan; every subset's
+    # verdict must be the one parity_predicate solves for from scratch
+    p = _p(4, omega=0.25 + 1j)
+    positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
+    member = _lambda_membership(p, _set(positions, p).complex_images(p), _theta_zero(p))
+    predicted = 0
+    for idx in itertools.combinations(range(len(positions)), 4):
+        expected = parity_predicate(_set([positions[i] for i in idx], p), p).no_frame
+        assert member(list(idx)) == expected
+        predicted += expected
+    c = scan_subsets(p, 4).confusion
+    assert c["agree_no_frame"] + c["pred_no_frame_oracle_frame"] == predicted == 116
+
+
+@pytest.mark.parametrize("K", [0, 17])
+def test_scan_rejects_subset_sizes_outside_the_positions(K):
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(GaborError):
+            scan_subsets(_p(4), K, mode=mode, count=3)
+
+
 def test_exhaustive_scan_refuses_huge_families():
     p = _p(5)
     with pytest.raises(TooManySubsetsError):
@@ -224,6 +248,8 @@ def test_random_scan_is_seeded_and_reproducible():
 def test_random_scan_needs_count():
     with pytest.raises(GaborError):
         scan_subsets(_p(4), 4, mode="random")
+    with pytest.raises(GaborError):
+        scan_subsets(_p(4), 4, mode="random", count=0)
     with pytest.raises(GaborError):
         scan_subsets(_p(4), 4, mode="sideways")
 

@@ -354,7 +354,7 @@ OM2 = np.array([[0.1 + 1.0j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
     (GaborParams(d=1, N=6, Omega=np.array([[0.3 + 1j]])), "sin(pi*x1)^2*cos(2*pi*xi1) + xi1", 4),
     (GaborParams(d=2, N=2, Omega=OM2), "sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2),
 ], ids=["d1", "d2"])
-def test_restriction_matrix_is_bitwise_the_pointwise_grid_sum(monkeypatch, chunk, params, text, ov):
+def test_restriction_matrix_matches_the_pointwise_grid_sum(monkeypatch, chunk, params, text, ov):
     # the quadrature sum written out with per-point stft_basis_grid calls
     if chunk is not None:
         monkeypatch.setattr(transforms, "_CHUNK", chunk)
@@ -363,14 +363,22 @@ def test_restriction_matrix_is_bitwise_the_pointwise_grid_sum(monkeypatch, chunk
     w = transforms.GaussianWindow(params)
     X, XI, cell = transforms.tn_grid(params, rep.oversample * params.N,
                                      rep.oversample * params.N, midpoint=True)
-    M = np.zeros((params.dim_sn,) * 2, dtype=complex)
-    for start in range(0, len(X), transforms._CHUNK):
-        sl = slice(start, start + transforms._CHUNK)
-        V = transforms.stft_basis_grid(w, X[sl], XI[sl])
-        M += (V.conj() * np.asarray(sym(X[sl] / params.N, XI[sl])).real) @ V.T
+    V = transforms.stft_basis_grid(w, X, XI)
+    M = (V.conj() * np.asarray(sym(X / params.N, XI)).real) @ V.T
     M *= cell / w.l2_norm_sq()
     M = 0.5 * (M + M.conj().T)
-    assert np.array_equal(rep.matrix.view(np.uint64), M.view(np.uint64))
+    assert np.abs(rep.matrix - M).max() <= 1e-13 * np.abs(M).max()
+
+
+def test_restriction_matrix_is_generic_over_windows():
+    # an ExplicitWindow around the Gaussian goes through the same table
+    p = GaborParams(d=2, N=2, Omega=OM2)
+    sym = parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2)
+    g = transforms.GaussianWindow(p)
+    explicit = transforms.ExplicitWindow(g, *g.decay, p)
+    ref = restriction_matrix(sym, p, oversample=2, rel_tol=1e-3).matrix
+    got = restriction_matrix(sym, p, window=explicit, oversample=2, rel_tol=1e-3).matrix
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_toeplitz_correspondence_with_weighted_sections():
