@@ -15,8 +15,9 @@ C^d / Lambda, so all magnitude reporting happens in that gauge and raw values
 travel as ScaledComplex.  The basis sections B eps_n are orthogonal in
 L^2(e^{-N phi}) over a fundamental domain and span an N^d-dimensional space;
 the Gram matrix verifies both numerically.  It is the a == 1 contraction of
-the one T_N-grid table (transforms.tn_grid_gram) that restriction matrices
-and the Bergman density read too.
+the T_N-grid table (transforms.tn_grid_gram), since the factor in
+V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(i (Omega x/N + xi)) does not
+depend on n and has modulus e^{-N phi/2}.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ class GramReport:
 def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3):
     """Gram matrix G_{mn} of the weighted basis sections over a fundamental domain.
 
-    V_h eps_n is B eps_n times one phase of modulus e^{-N phi/2} that does not
-    depend on n, so G = det(Im Omega) / P * tn_grid_gram(h, per, per) on the
+    By the identity of the module docstring,
+    G = det(Im Omega) / P * tn_grid_gram(h, per, per) on the
     P = per^{2d} trapezoid nodes, per = oversample * N per axis; per is doubled
     until G changes by less than rel_stab in relative Frobenius norm.
     """

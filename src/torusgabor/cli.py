@@ -589,9 +589,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # argparse before Python 3.12 turns the option value "--" into []
+    # a bare "--" value: [] from argparse before Python 3.12, "--" after
     for name, value in vars(args).items():
-        if isinstance(value, list) and not value:
+        if (isinstance(value, list) and not value) or value == "--":
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         # checked here so the message names the option, not the grid sizes

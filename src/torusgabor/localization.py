@@ -7,7 +7,7 @@ transform of the n-th Dirac comb against the Gaussian window,
     M[m, n] = (cell / ||h||_L2^2) * sum_p a(x_p/N, xi_p) V_n(p) conj(V_m(p))
 
 on a midpoint grid over x in [0,N)^d, xi in [0,1)^d: the contraction
-transforms.tn_grid_gram of the one T_N-grid product table V_n = A_n @ B_n,
+transforms.tn_grid_gram of the one T_N-grid product table,
 with the symbol as weight; it rejects non-finite symbol samples.  The grid is
 doubled until the trace stabilizes.  For a == 1 this reproduces the identity
 matrix, which anchors the normalization; no further constant is applied.

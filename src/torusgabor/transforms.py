@@ -27,7 +27,7 @@ stft_basis_grid evaluates one Zak sum per basis function and point, for
 scattered points.  On the product grid of tn_grid one product table serves
 every consumer: for a block of whole x-node rows,
 
-    V_n = A_n @ B_n,   A_n[x, k] = conj g(n - N k - x),   B_n[k, xi] = e^{-2 pi i (n - N k).xi},
+    V_n = e^{-2 pi i n.xi} A_n @ E,   A_n[x, k] = conj g(n - N k - x),   E[k, xi] = e^{2 pi i N k.xi},
 
 over the truncation box of _zak_box, for any window with conj_fn and decay.
 tn_grid_gram contracts it into S[m, n] = sum_p w_p conj(V_m(p)) V_n(p): the
@@ -378,41 +378,44 @@ def stft_basis_tn_grid(window, nx, nxi, midpoint=False, rel_tol=1e-13):
 
     Yields (X, XI, V) for consecutive point ranges of
     tn_grid(params, nx, nxi, midpoint); V has shape (N^d, len(X)) and equals
-    stft_basis_grid(window, X, XI, rel_tol) to roundoff.  Every point of an
-    x node shares the Zak terms, so for a block of x nodes V_n = A_n @ B_n
-    with A_n[x, k] = conj g(n - N k - x) and B_n[k, xi] = e^{-2 pi i (n - N k).xi},
-    one batched matmul over the box of _zak_box.  n - x lies in (-N, N)^d
-    for every x in [0, N)^d, the range that box certifies.  A block holds at
-    most _CHUNK entries of V, and at least one x node.
+    stft_basis_grid(window, X, XI, rel_tol) to roundoff; each block is one
+    matmul A_n @ E (module docstring).  n - x lies in (-N, N)^d for every x in
+    [0, N)^d, the range _zak_box certifies.  A block holds at most _CHUNK
+    entries of V, and at least one x node; E (len(_zak_box) x nxi^d) and the
+    n phases (N^d x nxi^d) are built once and held whole.
     """
     window = _require_decay(window)
     p = window.params
     N, d = p.N, p.d
     xs, xis, _ = tn_axes(p, nx, nxi, midpoint)
     ns = np.indices(p.shape).reshape(d, -1).T.astype(float)
-    J = ns[:, None, :] - N * _zak_box(window, rel_tol).astype(float)  # (N^d, K, d)
+    k = _zak_box(window, rel_tol).astype(float)
+    J = ns[:, None, :] - N * k  # (N^d, K, d)
     XI, _ = _product_points([xis] * d, 0, nxi ** d)
-    B = np.exp(-2j * np.pi * (J @ XI.T))
+    E = np.exp(2j * np.pi * N * (k @ XI.T))  # (K, nxi^d), shared by every n
+    phase = np.exp(-2j * np.pi * (ns @ XI.T))[:, None, :]
     per_x = nxi ** d
     rows = max(1, _CHUNK // (len(ns) * per_x))
     for r0 in range(0, nx ** d, rows):
         r1 = min(r0 + rows, nx ** d)
         Xb, _ = _product_points([xs] * d, r0, r1)
         A = window.conj_fn(J[:, None, :, :] - Xb[None, :, None, :])
+        V = (A.reshape(-1, len(k)) @ E).reshape(len(ns), r1 - r0, per_x)
+        V *= phase
         pts, _ = _product_points([xs] * d + [xis] * d, r0 * per_x, r1 * per_x)
-        yield pts[:, :d], pts[:, d:], np.matmul(A, B).reshape(len(ns), -1)
+        yield pts[:, :d], pts[:, d:], V.reshape(len(ns), -1)
 
 
-def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False, rel_tol=1e-13):
+def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False):
     """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of tn_grid.
 
     weight(X, XI) gives w at a block of points (None means w = 1) and must be
-    finite there; the V_n come from stft_basis_tn_grid, so the grid is never
-    held whole.
+    finite there; the V_n come block by block from stft_basis_tn_grid, so V
+    is never held for the whole grid.
     """
     dim = window.params.dim_sn
     S = np.zeros((dim, dim), dtype=complex)
-    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint, rel_tol):
+    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint):
         Vw = V.conj()
         if weight is not None:
             w = weight(X, XI)

@@ -185,6 +185,30 @@ def test_gram_constant_matches_sqrt_candidate():
         assert rep.onb_constant == pytest.approx(cand, rel=1e-12)
 
 
+def test_table_is_the_sections_times_one_phase():
+    # gram contracts the T_N-grid table, not the sections: this ties the two.
+    # At z = i (Omega x / N + xi), V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(z)
+    # with a factor that does not depend on n and has modulus e^{-N phi(z)/2}
+    om2 = np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])
+    rng = np.random.default_rng(61)
+    cases = (_p(0.3 + 1j, N=4), GaborParams(d=2, N=2, Omega=om2),
+             GaborParams(d=2, N=3, Omega=om2))
+    for p in cases:
+        ns = np.indices(p.shape).reshape(p.d, -1).T
+        # 3N nodes per axis: at 2N, e^{2 pi i N k.xi} = +-1 would hide its sign
+        nx = 3 * p.N
+        blocks = list(transforms.stft_basis_tn_grid(transforms.GaussianWindow(p), nx, nx))
+        X, XI = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
+        V = np.concatenate([b[2] for b in blocks], axis=1)
+        for j in rng.choice(len(X), 8, replace=False):
+            z = 1j * (p.Omega @ X[j] / p.N + XI[j])
+            B = np.array([bargmann_basis(n, z, p, tol=1e-14).raw.to_complex() for n in ns])
+            # some sections vanish at grid points, so no entrywise ratio
+            c = np.exp(1j * np.pi * (X[j] @ p.Omega @ X[j]) / p.N)
+            assert np.abs(V[:, j] - c * B).max() <= 1e-12 * np.abs(V[:, j]).max()
+            assert abs(c) == pytest.approx(np.exp(-0.5 * p.N * weight_phi(z, p)), rel=1e-12)
+
+
 def test_gram_unconverged_quadrature_raises():
     with pytest.raises(QuadratureUnderResolvedError):
         gram(_p(1j, N=2), max_doublings=0)

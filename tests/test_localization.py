@@ -392,7 +392,7 @@ def test_toeplitz_correspondence_with_weighted_sections():
     p = GaborParams(d=1, N=2, Omega=np.array([[1j]]))
     nx = 16 * p.N
     X, XI, cell = tn_grid(p, nx, nx, midpoint=True)
-    Z = -1j * (X @ p.Omega.T / p.N + XI)
+    Z = 1j * (X @ p.Omega.T / p.N + XI)
     B = np.empty((p.dim_sn, X.shape[0]), dtype=complex)
     W = np.empty(X.shape[0])
     for j in range(X.shape[0]):
