@@ -11,7 +11,10 @@ between BLAS/LAPACK builds is the output of dense linear algebra: traces of
 matmul-assembled matrices, and singular values at roundoff level, such as the
 1.204261702266806e-16 in tests/golden/frame_check.json.  Density values, like
 restriction traces, are assembled by matmul (the T_N-grid table), so their
-last bits can differ between BLAS builds too.
+last bits can differ between BLAS builds too.  `frame scan` takes one
+batched SVD per block of subsets, which can differ from the single-matrix
+SVD of `frame check` at roundoff level (about 1e-16 relative in a margin).
+A report never holds NaN or Infinity: a non-finite value is a domain error.
 """
 
 from __future__ import annotations
@@ -37,11 +40,10 @@ VERSION = "0.1.0"
 
 
 def _fmt_float(x):
+    # NaN and Infinity are not JSON tokens, and no report may carry them
     x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    if not math.isfinite(x):
+        raise GaborError(f"the report holds a non-finite value ({x}), which JSON cannot represent")
     return format(x, ".17g")
 
 

@@ -15,7 +15,11 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
 
 The scan driver runs both over subset families and reports every
 disagreement, keeping the margin distribution so the SVD threshold remains
-auditable.
+auditable.  It works on blocks of subsets: each block of index rows gathers
+one (B, K, N^d) stack of atom matrices, takes one batched SVD of the stack
+and sums the parity coefficients of every row at once.  A block holds at
+most transforms._CHUNK complex entries, and the verdicts do not depend on
+where blocks split.
 """
 
 from __future__ import annotations
@@ -174,16 +178,30 @@ def parity_predicate(D, params, z0=None, tol=1e-9):
 
 
 def _lambda_membership(params, zs, z0, tol=1e-9):
-    # idx -> whether sum_j zs[idx] - N z0 lies in Lambda; lattice coefficients
-    # are real-linear, so each z_j and N z0 is solved once, not per subset
+    # idx (..., K) -> whether sum_j zs[idx] - N z0 lies in Lambda, one bool per
+    # row; lattice coefficients are real-linear, so each z_j and N z0 is
+    # solved once, not per subset
     coef = np.array([np.concatenate(lattice_coefficients(z, params)) for z in zs])
     base = np.concatenate(lattice_coefficients(params.N * np.array([z0]), params))
 
     def member(idx):
-        c = coef[idx].sum(axis=0) - base
-        return bool(np.abs(c - np.round(c)).max() <= tol)
+        c = coef[idx].sum(axis=-2) - base
+        return np.abs(c - np.round(c)).max(axis=-1) <= tol
 
     return member
+
+
+def _frame_margin(svals, nd):
+    """(sigma_min, sigma_max, margin) from singular values sorted along the last axis.
+
+    sigma_min is the N^d-th singular value (0 with fewer than N^d of them),
+    and margin = (sigma_min / sigma_max)^2 = A/B (0 when sigma_max = 0), the
+    ratio that frame_bounds and scan_subsets compare with the threshold.
+    """
+    smax = svals[..., 0]
+    smin = svals[..., nd - 1] if svals.shape[-1] >= nd else np.zeros_like(smax)
+    margin = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0) ** 2
+    return smin, smax, margin
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -223,7 +241,7 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     """Frame bounds of {M_l T_k h : (k,l) in D} plus all applicable verdicts.
 
     A is the squared N^d-th singular value of the atom matrix (zero when
-    K < N^d), B the squared largest; the frame decision is A > threshold * B.
+    K < N^d), B the squared largest; the frame decision is A/B > threshold.
     """
     validate(params)
     if len(D) == 0:
@@ -232,11 +250,11 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     if float(np.vdot(h, h).real) == 0.0:
         raise transforms.ZeroWindowError("window has zero norm")
     atoms = _atom_matrix(h, D)
+    # one 2-D SVD, not a stacked one: the reported singular values keep the
+    # bits of the single-matrix LAPACK call
     svals = np.linalg.svd(atoms, compute_uv=False)
-    nd = params.dim_sn
-    smax = float(svals[0])
-    smin = float(svals[nd - 1]) if len(svals) >= nd else 0.0
-    A, B = smin ** 2, smax ** 2
+    smin, smax, margin = _frame_margin(svals, params.dim_sn)
+    A, B = float(smin) ** 2, float(smax) ** 2
     parity = None
     try:
         parity = parity_predicate(D, params)
@@ -245,7 +263,7 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     return FrameReport(
         A=A,
         B=B,
-        is_frame=bool(A > svd_threshold * B),
+        is_frame=bool(margin > svd_threshold),
         singular_values=svals,
         parity=parity,
         guarantees=counting_guarantees(len(D), params),
@@ -344,48 +362,46 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         raise GaborError(f"unknown scan mode {mode!r}")
 
     nd = params.dim_sn
-    confusion = {
-        "agree_frame": 0,
-        "agree_no_frame": 0,
-        "pred_no_frame_oracle_frame": 0,
-        "pred_frame_oracle_no_frame": 0,
-        "oracle_frame": 0,
-        "oracle_no_frame": 0,
-    }
-    margins = []
+    block = max(1, transforms._CHUNK // (K * nd))
+    margins = np.empty(total)
+    pred = np.empty(total, dtype=bool)
     disagreements = []
-    all_frames = True
-    for idx in subset_iter:
-        idx = list(idx)
+    for start in range(0, total, block):
+        idx = np.fromiter(itertools.islice(subset_iter, block), dtype=np.dtype((np.intp, K)))
+        rows = slice(start, start + len(idx))
         svals = np.linalg.svd(atoms_all[idx], compute_uv=False)
-        smax = float(svals[0])
-        smin = float(svals[nd - 1]) if len(svals) >= nd else 0.0
-        margin = (smin / smax) ** 2 if smax > 0 else 0.0
-        oracle_frame = margin > svd_threshold
-        margins.append(margin)
-        all_frames = all_frames and oracle_frame
-        confusion["oracle_frame" if oracle_frame else "oracle_no_frame"] += 1
-        if parity_applicable:
-            pred_no_frame = no_frame(idx)
-            if pred_no_frame == (not oracle_frame):
-                confusion["agree_no_frame" if pred_no_frame else "agree_frame"] += 1
-            else:
-                key = "pred_no_frame_oracle_frame" if pred_no_frame \
-                    else "pred_frame_oracle_no_frame"
-                confusion[key] += 1
-                disagreements.append({
-                    "positions": [positions[i] for i in idx],
-                    "sigma_min": smin,
-                    "margin": margin,
-                    "pred_no_frame": pred_no_frame,
-                })
+        smin, _, margins[rows] = _frame_margin(svals, nd)
+        if not parity_applicable:
+            continue
+        pred[rows] = no_frame(idx)
+        # a disagreement: predicted no-frame where the oracle finds a frame, or
+        # the reverse
+        for i in np.flatnonzero(pred[rows] == (margins[rows] > svd_threshold)):
+            disagreements.append({
+                "positions": [positions[j] for j in idx[i]],
+                "sigma_min": float(smin[i]),
+                "margin": float(margins[start + i]),
+                "pred_no_frame": bool(pred[start + i]),
+            })
+    oracle = margins > svd_threshold
+    confusion = dict.fromkeys(("agree_frame", "agree_no_frame",
+                               "pred_no_frame_oracle_frame", "pred_frame_oracle_no_frame"), 0)
+    if parity_applicable:
+        confusion.update(
+            agree_frame=int(np.count_nonzero(~pred & oracle)),
+            agree_no_frame=int(np.count_nonzero(pred & ~oracle)),
+            pred_no_frame_oracle_frame=int(np.count_nonzero(pred & oracle)),
+            pred_frame_oracle_no_frame=int(np.count_nonzero(~pred & ~oracle)),
+        )
+    confusion["oracle_frame"] = int(np.count_nonzero(oracle))
+    confusion["oracle_no_frame"] = total - confusion["oracle_frame"]
     return ScanResult(
         total=total,
         mode=mode,
         parity_applicable=parity_applicable,
         confusion=confusion,
         disagreements=disagreements,
-        margins=np.asarray(margins),
-        all_frames=all_frames,
+        margins=margins,
+        all_frames=bool(np.all(oracle)),
         seed=seed,
     )

@@ -410,8 +410,9 @@ def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False):
     """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of tn_grid.
 
     weight(X, XI) gives w at a block of points (None means w = 1) and must be
-    finite there; the V_n come block by block from stft_basis_tn_grid, so V
-    is never held for the whole grid.
+    finite there, and so must the sum: a finite weight whose products
+    overflow is rejected once the sum is complete.  The V_n come block by
+    block from stft_basis_tn_grid, so V is never held for the whole grid.
     """
     dim = window.params.dim_sn
     S = np.zeros((dim, dim), dtype=complex)
@@ -421,10 +422,16 @@ def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False):
             w = weight(X, XI)
             if not np.all(np.isfinite(w)):
                 raise GaborError("weight samples must be finite at every T_N grid point")
-            # in place, so at most two V-sized arrays are alive at a time
-            Vw *= w
-        S += Vw @ V.T
+        # an overflow leaves S non-finite, which is checked below, so numpy
+        # need not warn about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if weight is not None:
+                # in place, so at most two V-sized arrays are alive at a time
+                Vw *= w
+            S += Vw @ V.T
         del V, Vw
+    if not np.all(np.isfinite(S)):
+        raise GaborError("the weighted T_N-grid sum overflowed: weight samples are too large")
     return S
 
 

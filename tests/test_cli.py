@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgabor import GaborParams, theta_eval
-from torusgabor.cli import main
+from torusgabor.cli import _fmt_float, _json_dumps, main
+from torusgabor.core import GaborError
 
 P4 = '{"d": 1, "N": 4, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
 
@@ -274,22 +275,28 @@ P4_NO_OMEGA_RE = '{"d": 1, "N": 4, "omega_im": [[1.0]]}'
 P4_NAN_OMEGA = '{"d": 1, "N": 4, "omega_re": [[NaN]], "omega_im": [[1.0]]}'
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["spectrum", "restriction", "--params", P4, "--symbol", "x1/0"], 1),
-    (["spectrum", "restriction", "--params", P4, "--symbol", "0/0"], 1),
-    (["frame", "check", "--params", P4, "--points", "0,0;1"], 1),
-    (["frame", "check", "--params", P4_NO_OMEGA_RE, "--points", "0,0;1,1"], 1),
-    (["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2,x"], 2),
-    (["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--alpha-grid", "0.5,a"], 2),
-    (["frame", "scan", "--params", P4, "-K", "0"], 1),
-    (["frame", "scan", "--params", P4, "--mode", "random", "-K", "40", "--count", "3"], 1),
-    (["theta", "zero", "--params", P4_NAN_OMEGA], 1),
-    (["frame", "check", "--params", P4, "--points=--"], 2),
-], ids=["symbol-x1/0", "symbol-0/0", "points-half-pair", "params-no-omega_re",
-        "n-list-letter", "alpha-grid-letter", "scan-K0", "scan-K-above-positions",
-        "params-nan-omega", "points-double-dash"])
-def test_malformed_input_exits_with_a_message(argv, code):
+@pytest.mark.parametrize("argv,code,message", [
+    (["spectrum", "restriction", "--params", P4, "--symbol", "x1/0"], 1, "error:"),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "0/0"], 1, "error:"),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "1e308"], 1, "overflowed"),
+    (["frame", "check", "--params", P4, "--points", "0,0;1"], 1, "error:"),
+    (["frame", "check", "--params", P4_NO_OMEGA_RE, "--points", "0,0;1,1"], 1, "error:"),
+    (["frame", "check", "--params", P4, "--points", "0,0;1,1", "--threshold", "nan"], 1,
+     "non-finite"),
+    (["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2,x"], 2, "error:"),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--alpha-grid", "0.5,a"], 2,
+     "error:"),
+    (["frame", "scan", "--params", P4, "-K", "0"], 1, "error:"),
+    (["frame", "scan", "--params", P4, "--mode", "random", "-K", "40", "--count", "3"], 1,
+     "error:"),
+    (["theta", "zero", "--params", P4_NAN_OMEGA], 1, "error:"),
+    (["frame", "check", "--params", P4, "--points=--"], 2, "error:"),
+], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
+        "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
+        "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash"])
+def test_malformed_input_exits_with_a_message(argv, code, message):
     # a separate interpreter, so an uncaught exception would show as a traceback
+    # and a numpy warning would show on stderr
     import torusgabor
 
     src = os.path.dirname(os.path.dirname(torusgabor.__file__))
@@ -299,7 +306,19 @@ def test_malformed_input_exits_with_a_message(argv, code):
     assert proc.returncode == code
     assert proc.stdout == ""
     assert "error:" in proc.stderr
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_report_values_are_domain_errors(value):
+    # NaN and Infinity are not JSON tokens
+    assert _fmt_float(0.1) == "0.10000000000000001"
+    with pytest.raises(GaborError, match="non-finite"):
+        _fmt_float(value)
+    with pytest.raises(GaborError, match="non-finite"):
+        _json_dumps({"x": [1.0, np.float64(value)]})
 
 
 def _run_captured(argv):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from torusgabor import transforms
 from torusgabor.core import GaborError, GaborParams
 from torusgabor.frames import (
     EmptyPointSetError,
@@ -17,7 +18,12 @@ from torusgabor.frames import (
     zero_set_diagnostic,
 )
 from torusgabor.frames import _lambda_membership, _theta_zero
-from torusgabor.transforms import GaussianWindow, ZeroWindowError, periodize_sample
+from torusgabor.transforms import (
+    GaussianWindow,
+    ZeroWindowError,
+    periodize_sample,
+    time_frequency_shift,
+)
 
 
 def _p(N, omega=1j, d=1):
@@ -221,6 +227,110 @@ def test_scan_verdicts_equal_the_parity_predicate():
         predicted += expected
     c = scan_subsets(p, 4).confusion
     assert c["agree_no_frame"] + c["pred_no_frame_oracle_frame"] == predicted == 116
+
+
+OMEGA_2D = np.array([[0.1 + 1j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
+
+
+def _scan_reference(p, K, mode="exhaustive", count=None, seed=None, svd_threshold=1e-7):
+    # one 2-D SVD and one parity_predicate per subset, in the scan's order
+    h = periodize_sample(GaussianWindow(p))
+    positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
+    atoms_all = np.stack([time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
+                          for k, l in positions])
+    if mode == "exhaustive":
+        subsets = itertools.combinations(range(len(positions)), K)
+    else:
+        rng = np.random.default_rng(seed)
+        subsets = [tuple(sorted(rng.choice(len(positions), size=K, replace=False)))
+                   for _ in range(count)]
+    nd = p.dim_sn
+    applicable = p.d == 1 and K == p.N
+    confusion = dict.fromkeys(["agree_frame", "agree_no_frame", "pred_no_frame_oracle_frame",
+                               "pred_frame_oracle_no_frame", "oracle_frame",
+                               "oracle_no_frame"], 0)
+    margins, disagreements = [], []
+    for idx in subsets:
+        svals = np.linalg.svd(atoms_all[list(idx)], compute_uv=False)
+        smin = float(svals[nd - 1]) if len(svals) >= nd else 0.0
+        margin = (smin / float(svals[0])) ** 2
+        oracle_frame = margin > svd_threshold
+        margins.append(margin)
+        confusion["oracle_frame" if oracle_frame else "oracle_no_frame"] += 1
+        if not applicable:
+            continue
+        D = _set([positions[i] for i in idx], p)
+        pred = parity_predicate(D, p).no_frame
+        if pred != oracle_frame:
+            confusion["agree_no_frame" if pred else "agree_frame"] += 1
+        else:
+            confusion["pred_no_frame_oracle_frame" if pred
+                      else "pred_frame_oracle_no_frame"] += 1
+            disagreements.append(([positions[i] for i in idx], smin, margin, pred))
+    return confusion, np.array(margins), disagreements
+
+
+def _same_disagreements(found, expected):
+    assert len(found) == len(expected)
+    for rec, (positions, smin, margin, pred) in zip(found, expected):
+        assert rec["positions"] == positions
+        assert rec["pred_no_frame"] is pred
+        assert rec["margin"] == pytest.approx(margin, rel=1e-12, abs=1e-30)
+        assert rec["sigma_min"] == pytest.approx(smin, rel=1e-12, abs=1e-15)
+
+
+SCAN_CASES = {
+    "exhaustive-d1-N4-K4": (_p(4, omega=0.25 + 1j), 4, {}),
+    "exhaustive-d1-N3-K3": (_p(3, omega=0.3 + 1j), 3, {}),  # odd N: N z0 is not in Lambda
+    "random-d2-N3-K8": (GaborParams(d=2, N=3, Omega=OMEGA_2D), 8,
+                        {"mode": "random", "count": 300, "seed": 5}),
+    "random-d1-N6-K7": (_p(6), 7, {"mode": "random", "count": 300, "seed": 6}),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_block_scan_matches_a_per_subset_reference(case, monkeypatch):
+    p, K, kw = SCAN_CASES[case]
+    res = scan_subsets(p, K, **kw)
+    confusion, margins, disagreements = _scan_reference(p, K, **kw)
+    assert res.total == len(margins)
+    assert res.confusion == confusion
+    assert np.allclose(res.margins, margins, rtol=1e-12, atol=1e-30)
+    assert res.all_frames == bool(np.all(margins > 1e-7))
+    _same_disagreements(res.disagreements, disagreements)
+    # blocks of 7 subsets give the same bits as the default block bound
+    monkeypatch.setattr(transforms, "_CHUNK", 7 * K * p.dim_sn)
+    split = scan_subsets(p, K, **kw)
+    assert np.array_equal(split.margins.view(np.uint64), res.margins.view(np.uint64))
+    assert split.confusion == res.confusion
+    assert split.disagreements == res.disagreements
+    assert split.all_frames == res.all_frames
+
+
+def test_scan_reports_every_disagreement_in_subset_order(monkeypatch):
+    # a threshold above every margin makes each subset an oracle no-frame, so
+    # every subset the predicate calls a frame is a disagreement
+    p = _p(4)
+    res = scan_subsets(p, 4, svd_threshold=2.0)
+    c = res.confusion
+    assert c["oracle_no_frame"] == 1820 and c["oracle_frame"] == 0
+    assert c["pred_frame_oracle_no_frame"] == 1704
+    assert c["agree_no_frame"] == 116
+    assert c["agree_frame"] == c["pred_no_frame_oracle_frame"] == 0
+    assert not res.all_frames
+    confusion, _, expected = _scan_reference(p, 4, svd_threshold=2.0)
+    assert res.confusion == confusion
+    _same_disagreements(res.disagreements, expected)
+    # for Omega = i the predicate is the integer test: N | sum k and N | sum l
+    positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
+    frames_by_sums = [
+        [positions[i] for i in idx] for idx in itertools.combinations(range(16), 4)
+        if sum(positions[i][0][0] for i in idx) % 4 or sum(positions[i][1][0] for i in idx) % 4
+    ]
+    assert [rec["positions"] for rec in res.disagreements] == frames_by_sums
+    assert all(rec["margin"] > 1e-4 and not rec["pred_no_frame"] for rec in res.disagreements)
+    monkeypatch.setattr(transforms, "_CHUNK", 7 * 4 * 4)
+    assert scan_subsets(p, 4, svd_threshold=2.0).disagreements == res.disagreements
 
 
 @pytest.mark.parametrize("K", [0, 17])
