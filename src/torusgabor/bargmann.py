@@ -14,10 +14,11 @@ the combination |B a(z)|^2 e^{-N phi(z)} is a genuine function on the torus
 C^d / Lambda, so all magnitude reporting happens in that gauge and raw values
 travel as ScaledComplex.  The basis sections B eps_n are orthogonal in
 L^2(e^{-N phi}) over a fundamental domain and span an N^d-dimensional space;
-the Gram matrix verifies both numerically.  It is the a == 1 contraction of
-the T_N-grid table (transforms.tn_grid_gram), since the factor in
+the Gram matrix verifies both numerically.  Since the factor in
 V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(i (Omega x/N + xi)) does not
-depend on n and has modulus e^{-N phi/2}.
+depend on n and has modulus e^{-N phi/2}, the coherent-state resolution of
+the identity makes the Gram matrix sqrt(det Im Omega / (2N)^d) times the
+a == 1 localization matrix (localization.restriction_matrix).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import warnings
 
 import numpy as np
 
+from . import localization, transforms
 from . import theta as theta_mod
-from . import transforms
-from .core import GaborError, QuadratureUnderResolvedError, im_min_eig, validate
+from .core import GaborError, im_min_eig, validate
 from .theta import ScaledComplex, certified_lattice_sum, sum_scaled_exponents, theta_eval
 
 
@@ -157,57 +158,33 @@ class GramReport:
     rank: int
     onb_constant: float
     offdiag_residual: float
-    onb_constant_candidates: dict
     grid_history: list
 
 
 def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3):
     """Gram matrix G_{mn} of the weighted basis sections over a fundamental domain.
 
-    By the identity of the module docstring,
-    G = det(Im Omega) / P * tn_grid_gram(h, per, per) on the
-    P = per^{2d} trapezoid nodes, per = oversample * N per axis; per is doubled
-    until G changes by less than rel_stab in relative Frobenius norm.
+    By the identity of the module docstring, G is
+    sqrt(det Im Omega / (2N)^d) times restriction_matrix(Constant(1.0, d))
+    with rel_tol = rel_stab: oversample * N midpoint nodes per axis, doubled
+    until the matrix changes by at most rel_stab in relative Frobenius norm.
+    grid_history holds (oversample * N, trace) for each (oversample, trace)
+    of that report's trace_history, i.e. points per axis at every level.
     """
     validate(params)
-    window = transforms.GaussianWindow(params)
-    dety = float(np.linalg.det(params.im))
-    per = oversample * params.N
-    prev = None
-    history = []
-    for _ in range(max_doublings + 1):
-        G = transforms.tn_grid_gram(window, per, per) * (dety / per ** (2 * params.d))
-        if prev is not None:
-            change = float(np.linalg.norm(G - prev) / max(np.linalg.norm(G), 1e-300))
-            history.append((per, change))
-            if change <= rel_stab:
-                return _gram_report(params, G, history)
-        else:
-            history.append((per, float("nan")))
-        prev = G
-        per *= 2
-    raise QuadratureUnderResolvedError(
-        f"gram quadrature still changing after {max_doublings} doublings"
-    )
-
-
-def _gram_report(params, G, history):
-    evals = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    rank = int((evals > 1e-8 * evals.max()).sum())
+    rep = localization.restriction_matrix(
+        localization.Constant(1.0, params.d), params, oversample=oversample,
+        rel_tol=rel_stab, max_doublings=max_doublings)
+    G = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d) * rep.matrix
+    evals = np.linalg.eigvalsh(G)
     diag = np.real(np.diag(G))
-    c = float(diag.mean())
     off = G - np.diag(np.diag(G))
-    offres = float(np.abs(off).max() / diag.mean())
-    # the Moyal identity makes the a == 1 contraction ||h||^2 P / N^d I, so
-    # G = det(Im Omega) ||h||^2 / N^d I with ||h||^2 = sqrt(N^d / (2^d det Im Omega))
-    root = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d)
     return GramReport(
         matrix=G,
-        rank=rank,
-        onb_constant=c,
-        offdiag_residual=offres,
-        onb_constant_candidates={"sqrt(det Im Omega / (2N)^d)": root},
-        grid_history=history,
+        rank=int((evals > 1e-8 * evals.max()).sum()),
+        onb_constant=float(diag.mean()),
+        offdiag_residual=float(np.abs(off).max() / diag.mean()),
+        grid_history=[(ov * params.N, tr) for ov, tr in rep.trace_history],
     )
 
 

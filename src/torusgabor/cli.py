@@ -93,12 +93,13 @@ def _csv_text(header, rows):
 
 
 def _emit(doc, args, csv_header=None, csv_rows=None):
+    # csv_rows() is called in CSV mode only, so JSON output never formats rows
     if args.format == "csv":
         if csv_header is None:
             body = {k: v for k, v in doc.items() if k != "provenance"}
             text = _csv_text(["key", "value"], _flatten_doc(body))
         else:
-            text = _csv_text(csv_header, csv_rows)
+            text = _csv_text(csv_header, csv_rows())
         print(_json_dumps({"provenance": doc.get("provenance", {})}), file=sys.stderr)
     else:
         text = _json_dumps(doc) + "\n"
@@ -263,11 +264,10 @@ def _cmd_dgt_forward(args):
     }
     header = [f"k{i + 1}" for i in range(params.d)] + \
              [f"l{i + 1}" for i in range(params.d)] + ["value_re", "value_im"]
-    rows = [
+    _emit(doc, args, header, lambda: [
         [str(v) for v in idx] + [_fmt_float(V[idx].real), _fmt_float(V[idx].imag)]
         for idx in np.ndindex(V.shape)
-    ]
-    _emit(doc, args, header, rows)
+    ])
 
 
 def _cmd_dgt_inverse(args):
@@ -280,11 +280,10 @@ def _cmd_dgt_inverse(args):
         "signal": _array_doc(f),
     }
     header = [f"m{i + 1}" for i in range(params.d)] + ["value_re", "value_im"]
-    rows = [
+    _emit(doc, args, header, lambda: [
         [str(v) for v in idx] + [_fmt_float(f[idx].real), _fmt_float(f[idx].imag)]
         for idx in np.ndindex(f.shape)
-    ]
-    _emit(doc, args, header, rows)
+    ])
 
 
 def _cmd_theta_eval(args):
@@ -403,12 +402,12 @@ def _cmd_bergman_density(args):
     }
     d = params.d
     header = [f"x{i + 1}" for i in range(d)] + [f"xi{i + 1}" for i in range(d)] + ["density"]
-    rows = []
-    for idx in np.ndindex(rep.values.shape):
-        coords = [_fmt_float(rep.x_nodes[idx[i]]) for i in range(d)]
-        coords += [_fmt_float(rep.xi_nodes[idx[d + i]]) for i in range(d)]
-        rows.append(coords + [_fmt_float(rep.values[idx])])
-    _emit(doc, args, header, rows)
+    _emit(doc, args, header, lambda: [
+        [_fmt_float(rep.x_nodes[i]) for i in idx[:d]]
+        + [_fmt_float(rep.xi_nodes[i]) for i in idx[d:]]
+        + [_fmt_float(rep.values[idx])]
+        for idx in np.ndindex(rep.values.shape)
+    ])
 
 
 def _cmd_spectrum_restriction(args):
@@ -422,7 +421,8 @@ def _cmd_spectrum_restriction(args):
             args, params,
             extra={"symbol": args.symbol,
                    "oversample": rep.oversample,
-                   "trace_history": [[ov, _cnum(tr)] for ov, tr in rep.trace_history]}),
+                   "trace_history": [[ov, _cnum(tr)] for ov, tr in rep.trace_history],
+                   "matrix_change": rep.change}),
         "trace": _cnum(spec.trace),
         "hermitian": spec.hermitian,
         "nonnormal": spec.nonnormal,
@@ -432,12 +432,11 @@ def _cmd_spectrum_restriction(args):
         "plunge_fraction": spec.plunge_fraction(args.plunge_delta),
     }
     header = ["index", "eigenvalue_re", "eigenvalue_im", "singular_value"]
-    rows = [
+    _emit(doc, args, header, lambda: [
         [str(i), _fmt_float(spec.eigenvalues[i].real), _fmt_float(spec.eigenvalues[i].imag),
          _fmt_float(spec.singular_values[i])]
         for i in range(len(spec.eigenvalues))
-    ]
-    _emit(doc, args, header, rows)
+    ])
 
 
 def _cmd_asymptotics_sweep(args):
@@ -462,10 +461,6 @@ def _cmd_asymptotics_sweep(args):
                 "trace_scaled": row.trace_scaled,
                 "counts_scaled": {_fmt_float(a): v for a, v in row.counts_scaled.items()},
                 "plunge": row.plunge,
-                "alt_normalizations": {
-                    "det_full": _cnum(row.alt_normalizations["det_full"]),
-                    "det_imag": _cnum(row.alt_normalizations["det_imag"]),
-                },
             }
             for row in rep.rows
         ],
@@ -473,13 +468,12 @@ def _cmd_asymptotics_sweep(args):
         "volume_targets": {_fmt_float(a): v for a, v in rep.volume_targets.items()},
     }
     header = ["N", "trace_scaled"] + [f"count_below_{a:g}" for a in alphas] + ["plunge"]
-    rows = [
+    _emit(doc, args, header, lambda: [
         [str(row.N), _fmt_float(row.trace_scaled)]
         + [_fmt_float(row.counts_scaled[float(a)]) for a in alphas]
         + [_fmt_float(row.plunge)]
         for row in rep.rows
-    ]
-    _emit(doc, args, header, rows)
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ transform of the n-th Dirac comb against the Gaussian window,
 on a midpoint grid over x in [0,N)^d, xi in [0,1)^d: the contraction
 transforms.tn_grid_gram of the one T_N-grid product table,
 with the symbol as weight; it rejects non-finite symbol samples.  The grid is
-doubled until the trace stabilizes.  For a == 1 this reproduces the identity
+doubled until the whole matrix settles in relative Frobenius norm, the only
+grid-doubling loop of the package.  For a == 1 this reproduces the identity
 matrix, which anchors the normalization; no further constant is applied.
+The Gram matrix of the Bargmann sections is that a == 1 matrix times
+sqrt(det Im Omega / (2N)^d) (bargmann.gram).
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -66,6 +69,8 @@ class Symbol:
 class Constant(Symbol):
     def __init__(self, value, d=1):
         self.value = complex(value) if np.iscomplexobj(np.asarray(value)) else float(value)
+        if not np.isfinite(self.value):
+            raise GaborError(f"constant symbol must be finite, got {self.value}")
         self.d = d
         self.is_real = not isinstance(self.value, complex)
         self.description = f"constant {self.value}"
@@ -332,29 +337,36 @@ class RestrictionReport:
     trace: complex
     oversample: int
     trace_history: list
+    change: float
     symbol_description: str
 
 
 def _quadrature_matrix(symbol, params, window, oversample):
     nx = oversample * params.N
     *_, cell = transforms.tn_axes(params, nx, nx, midpoint=True)
+    if isinstance(symbol, Constant):
+        # w = 1 spares the per-point multiply; the value scales the sum once
+        S = transforms.tn_grid_gram(window, nx, nx) * symbol.value
+    else:
+        def weight(X, XI):
+            a = np.asarray(symbol(X / params.N, XI))
+            return a.real if symbol.is_real else a
 
-    def weight(X, XI):
-        a = np.asarray(symbol(X / params.N, XI))
-        return a.real if symbol.is_real else a
-
-    S = transforms.tn_grid_gram(window, nx, nx, weight, midpoint=True)
+        S = transforms.tn_grid_gram(window, nx, nx, weight)
     return S * (cell / window.l2_norm_sq())
 
 
 def restriction_matrix(symbol, params, window=None, oversample=4, rel_tol=1e-8,
                        max_doublings=3, hermitian_tol=1e-8):
-    """Localization matrix of the symbol, grid-doubled until the trace settles.
+    """Localization matrix of the symbol, grid-doubled until the matrix settles.
 
-    Raises QuadratureUnderResolvedError when the relative trace change still
-    exceeds rel_tol after max_doublings doublings.  Real symbols yield an
-    exactly Hermitian sum; the matrix is symmetrized to remove solver noise
-    and NonHermitianBeyondToleranceError flags anything larger.
+    A level is accepted once ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the
+    norm floored at 1e-300); report.change is that relative change at the
+    accepted level and trace_history holds (oversample, trace) per level.
+    Raises QuadratureUnderResolvedError when the change still exceeds rel_tol
+    after max_doublings doublings.  Real symbols yield an exactly Hermitian
+    sum; the matrix is symmetrized to remove solver noise and
+    NonHermitianBeyondToleranceError flags anything larger.
     """
     validate(params)
     if symbol.d != params.d:
@@ -367,18 +379,18 @@ def restriction_matrix(symbol, params, window=None, oversample=4, rel_tol=1e-8,
     ov = oversample
     for _ in range(max_doublings + 1):
         M = _quadrature_matrix(symbol, params, window, ov)
-        tr = complex(np.trace(M))
-        history.append((ov, tr))
+        history.append((ov, complex(np.trace(M))))
         if prev is not None:
-            change = abs(tr - prev)
-            if change <= rel_tol * max(1.0, abs(tr)):
+            change = float(np.linalg.norm(M - prev) / max(np.linalg.norm(M), 1e-300))
+            if change <= rel_tol:
                 break
-        prev = tr
+        prev = M
         ov *= 2
     else:
+        measured = "not measured" if change is None else f"{change:.3e}"
         raise QuadratureUnderResolvedError(
-            f"trace moved {change:.3e} at oversample {ov // 2}; "
-            f"rel_tol = {rel_tol:.1e}"
+            f"relative matrix change (Frobenius) {measured} at oversample {ov // 2} "
+            f"after {max_doublings} doublings; rel_tol = {rel_tol:.1e}"
         )
     if symbol.is_real:
         asym = float(np.abs(M - M.conj().T).max())
@@ -393,6 +405,7 @@ def restriction_matrix(symbol, params, window=None, oversample=4, rel_tol=1e-8,
         trace=complex(np.trace(M)),
         oversample=ov,
         trace_history=history,
+        change=change,
         symbol_description=symbol.description,
     )
 
@@ -469,7 +482,6 @@ class SweepRow:
     trace_scaled: float
     counts_scaled: dict
     plunge: float
-    alt_normalizations: dict
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -483,11 +495,7 @@ class SweepReport:
     summation order; in d = 1 the count is 2^22, the division is exact and
     the value is the correctly rounded mean of the samples.
     volume_targets[alpha] is the exact count of samples below alpha over the
-    number of samples.  alt_normalizations carries the
-    constants 2^{-d/2} N^{-3d/2} det(.)^{-1/2} in the two determinant
-    conventions seen in the literature; they are alternative normalization
-    conventions reported for comparison only, the matrices here are anchored
-    to a == 1 -> identity and use no such constant.
+    number of samples.
     """
 
     rows: list
@@ -521,16 +529,6 @@ def _phase_space_targets(symbol, alphas):
     return integral, {a: float(c / size) for a, c in below.items()}
 
 
-def _alt_normalizations(params):
-    base = 2.0 ** (-params.d / 2) * float(params.N) ** (-1.5 * params.d)
-    det_full = complex(np.linalg.det(params.Omega))
-    det_imag = float(np.linalg.det(params.im))
-    return {
-        "det_full": base * complex(det_full) ** -0.5,
-        "det_imag": base * det_imag ** -0.5,
-    }
-
-
 def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
                      rel_tol=1e-8, max_doublings=3, plunge_delta=0.1):
     """Scaled trace and eigenvalue counts along a list of grid sizes N."""
@@ -550,7 +548,6 @@ def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
             trace_scaled=float(spec.trace.real) / nd,
             counts_scaled={float(a): spec.count_below(a) / nd for a in alphas},
             plunge=spec.plunge_fraction(plunge_delta),
-            alt_normalizations=_alt_normalizations(params),
         ))
     integral, volumes = _phase_space_targets(symbol, alphas)
     return SweepReport(

@@ -30,9 +30,9 @@ every consumer: for a block of whole x-node rows,
     V_n = e^{-2 pi i n.xi} A_n @ E,   A_n[x, k] = conj g(n - N k - x),   E[k, xi] = e^{2 pi i N k.xi},
 
 over the truncation box of _zak_box, for any window with conj_fn and decay.
-tn_grid_gram contracts it into S[m, n] = sum_p w_p conj(V_m(p)) V_n(p): the
-localization matrix of a symbol takes w = the symbol, the Gram matrix of the
-Bargmann sections w = 1.
+tn_grid_gram contracts it on the midpoint grid into
+S[m, n] = sum_p w_p conj(V_m(p)) V_n(p), with w the symbol of a localization
+matrix (localization.restriction_matrix, the only caller).
 """
 
 from __future__ import annotations
@@ -406,8 +406,8 @@ def stft_basis_tn_grid(window, nx, nxi, midpoint=False, rel_tol=1e-13):
         yield pts[:, :d], pts[:, d:], V.reshape(len(ns), -1)
 
 
-def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False):
-    """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of tn_grid.
+def tn_grid_gram(window, nx, nxi, weight=None):
+    """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of the midpoint tn_grid.
 
     weight(X, XI) gives w at a block of points (None means w = 1) and must be
     finite there, and so must the sum: a finite weight whose products
@@ -416,7 +416,7 @@ def tn_grid_gram(window, nx, nxi, weight=None, midpoint=False):
     """
     dim = window.params.dim_sn
     S = np.zeros((dim, dim), dtype=complex)
-    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint):
+    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint=True):
         Vw = V.conj()
         if weight is not None:
             w = weight(X, XI)

@@ -175,14 +175,13 @@ def test_gram_is_scalar_and_full_rank():
         assert np.abs(diag - rep.onb_constant).max() < 1e-8 * rep.onb_constant
 
 
-def test_gram_constant_matches_sqrt_candidate():
-    # G is the a == 1 contraction of the T_N-grid table, so the Moyal identity
-    # gives the diagonal sqrt(det Im Omega / (2N)^d) exactly
+def test_gram_constant_is_the_closed_form():
+    # G is the a == 1 localization matrix, the identity, times
+    # sqrt(det Im Omega / (2N)^d)
     om2 = np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])
     for p in (_p(1j, N=2), _p(0.7 + 1.5j, N=3), GaborParams(d=2, N=2, Omega=om2)):
-        rep = gram(p)
-        cand = rep.onb_constant_candidates["sqrt(det Im Omega / (2N)^d)"]
-        assert rep.onb_constant == pytest.approx(cand, rel=1e-12)
+        root = np.sqrt(np.linalg.det(p.im) / (2.0 * p.N) ** p.d)
+        assert gram(p).onb_constant == pytest.approx(root, rel=1e-12)
 
 
 def test_table_is_the_sections_times_one_phase():
@@ -219,6 +218,7 @@ def test_gram_history_is_recorded():
     assert len(rep.grid_history) >= 2
     pers = [h[0] for h in rep.grid_history]
     assert pers == sorted(pers)
+    assert pers[0] == 8 * 2  # oversample * N points per axis
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgabor import GaborParams, theta_eval
+from torusgabor import GaborParams, cli, theta_eval
 from torusgabor.cli import _fmt_float, _json_dumps, main
 from torusgabor.core import GaborError
 
@@ -158,6 +158,8 @@ def test_spectrum_restriction_document(capsys):
     assert doc["trace"]["re"] == pytest.approx(1.0, abs=1e-9)
     assert set(doc["counts_below"]) == {"0.25", "0.5"}
     assert doc["provenance"]["symbol"] == "sin(pi*x1)^2*sin(pi*xi1)^2"
+    # the relative Frobenius change the quadrature loop accepted
+    assert 0.0 <= doc["provenance"]["matrix_change"] <= 1e-8
 
 
 def test_asymptotics_sweep_document(capsys):
@@ -181,6 +183,37 @@ def test_csv_format_emits_table_and_provenance(capsys):
     assert len(lines) == 17  # header + 16 coefficient rows
     prov = json.loads(err)
     assert prov["provenance"]["tool"] == "torusgabor"
+
+
+def _numbers(obj):
+    # number leaves plus number-like keys: what the JSON writer may format
+    if isinstance(obj, dict):
+        return sum(_numbers(v) + (k.replace(".", "", 1).isdigit()) for k, v in obj.items())
+    if isinstance(obj, list):
+        return sum(_numbers(v) for v in obj)
+    return int(isinstance(obj, (int, float)) and not isinstance(obj, bool))
+
+
+@pytest.mark.parametrize("command", [
+    ("dgt", "forward", "--params", P4, "--signal", _signal_doc(np.ones(4))),
+    ("dgt", "inverse", "--params", P4, "--coeffs", _signal_doc(np.ones((4, 4)))),
+    ("bergman", "density", "--params", P4, "--oversample", "2"),
+    ("spectrum", "restriction", "--params", P4, "--symbol", "sin(pi*x1)^2"),
+    ("asymptotics", "sweep", "--symbol", "sin(pi*x1)^2", "--omega", "1j", "--n-list", "2,4"),
+], ids=["dgt-forward", "dgt-inverse", "density", "restriction", "sweep"])
+def test_json_output_builds_no_csv_rows(capsys, monkeypatch, command):
+    # CSV rows are formatted in CSV mode only, so JSON output formats no more
+    # floats than it prints
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _fmt_float(x)
+
+    monkeypatch.setattr(cli, "_fmt_float", counted)
+    code, out, _ = _run(capsys, *command)
+    assert code == 0
+    assert 0 < len(calls) <= _numbers(json.loads(out))
 
 
 def test_csv_flattening_for_scalar_documents(capsys):
