@@ -13,12 +13,14 @@ With the invariant weight
 the combination |B a(z)|^2 e^{-N phi(z)} is a genuine function on the torus
 C^d / Lambda, so all magnitude reporting happens in that gauge and raw values
 travel as ScaledComplex.  The basis sections B eps_n are orthogonal in
-L^2(e^{-N phi}) over a fundamental domain and span an N^d-dimensional space;
-the Gram matrix verifies both numerically.  Since the factor in
+L^2(e^{-N phi}) over a fundamental domain and span an N^d-dimensional space.
+Since the factor in
 V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(i (Omega x/N + xi)) does not
 depend on n and has modulus e^{-N phi/2}, the coherent-state resolution of
 the identity makes the Gram matrix sqrt(det Im Omega / (2N)^d) times the
-a == 1 localization matrix (localization.restriction_matrix).
+a == 1 localization matrix (localization.restriction_matrix), whose
+Heisenberg series is the identity up to roundoff; the tests check it
+against sums of the sections themselves.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from . import localization, transforms
+from . import localization
 from . import theta as theta_mod
 from .core import GaborError, im_min_eig, validate
 from .theta import ScaledComplex, certified_lattice_sum, sum_scaled_exponents, theta_eval
@@ -242,27 +244,33 @@ class DensityReport:
 def bergman_density(params, oversample=8, rel_tol=1e-13):
     """rho(x, xi) = sum_n |V_h eps_n(x, xi)|^2 / ||h||_{L^2}^2 for the Gaussian window.
 
-    The normalizer is the continuous L^2 norm of the window, which makes the
-    exact integral of rho over T_N equal to N^d; the trapezoid quadrature of
-    the sampled values is reported alongside for comparison.  It sums the
-    samples with math.fsum, so it does not depend on summation order.
+    rho is the trace part of the localization series (localization module):
+
+        rho(x, xi) = sum_{j,k} (-1)^{N j.k} e^{-(pi N / 2) Q(j, k)} e^{2 pi i (j.x + N k.xi)},
+
+    Q as in localization._heisenberg_kernel, truncated at rel_tol.  On the
+    trapezoid grid of oversample * N nodes per axis rho has period oversample,
+    so one cell (an inverse FFT of the folded coefficients) is tiled N^{2d}
+    times.  Its exact integral over T_N is N^d; the integral reported is the
+    trapezoid sum of the samples, taken with math.fsum (order-fixed).
     """
     validate(params)
-    win = transforms.GaussianWindow(params)
-    nx = oversample * params.N
-    nxi = oversample * params.N
-    *_, w = transforms.tn_axes(params, nx, nxi)
-    rho = np.concatenate([
-        (np.abs(V) ** 2).sum(axis=0)
-        for _, _, V in transforms.stft_basis_tn_grid(win, nx, nxi, rel_tol=rel_tol)
-    ]) / win.l2_norm_sq()
-    shape = (nx,) * params.d + (nxi,) * params.d
-    values = rho.reshape(shape)
+    N, d, ov = params.N, params.d, oversample
+    if ov < 1:
+        raise GaborError(f"oversample must be >= 1, got {ov}")
+    nx = ov * N
+    scale = math.pi * N / 2
+    coeffs = np.zeros((ov,) * (2 * d))
+    for jk, Q in localization._heisenberg_kernel(params, scale, rel_tol):
+        sign = 1 - 2 * (N * (jk[:, :d] * jk[:, d:]).sum(axis=1) % 2)
+        np.add.at(coeffs, tuple((jk % ov).T), sign * np.exp(-scale * Q))
+    cell = np.fft.ifftn(coeffs).real * ov ** (2 * d)
+    values = np.tile(cell, (N,) * (2 * d))
     return DensityReport(
-        x_nodes=np.arange(nx) * (params.N / nx),
-        xi_nodes=np.arange(nxi) / nxi,
+        x_nodes=np.arange(nx) * (N / nx),
+        xi_nodes=np.arange(nx) / nx,
         values=values,
-        integral=math.fsum(rho) * w,
+        integral=math.fsum(values.ravel()) * (N / nx) ** d * (1.0 / nx) ** d,
         vmin=float(values.min()),
         vmax=float(values.max()),
     )

@@ -6,14 +6,15 @@ stderr).  Floats are printed with 17 significant digits so equal inputs give
 byte-identical output; reports carry no timestamps for the same reason.
 The grid sums and means that reports print (phase-space targets, density
 integral and flatness) are order-fixed: they go through math.fsum, so they do
-not change with the summation order of a numpy build.  What can still differ
-between BLAS/LAPACK builds is the output of dense linear algebra: traces of
-matmul-assembled matrices, and singular values at roundoff level, such as the
-1.204261702266806e-16 in tests/golden/frame_check.json.  Density values, like
-restriction traces, are assembled by matmul (the T_N-grid table), so their
-last bits can differ between BLAS builds too.  `frame scan` takes one
-batched SVD per block of subsets, which can differ from the single-matrix
-SVD of `frame check` at roundoff level (about 1e-16 relative in a margin).
+not change with the summation order of a numpy build.  Restriction matrices
+(and so their traces) and density values are assembled by FFTs and
+elementwise sums, with no matmul, so their last bits follow numpy's FFT, not
+the BLAS build.  What can still differ between BLAS/LAPACK builds is the
+output of dense linear algebra: eigenvalues, and singular values at roundoff
+level, such as the 1.204261702266806e-16 in tests/golden/frame_check.json.
+`frame scan` takes one batched SVD per block of subsets, which can differ
+from the single-matrix SVD of `frame check` at roundoff level (about 1e-16
+relative in a margin).
 A report never holds NaN or Infinity: a non-finite value is a domain error.
 """
 
@@ -48,6 +49,9 @@ def _fmt_float(x):
 
 
 def _json_dumps(obj, indent=0):
+    # floats first: they are most of the values in a large report
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -73,8 +77,6 @@ def _json_dumps(obj, indent=0):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return _json_dumps(_cnum(obj), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -590,8 +592,7 @@ def main(argv=None):
         if (isinstance(value, list) and not value) or value == "--":
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
-        # checked here so the message names the option, not the grid sizes
-        # tn_grid would receive
+        # checked here so the message names the option
         if getattr(args, "oversample", 1) < 1:
             raise GaborError(f"--oversample must be >= 1, got {args.oversample}")
         args.run(args)

@@ -1,19 +1,23 @@
 """Phase-space localization operators on S_N and their spectral asymptotics.
 
 A symbol a(x, xi) on the torus [0,1)^d x [0,1)^d is applied by restricting
-the coherent-state resolution of the identity: with V_n the short-time
-transform of the n-th Dirac comb against the Gaussian window,
+the coherent-state resolution of the identity, M[m, n] = ||h||_L2^{-2} times
+the integral over T_N of a(x/N, xi) V_n conj(V_m), with V_n the short-time
+transform of the n-th Dirac comb against the Gaussian window h.  The
+Heisenberg group acts on the Bargmann sections by translations, so the
+symbol e^{2 pi i nu.(x, xi)}, nu = (p, q) in Z^{2d}, gives
 
-    M[m, n] = (cell / ||h||_L2^2) * sum_p a(x_p/N, xi_p) V_n(p) conj(V_m(p))
+    M = gamma_Omega(nu) W_N(nu),   gamma_Omega(p, q) = e^{-(pi/2N) (p - Omega q)^H Y^{-1} (p - Omega q)},
 
-on a midpoint grid over x in [0,N)^d, xi in [0,1)^d: the contraction
-transforms.tn_grid_gram of the one T_N-grid product table,
-with the symbol as weight; it rejects non-finite symbol samples.  The grid is
-doubled until the whole matrix settles in relative Frobenius norm, the only
-grid-doubling loop of the package.  For a == 1 this reproduces the identity
-matrix, which anchors the normalization; no further constant is applied.
-The Gram matrix of the Bargmann sections is that a == 1 matrix times
-sqrt(det Im Omega / (2N)^d) (bargmann.gram).
+with Y = Im Omega and W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q)/N}.
+restriction_matrix sums M = sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L
+the DFT of the symbol at L midpoint nodes per axis, which is exactly the
+midpoint rule of that integral; it rejects non-finite samples and doubles L
+until the whole matrix settles in relative Frobenius norm, the only
+grid-doubling loop of the package.  For a == 1 the series is the identity
+up to roundoff.  The Gram matrix of the Bargmann sections is that matrix
+times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the Bergman density
+is the trace part of the series (bargmann.bergman_density).
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from . import transforms
+from . import theta, transforms
 from .core import GaborError, QuadratureUnderResolvedError, validate
 
 
@@ -341,44 +345,125 @@ class RestrictionReport:
     symbol_description: str
 
 
-def _quadrature_matrix(symbol, params, window, oversample):
-    nx = oversample * params.N
-    *_, cell = transforms.tn_axes(params, nx, nx, midpoint=True)
-    if isinstance(symbol, Constant):
-        # w = 1 spares the per-point multiply; the value scales the sum once
-        S = transforms.tn_grid_gram(window, nx, nx) * symbol.value
-    else:
-        def weight(X, XI):
-            a = np.asarray(symbol(X / params.N, XI))
-            return a.real if symbol.is_real else a
-
-        S = transforms.tn_grid_gram(window, nx, nx, weight)
-    return S * (cell / window.l2_norm_sq())
+# truncation bound of a restriction matrix's series, relative to max |a|
+_SERIES_BOUND = 1e-16
 
 
-def restriction_matrix(symbol, params, window=None, oversample=4, rel_tol=1e-8,
-                       max_doublings=3, hermitian_tol=1e-8):
+def _heisenberg_kernel(params, scale, bound):
+    """Blocks (nu, Q) of the nu in Z^{2d} kept in a series sum_nu c_nu e^{-scale Q(nu)}.
+
+    Q(nu) = nu' H nu = (p - Omega q)^H Y^{-1} (p - Omega q) for nu = (p, q),
+    with H = [[Y^{-1}, -Y^{-1} X], [-X Y^{-1}, X Y^{-1} X + Y]], X = Re Omega
+    and Y = Im Omega.  The box [-R, R]^{2d} has the theta.tail_radius of
+    e^{-scale lambda_min(H) |nu|^2} at bound; inside it a term with
+    scale Q > -log(bound) + 2d log(2R + 1) is dropped, and each such term is
+    at most bound / (2R + 1)^{2d}.  So a series with |c_nu| <= 1 loses at most
+    2 bound.  The box runs in the C order of theta.lattice_box, in blocks
+    whose nu and the few arrays a caller derives from it hold about _CHUNK
+    numbers.
+    """
+    d = params.d
+    X, Y = params.re, params.im
+    Yinv = np.linalg.inv(Y)
+    H = np.block([[Yinv, -Yinv @ X], [-X @ Yinv, X @ Yinv @ X + Y]])
+    # R grows like sqrt(N / lambda_min(H)): 171 at N = 1024, Omega = i, bound 1e-16
+    R = theta.tail_radius(scale * float(np.linalg.eigvalsh(H)[0]), 2 * d, bound,
+                          offset=0.0, r_cap=1000)
+    cut = -math.log(bound) + 2 * d * math.log(2 * R + 1)
+    box = (2 * R + 1,) * (2 * d)
+    step = max(1, transforms._CHUNK // (8 * d))
+    for start in range(0, math.prod(box), step):
+        flat = np.arange(start, min(start + step, math.prod(box)))
+        nu = np.stack(np.unravel_index(flat, box), axis=-1)
+        nu -= R
+        Q = ((nu @ H) * nu).sum(axis=1)
+        keep = scale * Q <= cut
+        yield nu[keep], Q[keep]
+
+
+def _midpoint_samples(symbol, m):
+    # the symbol at the midpoint nodes (j + 1/2) / m of [0, 1)^{2d}, in C
+    # order, in blocks of first-axis rows of about _CHUNK coordinates, so the
+    # grid points are never held whole
+    d = symbol.d
+    axis = (np.arange(m) + 0.5) / m
+    rows = max(1, transforms._CHUNK // (2 * d * m ** (2 * d - 1)))
+    for r0 in range(0, m, rows):
+        shape = (min(rows, m - r0),) + (m,) * (2 * d - 1)
+        pts = np.empty(shape + (2 * d,))
+        for k in range(2 * d):
+            ax = axis[r0:r0 + shape[0]] if k == 0 else axis
+            pts[..., k] = ax.reshape((-1,) + (1,) * (2 * d - 1 - k))
+        pts = pts.reshape(-1, 2 * d)
+        yield np.asarray(symbol(pts[:, :d], pts[:, d:]))
+
+
+def _level_matrix(symbol, params, L):
+    # sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L the DFT of the samples at
+    # L midpoint nodes per axis: the Fourier series of the midpoint-rule matrix
+    N, d = params.N, params.d
+    a = np.concatenate([v.real if symbol.is_real else v for v in _midpoint_samples(symbol, L)])
+    a = a.reshape((L,) * (2 * d))
+    if not np.all(np.isfinite(a)):
+        raise GaborError("symbol samples must be finite at every midpoint node")
+    scale = math.pi / (2 * N)
+    B = np.zeros((N,) * (2 * d), dtype=complex)
+    # an overflow leaves M non-finite, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one axis at a time, so at most two transforms are alive; real
+        # samples keep the last axis up to L // 2, the rest is F(-nu) = conj F(nu)
+        F = np.fft.rfft(a) if symbol.is_real else np.fft.fft(a)
+        del a
+        for axis in range(2 * d - 1):
+            F = np.fft.fft(F, axis=axis)
+        for nu, Q in _heisenberg_kernel(params, scale, _SERIES_BOUND):
+            idx = nu % L
+            flip = idx[:, -1] >= F.shape[-1]
+            idx[flip] = -nu[flip] % L
+            ahat = F[tuple(idx.T)]
+            np.conjugate(ahat, out=ahat, where=flip)
+            # e^{pi i p.q / N} of W_N and e^{-pi i sum(nu) / L} of the midpoint
+            # nodes, with both integers reduced exactly
+            pq = (nu[:, :d] * nu[:, d:]).sum(axis=1) % (2 * N)
+            shift = nu.sum(axis=1) % (2 * L)
+            ahat *= np.exp(-scale * Q + 1j * np.pi * (pq / N - shift / L))
+            np.add.at(B, tuple((nu % N).T), ahat)
+        # M[m, m + s] = sum_r B[r, s] e^{2 pi i r.m / N}
+        C = np.fft.ifftn(B, axes=tuple(range(d))) * (N ** d / L ** (2 * d))
+    m = np.indices(params.shape).reshape(d, -1).T
+    cols = np.ravel_multi_index(np.moveaxis((m[:, None] + m[None, :]) % N, -1, 0), params.shape)
+    M = np.empty((params.dim_sn, params.dim_sn), dtype=complex)
+    M[np.arange(params.dim_sn)[:, None], cols] = C.reshape(params.dim_sn, -1)
+    if not np.all(np.isfinite(M)):
+        raise GaborError("the symbol's Fourier sum overflowed: samples are too large")
+    return M
+
+
+def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3,
+                       hermitian_tol=1e-8):
     """Localization matrix of the symbol, grid-doubled until the matrix settles.
 
-    A level is accepted once ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the
+    Level k samples the symbol at L = oversample * N midpoint nodes per axis
+    (oversample doubling with k) and sums its Heisenberg series (module
+    docstring).  A level is accepted once ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the
     norm floored at 1e-300); report.change is that relative change at the
     accepted level and trace_history holds (oversample, trace) per level.
     Raises QuadratureUnderResolvedError when the change still exceeds rel_tol
-    after max_doublings doublings.  Real symbols yield an exactly Hermitian
-    sum; the matrix is symmetrized to remove solver noise and
+    after max_doublings doublings.  Real symbols yield a matrix that is
+    Hermitian up to FFT roundoff; it is symmetrized, and
     NonHermitianBeyondToleranceError flags anything larger.
     """
     validate(params)
     if symbol.d != params.d:
         raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
-    if window is None:
-        window = transforms.GaussianWindow(params)
+    if oversample < 1:
+        raise GaborError(f"oversample must be >= 1, got {oversample}")
     history = []
     prev = None
     change = None
     ov = oversample
     for _ in range(max_doublings + 1):
-        M = _quadrature_matrix(symbol, params, window, ov)
+        M = _level_matrix(symbol, params, ov * params.N)
         history.append((ov, complex(np.trace(M))))
         if prev is not None:
             change = float(np.linalg.norm(M - prev) / max(np.linalg.norm(M), 1e-300))
@@ -505,26 +590,19 @@ class SweepReport:
 
 
 def _phase_space_targets(symbol, alphas):
-    d = symbol.d
-    m = 2048 if d == 1 else 48
-    axis = (np.arange(m) + 0.5) / m
-    # blocks of first-axis rows, about 2^17 points each, so the grid is never
-    # held whole
-    rows = max(1, (1 << 17) // m ** (2 * d - 1))
+    m = 2048 if symbol.d == 1 else 48
     below = {float(a): 0 for a in alphas}
 
     def blocks():
-        for r0 in range(0, m, rows):
-            mesh = np.meshgrid(axis[r0:r0 + rows], *([axis] * (2 * d - 1)), indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-            vals = np.asarray(symbol(pts[:, :d], pts[:, d:])).real
+        for vals in _midpoint_samples(symbol, m):
+            vals = vals.real
             for a in below:
                 below[a] += np.count_nonzero(vals < a)
             yield vals
 
     # fsum rounds the exact sum once, so the result does not depend on the
     # order in which a given numpy build would add the samples.
-    size = m ** (2 * d)
+    size = m ** (2 * symbol.d)
     integral = math.fsum(itertools.chain.from_iterable(blocks())) / size
     return integral, {a: float(c / size) for a, c in below.items()}
 

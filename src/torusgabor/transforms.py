@@ -23,16 +23,9 @@ g evaluates as V_g phi(x, xi) = sum_n a_n e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi
 which on the integer samples (k, l/N) reproduces the discrete transform of
 the periodized window.
 
-stft_basis_grid evaluates one Zak sum per basis function and point, for
-scattered points.  On the product grid of tn_grid one product table serves
-every consumer: for a block of whole x-node rows,
-
-    V_n = e^{-2 pi i n.xi} A_n @ E,   A_n[x, k] = conj g(n - N k - x),   E[k, xi] = e^{2 pi i N k.xi},
-
-over the truncation box of _zak_box, for any window with conj_fn and decay.
-tn_grid_gram contracts it on the midpoint grid into
-S[m, n] = sum_p w_p conj(V_m(p)) V_n(p), with w the symbol of a localization
-matrix (localization.restriction_matrix, the only caller).
+stft_basis_grid evaluates one Zak sum per basis function and point; it is
+the pointwise reference for the localization matrices and the Bergman
+density, which localization and bargmann sum as Heisenberg series instead.
 """
 
 from __future__ import annotations
@@ -241,23 +234,17 @@ def dgt_inverse(V, g):
 # Zak transform and the short-time transform of Dirac combs
 
 
-def _zak_box(window, rel_tol):
-    # the lattice points k of every Zak sum over fn(u - N k), u in (-N, N)^d:
-    # the tail target is rel_tol relative to the worst-case on-grid lead term,
-    # and the box is one wider than R to cover every rounding of u/N
+def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
+    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
+    # entries in (-N, N); fn shares the window's decay envelope.  The tail
+    # target is rel_tol relative to the worst-case on-grid lead term, and the
+    # box is one wider than R to cover every rounding of u/N
     N, d = window.params.N, window.params.d
     C, alpha = window.decay
     lead = C * math.exp(-alpha * d * (N / 2.0) ** 2)
     R = theta.tail_radius(alpha * N * N, d, rel_tol * lead, factor=C)
-    return theta.lattice_box(-(R + 1), R + 1, d)
-
-
-def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
-    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
-    # entries in (-N, N); fn shares the window's decay envelope
-    N = window.params.N
     out = np.zeros(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]), dtype=complex)
-    for k in _zak_box(window, rel_tol):
+    for k in theta.lattice_box(-(R + 1), R + 1, d):
         out = out + fn(U - N * k) * np.exp(2j * np.pi * N * (XI @ k.astype(float)))
     return out
 
@@ -331,24 +318,9 @@ def stft(coeffs, x, xi, window, rel_tol=1e-13):
 # ---------------------------------------------------------------------------
 # quadrature grids and reference inner products
 
-# entries of V (basis functions x grid points) held in memory at once
+# numbers computed per block: symbol samples and Heisenberg series terms in
+# localization, atom-matrix entries in a frame scan
 _CHUNK = 1 << 17
-
-
-def tn_axes(params, nx, nxi, midpoint=False):
-    """Axis nodes and cell volume of the uniform product grid on T_N.
-
-    Returns (xs, xis, w): the nx time nodes in [0, N), the nxi frequency
-    nodes in [0, 1), shared by every axis, and the cell volume w.
-    """
-    if nx < 1 or nxi < 1:
-        raise GaborError(f"a T_N grid needs nx, nxi >= 1, got nx={nx}, nxi={nxi}")
-    off = 0.5 if midpoint else 0.0
-    d, N = params.d, params.N
-    xs = (np.arange(nx) + off) * (N / nx)
-    xis = (np.arange(nxi) + off) * (1.0 / nxi)
-    w = (N / nx) ** d * (1.0 / nxi) ** d
-    return xs, xis, w
 
 
 def tn_grid(params, nx, nxi, midpoint=False):
@@ -360,79 +332,15 @@ def tn_grid(params, nx, nxi, midpoint=False):
     trapezoid/midpoint rule.  Points run in C order over the axes
     (x_1..x_d, xi_1..xi_d).
     """
-    xs, xis, w = tn_axes(params, nx, nxi, midpoint)
-    d = params.d
-    pts, _ = _product_points([xs] * d + [xis] * d, 0, (nx * nxi) ** d)
-    return pts[:, :d], pts[:, d:], w
-
-
-def _product_points(axes, start, stop):
-    # points start..stop-1 of the C-order product of the axes, shape
-    # (stop - start, len(axes)), and the per-axis indices they came from
-    idx = np.unravel_index(np.arange(start, stop), [len(a) for a in axes])
-    return np.stack([a[i] for a, i in zip(axes, idx)], axis=-1), idx
-
-
-def stft_basis_tn_grid(window, nx, nxi, midpoint=False, rel_tol=1e-13):
-    """V_g eps_n on the points of tn_grid, in blocks of whole x-node rows.
-
-    Yields (X, XI, V) for consecutive point ranges of
-    tn_grid(params, nx, nxi, midpoint); V has shape (N^d, len(X)) and equals
-    stft_basis_grid(window, X, XI, rel_tol) to roundoff; each block is one
-    matmul A_n @ E (module docstring).  n - x lies in (-N, N)^d for every x in
-    [0, N)^d, the range _zak_box certifies.  A block holds at most _CHUNK
-    entries of V, and at least one x node; E (len(_zak_box) x nxi^d) and the
-    n phases (N^d x nxi^d) are built once and held whole.
-    """
-    window = _require_decay(window)
-    p = window.params
-    N, d = p.N, p.d
-    xs, xis, _ = tn_axes(p, nx, nxi, midpoint)
-    ns = np.indices(p.shape).reshape(d, -1).T.astype(float)
-    k = _zak_box(window, rel_tol).astype(float)
-    J = ns[:, None, :] - N * k  # (N^d, K, d)
-    XI, _ = _product_points([xis] * d, 0, nxi ** d)
-    E = np.exp(2j * np.pi * N * (k @ XI.T))  # (K, nxi^d), shared by every n
-    phase = np.exp(-2j * np.pi * (ns @ XI.T))[:, None, :]
-    per_x = nxi ** d
-    rows = max(1, _CHUNK // (len(ns) * per_x))
-    for r0 in range(0, nx ** d, rows):
-        r1 = min(r0 + rows, nx ** d)
-        Xb, _ = _product_points([xs] * d, r0, r1)
-        A = window.conj_fn(J[:, None, :, :] - Xb[None, :, None, :])
-        V = (A.reshape(-1, len(k)) @ E).reshape(len(ns), r1 - r0, per_x)
-        V *= phase
-        pts, _ = _product_points([xs] * d + [xis] * d, r0 * per_x, r1 * per_x)
-        yield pts[:, :d], pts[:, d:], V.reshape(len(ns), -1)
-
-
-def tn_grid_gram(window, nx, nxi, weight=None):
-    """S[m, n] = sum_p w_p conj(V_m(p)) V_n(p) over the points p of the midpoint tn_grid.
-
-    weight(X, XI) gives w at a block of points (None means w = 1) and must be
-    finite there, and so must the sum: a finite weight whose products
-    overflow is rejected once the sum is complete.  The V_n come block by
-    block from stft_basis_tn_grid, so V is never held for the whole grid.
-    """
-    dim = window.params.dim_sn
-    S = np.zeros((dim, dim), dtype=complex)
-    for X, XI, V in stft_basis_tn_grid(window, nx, nxi, midpoint=True):
-        Vw = V.conj()
-        if weight is not None:
-            w = weight(X, XI)
-            if not np.all(np.isfinite(w)):
-                raise GaborError("weight samples must be finite at every T_N grid point")
-        # an overflow leaves S non-finite, which is checked below, so numpy
-        # need not warn about it
-        with np.errstate(over="ignore", invalid="ignore"):
-            if weight is not None:
-                # in place, so at most two V-sized arrays are alive at a time
-                Vw *= w
-            S += Vw @ V.T
-        del V, Vw
-    if not np.all(np.isfinite(S)):
-        raise GaborError("the weighted T_N-grid sum overflowed: weight samples are too large")
-    return S
+    if nx < 1 or nxi < 1:
+        raise GaborError(f"a T_N grid needs nx, nxi >= 1, got nx={nx}, nxi={nxi}")
+    off = 0.5 if midpoint else 0.0
+    d, N = params.d, params.N
+    xs = (np.arange(nx) + off) * (N / nx)
+    xis = (np.arange(nxi) + off) * (1.0 / nxi)
+    mesh = np.meshgrid(*([xs] * d + [xis] * d), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    return pts[:, :d], pts[:, d:], (N / nx) ** d * (1.0 / nxi) ** d
 
 
 def l2_inner_product(w1, w2, rel_tol=1e-12):

@@ -184,9 +184,29 @@ def test_gram_constant_is_the_closed_form():
         assert gram(p).onb_constant == pytest.approx(root, rel=1e-12)
 
 
+@pytest.mark.parametrize("p,nx,nxi,tol", [
+    (_p(0.3 + 1j, N=3), 12, 12, 1e-12),
+    (GaborParams(d=2, N=2, Omega=np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])), 8, 6, 1e-11),
+], ids=["d1", "d2"])
+def test_gram_is_the_weighted_section_sum(p, nx, nxi, tol):
+    # G[m, n] = integral of B eps_n conj(B eps_m) e^{-N phi} over a fundamental
+    # domain, summed here from the section series alone on a midpoint grid of
+    # z = i (Omega x / N + xi), x in [0, N)^d, xi in [0, 1)^d; the grid sizes
+    # put the aliasing error below tol
+    X, XI, cell = transforms.tn_grid(p, nx, nxi, midpoint=True)
+    Z = 1j * (X @ p.Omega.T / p.N + XI)
+    B = np.array([[bargmann_basis(np.array(n), z, p).raw.to_complex() for n in np.ndindex(p.shape)]
+                  for z in Z])
+    # dA(z) = det Im Omega / N^d dx dxi
+    w = np.exp(-p.N * weight_phi(Z, p)) * cell * np.linalg.det(p.im) / p.N ** p.d
+    ref = (B.conj().T * w) @ B
+    G = gram(p).matrix
+    assert np.linalg.norm(G - ref) <= tol * np.linalg.norm(ref)
+
+
 def test_table_is_the_sections_times_one_phase():
-    # gram contracts the T_N-grid table, not the sections: this ties the two.
-    # At z = i (Omega x / N + xi), V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(z)
+    # the coherent-state transform and the sections are one object: at
+    # z = i (Omega x / N + xi), V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(z)
     # with a factor that does not depend on n and has modulus e^{-N phi(z)/2}
     om2 = np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])
     rng = np.random.default_rng(61)
@@ -196,15 +216,15 @@ def test_table_is_the_sections_times_one_phase():
         ns = np.indices(p.shape).reshape(p.d, -1).T
         # 3N nodes per axis: at 2N, e^{2 pi i N k.xi} = +-1 would hide its sign
         nx = 3 * p.N
-        blocks = list(transforms.stft_basis_tn_grid(transforms.GaussianWindow(p), nx, nx))
-        X, XI = (np.concatenate([b[i] for b in blocks]) for i in (0, 1))
-        V = np.concatenate([b[2] for b in blocks], axis=1)
+        X, XI, _ = transforms.tn_grid(p, nx, nx)
+        window = transforms.GaussianWindow(p)
         for j in rng.choice(len(X), 8, replace=False):
+            V = transforms.stft_basis_grid(window, X[j], XI[j])[:, 0]
             z = 1j * (p.Omega @ X[j] / p.N + XI[j])
             B = np.array([bargmann_basis(n, z, p, tol=1e-14).raw.to_complex() for n in ns])
             # some sections vanish at grid points, so no entrywise ratio
             c = np.exp(1j * np.pi * (X[j] @ p.Omega @ X[j]) / p.N)
-            assert np.abs(V[:, j] - c * B).max() <= 1e-12 * np.abs(V[:, j]).max()
+            assert np.abs(V - c * B).max() <= 1e-12 * np.abs(V).max()
             assert abs(c) == pytest.approx(np.exp(-0.5 * p.N * weight_phi(z, p)), rel=1e-12)
 
 

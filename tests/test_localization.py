@@ -129,13 +129,13 @@ def test_constant_scales_identity():
     assert np.abs(rep.matrix - 2.5 * np.eye(3)).max() < 1e-7
 
 
-def test_constant_skips_the_weight_but_not_the_result():
-    # a Constant scales the unweighted sum once; the per-point weight gives
-    # the same matrix, and a non-finite constant is still a domain error
+def test_constant_and_its_expression_give_one_matrix():
+    # a Constant and the same number as an expression go through the same
+    # series, and a non-finite constant is a domain error
     p = _p(3, 0.3 + 1j)
-    fast = restriction_matrix(Constant(2.5), p, oversample=8).matrix
-    weighted = restriction_matrix(Expr("2.5"), p, oversample=8).matrix
-    assert np.abs(fast - weighted).max() <= 1e-14
+    const = restriction_matrix(Constant(2.5), p, oversample=8).matrix
+    expr = restriction_matrix(Expr("2.5"), p, oversample=8).matrix
+    assert np.abs(const - expr).max() <= 1e-14
     with pytest.raises(GaborError):
         Constant(float("nan"))
 
@@ -395,17 +395,6 @@ def test_restriction_matrix_matches_the_pointwise_grid_sum(monkeypatch, chunk, p
     assert np.abs(rep.matrix - M).max() <= 1e-13 * np.abs(M).max()
 
 
-def test_restriction_matrix_is_generic_over_windows():
-    # an ExplicitWindow around the Gaussian goes through the same table
-    p = GaborParams(d=2, N=2, Omega=OM2)
-    sym = parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2)
-    g = transforms.GaussianWindow(p)
-    explicit = transforms.ExplicitWindow(g, *g.decay, p)
-    ref = restriction_matrix(sym, p, oversample=2, rel_tol=1e-3).matrix
-    got = restriction_matrix(sym, p, window=explicit, oversample=2, rel_tol=1e-3).matrix
-    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
 def test_toeplitz_correspondence_with_weighted_sections():
     # the same operator computed on the signal side and on the section side,
     # matched through the single constant the unit symbol fixes
@@ -461,3 +450,68 @@ def test_spectrum_trace_equals_eigenvalue_sum_and_counts_are_monotone():
     alphas = np.linspace(-3, 3, 13)
     counts = [sp.count_below(a) for a in alphas]
     assert counts == sorted(counts)
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg series, mode by mode
+
+
+def _gamma_times_shift(nu, params):
+    # gamma_Omega(nu) W_N(nu) written out: W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q)/N}
+    d, N = params.d, params.N
+    p, q = np.asarray(nu[:d]), np.asarray(nu[d:])
+    v = p - params.Omega @ q
+    gamma = np.exp(-np.pi / (2 * N) * (v.conj() @ np.linalg.inv(params.im) @ v).real)
+    W = np.zeros((params.dim_sn,) * 2, dtype=complex)
+    for i, m in enumerate(np.ndindex(params.shape)):
+        j = np.ravel_multi_index(tuple((np.asarray(m) + q) % N), params.shape)
+        W[i, j] = np.exp(1j * np.pi * (p @ (2 * np.asarray(m) + q)) / N)
+    return gamma * W, gamma
+
+
+MODE_CASES = [
+    (_p(3, omega), nu)
+    for omega in (1j, 0.3 + 1.2j, -0.7 + 0.4j)
+    for nu in ((1, 0), (0, 1), (1, 1), (2, -1), (-1, 2), (3, -2))
+] + [
+    (GaborParams(d=2, N=2, Omega=OM2), nu)
+    for nu in ((1, 0, 0, 1), (1, 1, -1, 1), (0, -1, 1, 0), (3, 0, 1, 1), (1, 2, 1, -1))
+]
+
+
+@pytest.mark.parametrize("params,nu", MODE_CASES,
+                         ids=[f"d{p.d}-{p.Omega[0, 0]}-{nu}" for p, nu in MODE_CASES])
+def test_single_mode_is_one_damped_shift(params, nu):
+    # e^{2 pi i nu.(x, xi)} gives gamma_Omega(nu) W_N(nu); its real part (the
+    # rfft path) gives the mean of the nu and -nu shifts
+    minus = tuple(-v for v in nu)
+    ref, gamma = _gamma_times_shift(nu, params)
+    ref_minus, _ = _gamma_times_shift(minus, params)
+    tol = 1e-12 * gamma
+    mode = restriction_matrix(TrigPoly(params.d, {nu: 1.0}), params, oversample=4)
+    assert np.abs(mode.matrix - ref).max() <= tol
+    cosine = restriction_matrix(TrigPoly(params.d, {nu: 0.5, minus: 0.5}), params, oversample=4)
+    assert np.abs(cosine.matrix - 0.5 * (ref + ref_minus)).max() <= tol
+
+
+def _shortest_form(omega):
+    # min over nu != 0 of (p - Omega q)^H Y^{-1} (p - Omega q), d = 1
+    return min(abs(p - omega * q) ** 2 / omega.imag
+               for p in range(-4, 5) for q in range(-4, 5) if (p, q) != (0, 0))
+
+
+@pytest.mark.parametrize("omega,last_tol", [(1j, 1e-4), (-0.7 + 0.4j, 1e-4), (0.3 + 1.2j, 4e-3)])
+def test_density_flattens_at_the_rate_of_the_shortest_vector(omega, last_tol):
+    # rho - 1 is led by the shortest nonzero N (j, k): flatness(N + 1) / flatness(N)
+    # tends to e^{-(pi/2) Q_min}, the Bergman kernel asymptotics of high tensor powers
+    from torusgabor.bargmann import bergman_density
+
+    rate = -0.5 * np.pi * _shortest_form(omega)
+    flat = [bergman_density(_p(N, omega), oversample=8).flatness() for N in range(2, 9)]
+    errors = [abs(math.log(b / a) / rate - 1.0) for a, b in zip(flat, flat[1:])]
+    assert errors[-1] <= last_tol
+    if omega.real != 0.0:
+        # the error falls at least geometrically, as the next vector's term does
+        assert all(b < 0.6 * a for a, b in zip(errors, errors[1:]))
+    else:
+        assert max(errors) <= last_tol

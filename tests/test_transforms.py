@@ -21,7 +21,6 @@ from torusgabor.transforms import (
     stft,
     stft_basis,
     stft_basis_grid,
-    stft_basis_tn_grid,
     time_frequency_shift,
     tn_grid,
     zak,
@@ -293,35 +292,6 @@ def test_stft_basis_grid_matches_pointwise_path():
             tol = 1e-12 * max(1.0, abs(ref))
             assert abs(V[n, j] - ref) < tol
             assert abs(stft_basis(np.array([n], float), X[j], XI[j], w) - ref) < tol
-
-
-@pytest.mark.parametrize("d,omega,N", [(1, 1j, 4), (1, 0.3 + 1j, 4), (2, None, 2)],
-                         ids=["d1-i", "d1-0.3+i", "d2-offdiag"])
-@pytest.mark.parametrize("midpoint", [True, False], ids=["midpoint", "nodes"])
-@pytest.mark.parametrize("ov", [3, 4])
-@pytest.mark.parametrize("chunk", [None, 100], ids=["one-chunk", "chunk-100"])
-def test_stft_basis_tn_grid_matches_the_pointwise_grid_path(
-        monkeypatch, d, omega, N, midpoint, ov, chunk):
-    # the product table against the recentered per-point Zak sums of
-    # stft_basis_grid; a chunk of 100 V entries holds one or two x nodes here
-    if chunk is not None:
-        monkeypatch.setattr(transforms, "_CHUNK", chunk)
-    p = _p(omega, N=N, d=d)
-    w = GaussianWindow(p)
-    nx = ov * N
-    per_x = nx ** d  # points of one x node
-    X, XI, _ = tn_grid(p, nx, nx, midpoint=midpoint)
-    ref = stft_basis_grid(w, X, XI)
-    start = 0
-    for Xc, XIc, V in stft_basis_tn_grid(w, nx, nx, midpoint=midpoint):
-        sl = slice(start, start + len(Xc))
-        assert len(Xc) % per_x == 0
-        assert len(Xc) == per_x or V.size <= transforms._CHUNK
-        assert np.array_equal(Xc, X[sl]) and np.array_equal(XIc, XI[sl])
-        assert V.shape == (p.dim_sn, len(Xc))
-        assert np.abs(V - ref[:, sl]).max() <= 1e-13 * np.abs(ref).max()
-        start += len(Xc)
-    assert start == len(X)
 
 
 def test_moyal_identity_on_grid():
