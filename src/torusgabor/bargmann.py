@@ -194,7 +194,7 @@ def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3):
 # zero counting and the Bergman density
 
 
-def section_winding(coeffs, params, tol=1e-10, max_attempts=5):
+def section_winding(coeffs, params, tol=1e-10):
     """Winding number of z -> B coeffs(z) along the fundamental parallelogram (d = 1).
 
     Counts the zeros of the section in one fundamental domain; the contour is
@@ -209,7 +209,7 @@ def section_winding(coeffs, params, tol=1e-10, max_attempts=5):
         return bargmann(coeffs, np.array([zz]), params, tol=tol).raw
 
     last = None
-    for attempt in range(max_attempts):
+    for attempt in range(5):
         eps = 0.0171 * attempt + 0.0063 * (attempt > 0)
         corners = [
             -1j * om * eps + 1j * eps,

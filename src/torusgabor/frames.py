@@ -127,16 +127,6 @@ class ParityResult:
     integer_form: bool | None
 
 
-_zero_cache = {}
-
-
-def _theta_zero(params):
-    key = params.Omega.tobytes()
-    if key not in _zero_cache:
-        _zero_cache[key] = complex(theta_mod.theta_zero_1d(params).z[0])
-    return _zero_cache[key]
-
-
 def parity_predicate(D, params, z0=None, tol=1e-9):
     """Algebraic no-frame test: s = sum_j z_j - N z0 lies in Lambda.
 
@@ -152,7 +142,7 @@ def parity_predicate(D, params, z0=None, tol=1e-9):
     if not D.distinct:
         raise NotApplicableError("parity predicate needs distinct points")
     if z0 is None:
-        z0 = _theta_zero(params)
+        z0 = theta_mod.theta_zero_1d(params).z[0]
     zs = D.complex_images(params)
     s = zs.sum(axis=0) - params.N * np.array([z0])
     mem = dual_lattice_member(s, params, scale=1.0, tol=tol)
@@ -339,7 +329,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     parity_applicable = params.d == 1 and K == params.N
     if parity_applicable:
         zs = PointSet.from_pairs(positions, params).complex_images(params)
-        no_frame = _lambda_membership(params, zs, _theta_zero(params))
+        no_frame = _lambda_membership(params, zs, theta_mod.theta_zero_1d(params).z[0])
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)

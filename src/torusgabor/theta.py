@@ -13,7 +13,13 @@ translate so the remaining series has a unit-size leading term, sums it over
 a centered box whose radius carries an explicit Gaussian tail bound, and
 reassembles the exact quasiperiodicity factor.  That factor and the metric
 weights downstream overflow double precision separately but not combined, so
-values travel as a log-magnitude plus a unit phase (ScaledComplex).
+values travel as a log-magnitude plus a unit phase (ScaledComplex).  The
+factor's phase is off by about 2^-52 times its argument, so an argument too
+large for the requested tol is an error, not a value.
+
+For d = 1 the order-1 series vanishes once per cell, at the half period
+(1 + Omega)/2; theta_zero_1d returns that point and checks it with theta_eval.
+winding_number counts the zeros of sections along polygonal contours.
 
 Zak sums, periodized windows and Bargmann sections are Gaussian lattice series
 too; this module alone decides how far any of them runs: gaussian_box_tail,
@@ -27,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import ComplexPoint, GaborError, GaborParams, lattice_coefficients, validate
+from .core import ComplexPoint, GaborError, lattice_coefficients, validate
 
 
 class ToleranceUnreachableError(GaborError):
@@ -152,14 +158,22 @@ def gaussian_box_tail(a, R, d, offset=0.5):
 def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
     """Smallest R >= 1 with factor * gaussian_box_tail(a, R, d, offset) <= bound.
 
-    Raises ToleranceUnreachableError when no R <= r_cap reaches the bound.
+    The tail does not increase with R, so R is bracketed by doubling and then
+    found by bisection.  Raises ToleranceUnreachableError when no R <= r_cap
+    reaches the bound.
     """
-    R = 1
-    while factor * gaussian_box_tail(a, R, d, offset) > bound:
-        R += 1
-        if R > r_cap:
+    def reached(R):
+        return factor * gaussian_box_tail(a, R, d, offset) <= bound
+
+    lo, hi = 0, 1
+    while not reached(hi):
+        if hi >= r_cap:
             raise ToleranceUnreachableError(f"Gaussian tail above {bound:.1e} at radius {r_cap}")
-    return R
+        lo, hi = hi, min(2 * hi, r_cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    return hi
 
 
 def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
@@ -232,11 +246,15 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
         m0 = -np.round(z1.real)
         zr = z1 + m0
         # theta(z) = exp(pi i n k0'Omega k0 + 2 pi i n k0'z) * theta(zr)
-        pref = ScaledComplex.from_exponent(
-            1j * np.pi * order * (k0 @ om @ k0) + 2j * np.pi * order * (k0 @ z)
-        )
+        e = 1j * np.pi * order * (k0 @ om @ k0) + 2j * np.pi * order * (k0 @ z)
+        pref = ScaledComplex.from_exponent(e)
     if not (pref.logmag < math.inf and np.isfinite(pref.phase)):
         raise ToleranceUnreachableError("lattice reduction overflows double precision")
+    # the phase exp(i Im e) is only as good as Im e, which is off by |Im e| 2^-52
+    if abs(e.imag) * 2.0 ** -52 > tol:
+        raise ToleranceUnreachableError(
+            f"reduction phase {abs(e.imag):.1e} rad is not certified to tol={tol:.1e}"
+        )
 
     chat = np.linalg.solve(Y, zr.imag)
     a = math.pi * order * float(np.linalg.eigvalsh(Y)[0])
@@ -308,105 +326,26 @@ def winding_number(f, vertices, samples_per_edge=32, max_depth=28):
 # the zero of the order-1 series, d = 1
 
 
-def _theta1_pair(w, omega, tol=1e-15, r_cap=200):
-    """(theta_1(w), log-derivative theta_1'/theta_1 at w) for scalar w, d = 1.
+def theta_zero_1d(params, tol=1e-10):
+    """The unique zero of z -> theta_1(i z, Omega) on C / Lambda (d = 1).
 
-    The argument is lattice-reduced; the log-derivative transports through
-    the reduction as theta'/theta = 2 pi i k0 + (reduced log-derivative), so
-    no large factors appear.
-    """
-    y = omega.imag
-    k0 = -round(w.imag / y)
-    w1 = w + omega * k0
-    m0 = -round(w1.real)
-    wr = w1 + m0
-
-    a = math.pi * y
-    chat = wr.imag / y
-    log_scale = math.pi * y * chat * chat
-    offset = max(0.5, abs(chat))
-
-    # direct sums for the reduced series and its derivative
-    R = tail_radius(a, 1, tol, offset, factor=math.exp(log_scale), r_cap=r_cap)
-    k = np.arange(-R, R + 1)
-    e = 1j * math.pi * omega * k * k + 2j * math.pi * k * wr
-    m = float(e.real.max())
-    terms = np.exp(e - m)
-    s0 = complex(terms.sum())
-    s1 = complex((2j * math.pi * k * terms).sum())
-    if s0 == 0.0:
-        raise ToleranceUnreachableError("theta value vanished to machine zero")
-    value = ScaledComplex.from_complex(s0) * ScaledComplex(m, 1.0 + 0.0j) * \
-        ScaledComplex.from_exponent(1j * math.pi * omega * k0 * k0 + 2j * math.pi * k0 * w)
-    logderiv = 2j * math.pi * k0 + s1 / s0
-    return value, logderiv
-
-
-def _weighted_log_theta1(z, omega, order=1):
-    """log of |theta_order(i z)| e^{-order phi(z)/2}, phi(z) = 2 pi (Re z)^2 / Im Omega."""
-    p = GaborParams(d=1, N=1, Omega=np.array([[omega]]))
-    ev = theta_eval(np.array([1j * z]), p, order=order, tol=1e-10)
-    phi = 2.0 * math.pi * (z.real ** 2) / omega.imag
-    return ev.value.logmag - 0.5 * order * phi
-
-
-def theta_zero_1d(params, tol=1e-10, max_attempts=5):
-    """Locate the unique zero of z -> theta_1(i z, Omega) on C / Lambda (d = 1).
-
-    A winding count along the fundamental parallelogram certifies there is
-    exactly one zero, then Newton iteration on the log-derivative refines it.
-    The returned representative has lattice coefficients in [0, 1)^2, and its
-    weighted magnitude |theta_1(i z0)| e^{-phi(z0)/2} is below tol.
+    theta_1 vanishes at the half period (1 + Omega)/2, so z0 = -i(1 + Omega)/2,
+    and nowhere else in a cell (a section of order N has N zeros there; see
+    bargmann.section_winding).  The returned representative has lattice
+    coefficients in [0, 1)^2.  Its weighted magnitude |theta_1(i z0)|
+    e^{-phi(z0)/2}, phi(z) = 2 pi (Re z)^2 / Im Omega, is evaluated by theta_eval
+    and must be below tol, else ToleranceUnreachableError is raised.
     """
     validate(params)
     if params.d != 1:
         raise GaborError("theta_zero_1d requires d = 1")
     om = complex(params.Omega[0, 0])
-
-    def f(zz):
-        return _theta1_pair(1j * zz, om)[0]
-
-    count = None
-    for attempt in range(max_attempts):
-        eps = 0.0137 * attempt
-        corners = [
-            -1j * om * (0.0 + eps) + 1j * (0.0 + eps),
-            -1j * om * (1.0 + eps) + 1j * (0.0 + eps),
-            -1j * om * (1.0 + eps) + 1j * (1.0 + eps),
-            -1j * om * (0.0 + eps) + 1j * (1.0 + eps),
-        ]
-        try:
-            count = winding_number(f, corners)
-            break
-        except ContourNearZeroError:
-            continue
-    if count is None:
-        raise WindingNotOneError("could not certify a zero count on any jittered contour")
-    if count != 1:
-        raise WindingNotOneError(f"fundamental domain carries {count} zeros, expected 1")
-
-    # coarse seed: minimize the weighted magnitude over the open cell
-    grid = np.linspace(0.05, 0.95, 13)
-    best, z = None, None
-    for aa in grid:
-        for bb in grid:
-            cand = -1j * om * aa + 1j * bb
-            score = _weighted_log_theta1(cand, om)
-            if best is None or score < best:
-                best, z = score, cand
-
-    for _ in range(80):
-        _, ld = _theta1_pair(1j * z, om)
-        step = 1j / ld  # Newton step for F(z) = theta_1(i z)
-        z = z + step
-        if abs(step) < 1e-15:
-            break
-
-    if _weighted_log_theta1(z, om) > math.log(tol):
+    a, b = lattice_coefficients(np.array([-0.5j * (1.0 + om)]), params)
+    z0 = complex(-1j * om * (a - np.floor(a))[0] + 1j * (b - np.floor(b))[0])
+    ev = theta_eval(np.array([1j * z0]), params, order=1, tol=1e-10)
+    weighted = float(ev.value.magnitude(-math.pi * z0.real ** 2 / om.imag))
+    if not weighted < tol:
         raise ToleranceUnreachableError(
-            "Newton refinement did not reach the requested weighted magnitude"
+            f"weighted |theta_1| at the half period is {weighted:.1e}, not below tol={tol:.1e}"
         )
-    a, b = lattice_coefficients(np.array([z]), params)
-    af, bf = a - np.floor(a), b - np.floor(b)
-    zred = complex(-1j * om * af[0] + 1j * bf[0])
-    return ComplexPoint(np.array([zred]))
+    return ComplexPoint(np.array([z0]))

@@ -246,8 +246,9 @@ def test_gram_history_is_recorded():
 
 
 def test_section_winding_counts_n_zeros():
+    # N = 1 is one zero per cell, the uniqueness theta_zero_1d relies on
     rng = np.random.default_rng(6)
-    for N in (2, 3):
+    for N in (1, 2, 3):
         p = _p(1j, N=N)
         for _ in range(3):
             a = rng.standard_normal(N) + 1j * rng.standard_normal(N)

@@ -306,6 +306,7 @@ def test_json_floats_survive_round_trip(capsys):
 
 P4_NO_OMEGA_RE = '{"d": 1, "N": 4, "omega_im": [[1.0]]}'
 P4_NAN_OMEGA = '{"d": 1, "N": 4, "omega_re": [[NaN]], "omega_im": [[1.0]]}'
+P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -324,9 +325,12 @@ P4_NAN_OMEGA = '{"d": 1, "N": 4, "omega_re": [[NaN]], "omega_im": [[1.0]]}'
      "error:"),
     (["theta", "zero", "--params", P4_NAN_OMEGA], 1, "error:"),
     (["frame", "check", "--params", P4, "--points=--"], 2, "error:"),
+    (["theta", "eval", "--params", P4_RE03, "--z", "1e8j"], 1, "phase"),
+    (["theta", "zero", "--params", P4, "--tol", "0"], 1, "not below"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
-        "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash"])
+        "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
+        "theta-eval-phase", "theta-zero-tol0"])
 def test_malformed_input_exits_with_a_message(argv, code, message):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr

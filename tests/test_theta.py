@@ -10,7 +10,6 @@ from torusgabor.theta import (
     ContourNearZeroError,
     ScaledComplex,
     ToleranceUnreachableError,
-    _theta1_pair,
     certified_lattice_sum,
     gaussian_box_tail,
     sum_scaled_exponents,
@@ -146,12 +145,6 @@ def test_tail_radius_is_the_smallest_certified_radius(a, d, log_bound, factor, o
     assert tail(R) <= bound
     if R > 1:
         assert bound < tail(R - 1)
-
-
-def test_theta1_pair_raises_at_radius_cap():
-    # Im Omega = 1e-4 needs radius 343 for tol 1e-15, past the default cap of 200
-    with pytest.raises(ToleranceUnreachableError):
-        _theta1_pair(0.1 + 0j, 1e-4j)
 
 
 def test_certified_sum_gaussian_value():
@@ -307,9 +300,12 @@ def test_winding_rejects_zero_on_contour():
 # the zero of the order-one series
 
 
+ZERO_OMEGAS = (1j, 2j, 0.3 + 1j, 0.7 + 1.3j, -0.7 + 0.4j, 0.1 + 0.2j, 5j)
+
+
 def test_theta_zero_matches_half_periods():
     # the zero sits at the class of -i(1 + Omega)/2 on C / Lambda
-    for om in (1j, 2j, 0.3 + 1j):
+    for om in ZERO_OMEGAS:
         p = _p(om, N=4)
         z0 = theta_zero_1d(p)
         expect = np.array([-1j * (1 + om) / 2])
@@ -317,20 +313,37 @@ def test_theta_zero_matches_half_periods():
 
 
 def test_theta_zero_is_a_zero_in_weighted_magnitude():
-    p = _p(0.7 + 1.3j, N=2)
-    z0 = theta_zero_1d(p, tol=1e-11)
-    ev = theta_eval(1j * z0.z, p, order=1, tol=1e-13)
-    y = float(p.im[0, 0])
-    phi = 2 * np.pi * float(z0.z.real[0]) ** 2 / y
-    assert ev.value.magnitude(-0.5 * phi) < 1e-11
+    for om in ZERO_OMEGAS:
+        p = _p(om, N=2)
+        z0 = theta_zero_1d(p, tol=1e-11)
+        ev = theta_eval(1j * z0.z, p, order=1, tol=1e-13)
+        y = float(p.im[0, 0])
+        phi = 2 * np.pi * float(z0.z.real[0]) ** 2 / y
+        assert ev.value.magnitude(-0.5 * phi) < 1e-11
 
 
 def test_theta_zero_representative_is_reduced():
-    p = _p(0.3 + 1j, N=4)
-    z0 = complex(theta_zero_1d(p).z[0])
-    om = 0.3 + 1j
-    # coefficients against the generators -i Omega and i
-    a = z0.real / om.imag
-    b = z0.imag + a * om.real
-    assert -1e-9 <= a < 1 + 1e-9
-    assert -1e-9 <= b < 1 + 1e-9
+    for om in ZERO_OMEGAS:
+        z0 = complex(theta_zero_1d(_p(om, N=4)).z[0])
+        # coefficients against the generators -i Omega and i
+        a = z0.real / om.imag
+        b = z0.imag + a * om.real
+        assert -1e-9 <= a < 1 + 1e-9
+        assert -1e-9 <= b < 1 + 1e-9
+
+
+def test_theta_zero_raises_below_the_attainable_magnitude():
+    # theta_1 at the half period is zero only up to rounding, about 1e-17
+    with pytest.raises(ToleranceUnreachableError):
+        theta_zero_1d(_p(0.3 + 1j, N=4), tol=1e-30)
+
+
+def test_theta_eval_refuses_an_uncertified_reduction_phase():
+    # the reduction exponent at z = 0.17 + 1e3 i has |Im e| ~ 9.4e5, so its
+    # phase carries an error near 9.4e5 * 2^-52 = 2.1e-10
+    p = _p(0.3 + 1j)
+    z = np.array([0.17 + 1e3j])
+    with pytest.raises(ToleranceUnreachableError):
+        theta_eval(z, p, tol=1e-12)
+    ev = theta_eval(z, p, tol=1e-9)
+    assert ev.tail_bound <= 1e-9
