@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
 from . import localization
 from . import theta as theta_mod
 from .core import GaborError, im_min_eig, validate
-from .theta import ScaledComplex, certified_lattice_sum, sum_scaled_exponents, theta_eval
+from .theta import ScaledComplex, certified_lattice_sum
 
 
 def weight_phi(z, params):
@@ -62,90 +61,54 @@ class SectionValue:
 
     raw: ScaledComplex
     weighted_mag: float
-    cross_check_residual: float | None = None
 
 
-def _basis_sum(n, z, params, tol):
-    N, om = params.N, params.Omega
-    x = z.real
-    c = n / N + np.linalg.solve(params.im, x)
-    k0 = -np.round(c)
-    chat = c + k0
-    decay = math.pi * N * im_min_eig(params)
-    log_scale = 0.5 * N * float(weight_phi(z, params))
-    offset = max(0.5, float(np.abs(chat).max()))
-
-    def exponent_fn(j):
-        q = n[None, :] + N * (j + k0[None, :])
-        quad = np.einsum("ki,ij,kj->k", q, om, q)
-        return 1j * np.pi * quad / N - 2.0 * np.pi * (q @ z)
-
-    s, _, _ = certified_lattice_sum(
-        exponent_fn, decay, params.d, tol, offset=offset, log_scale=log_scale,
-    )
-    return s
-
-
-def bargmann_basis(n, z, params, tol=1e-12, cross_check=False):
-    """Evaluate the basis section B eps_n at z by the direct lattice series.
-
-    With cross_check=True the prefactor-times-theta identity
-
-        B eps_n(z) = exp(pi i n'Omega n/N - 2 pi z'n) theta_N(Omega n/N + i z)
-
-    is evaluated as an independent second path and the relative discrepancy
-    is attached to the result (a warning is emitted above 1e-9).
-    """
-    validate(params)
+def bargmann_basis(n, z, params, tol=1e-12):
+    """Evaluate the basis section B eps_n at z of shape (d,) or (P, d); see bargmann."""
     n = np.atleast_1d(np.asarray(n, dtype=int))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if n.shape != (params.d,) or z.shape != (params.d,):
-        raise GaborError(f"n and z must be {params.d}-vectors")
-    s = _basis_sum(n, z, params, tol)
-    wmag = s.magnitude(-0.5 * params.N * float(weight_phi(z, params)))
-    resid = None
-    if cross_check:
-        other = bargmann_basis_theta_form(n, z, params, tol)
-        num = (s + (-other)).magnitude()
-        den = max(s.magnitude(), other.magnitude())
-        resid = num / den if den > 0.0 else 0.0
-        if resid > 1e-9:
-            warnings.warn(
-                f"bargmann basis cross-check residual {resid:.3e} at n={n}, z={z}",
-                stacklevel=2,
-            )
-    return SectionValue(raw=s, weighted_mag=float(wmag), cross_check_residual=resid)
-
-
-def bargmann_basis_theta_form(n, z, params, tol=1e-12):
-    """B eps_n via the theta closed form; used as a cross-check only."""
-    n = np.atleast_1d(np.asarray(n, dtype=int))
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    om = params.Omega
-    pref = ScaledComplex.from_exponent(
-        1j * np.pi * (n @ om @ n) / params.N - 2.0 * np.pi * (z @ n)
-    )
-    ev = theta_eval(om @ n / params.N + 1j * z, params, order=params.N, tol=tol)
-    return pref * ev.value
+    if n.shape != (params.d,):
+        raise GaborError(f"n must be a {params.d}-vector")
+    coeffs = np.zeros(params.shape, dtype=complex)
+    coeffs[tuple(n % params.N)] = 1.0
+    return bargmann(coeffs, z, params, tol)
 
 
 def bargmann(coeffs, z, params, tol=1e-12):
-    """Section value B a(z) for a signal a, accumulated in scaled arithmetic."""
+    """Section value B a(z) for a signal a at one point z (d,) or at P points (P, d).
+
+    B a(z) = sum_m a_{m mod N} exp(pi i m'Omega m/N - 2 pi m'z) is one certified
+    lattice sum.  Its terms are at most max|a| e^{N phi(z)/2} exp(-(pi/N) (m - m*)'Y
+    (m - m*)), m* = -N Y^{-1} Re z, Y = Im Omega, so the box is centred at round(m*)
+    and the tail is certified relative to B a(z), also near a zero of the section.
+    """
     validate(params)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != params.shape:
         raise GaborError(f"coefficients must have shape {params.shape}")
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    # log(a_n B eps_n(z)) for every nonzero coefficient
-    exps = []
-    for idx in np.ndindex(params.shape):
-        a = coeffs[idx]
-        if a != 0.0:
-            s = _basis_sum(np.asarray(idx, dtype=int), z, params, tol)
-            exps.append(np.log(a) + s.logmag + 1j * np.angle(s.phase))
-    raw = sum_scaled_exponents(exps)
-    wmag = raw.magnitude(-0.5 * params.N * float(weight_phi(z, params)))
-    return SectionValue(raw=raw, weighted_mag=float(wmag))
+    z = np.asarray(z, dtype=complex)
+    zs = np.atleast_2d(z)
+    if zs.ndim != 2 or zs.shape[1] != params.d:
+        raise GaborError(f"z must have shape ({params.d},) or (P, {params.d})")
+    N, om = params.N, params.Omega
+    with np.errstate(divide="ignore"):
+        loga = np.log(coeffs)
+    m0 = np.round(-N * np.linalg.solve(params.im, zs.real.T).T)
+
+    def exponent_fn(j):
+        m = m0[:, None, :] + j
+        quad = ((m @ om) * m).sum(axis=-1)
+        res = tuple(np.moveaxis(m.astype(int) % N, -1, 0))
+        return 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs) + loga[res]
+
+    # a zero signal keeps a finite scale, and its sums underflow to an exact zero
+    phi = weight_phi(zs, params)
+    raw, _, _ = certified_lattice_sum(
+        exponent_fn, math.pi * im_min_eig(params) / N, params.d, tol,
+        log_scale=0.5 * N * phi + math.log(np.abs(coeffs).max() or 1.0))
+    wmag = raw.magnitude(-0.5 * N * phi)
+    if z.ndim < 2:
+        raw, wmag = ScaledComplex(float(raw.logmag[0]), complex(raw.phase[0])), float(wmag[0])
+    return SectionValue(raw=raw, weighted_mag=wmag)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +169,7 @@ def section_winding(coeffs, params, tol=1e-10):
     om = complex(params.Omega[0, 0])
 
     def f(zz):
-        return bargmann(coeffs, np.array([zz]), params, tol=tol).raw
+        return bargmann(coeffs, zz[:, None], params, tol=tol).raw
 
     last = None
     for attempt in range(5):

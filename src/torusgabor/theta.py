@@ -23,7 +23,9 @@ winding_number counts the zeros of sections along polygonal contours.
 
 Zak sums, periodized windows and Bargmann sections are Gaussian lattice series
 too; this module alone decides how far any of them runs: gaussian_box_tail,
-tail_radius (a-priori radius), lattice_box, and certified_lattice_sum.
+tail_radius (a-priori radius), lattice_box, and certified_lattice_sum (one
+box of the a-priori radius, for one point or a batch, summed in shell order
+so that the golden files keep their bytes).
 """
 
 from __future__ import annotations
@@ -116,14 +118,21 @@ class ScaledComplex:
 
 
 def sum_scaled_exponents(exponents):
-    """Stable sum_k exp(e_k) over a 1-d array of complex exponents (zero if empty)."""
+    """Stable sum of exp(e) over the last axis of complex exponents (zero if empty).
+
+    Scalar fields for 1-d input, else one per row; each row's bits are those of
+    Python's abs, math.log and complex division, whatever the numpy build.
+    """
     e = np.asarray(exponents, dtype=complex)
-    m = float(e.real.max()) if e.size else 0.0
-    s = complex(np.exp(e - m).sum())
-    mag = abs(s)
-    if mag == 0.0:
-        return ScaledComplex(float("-inf"), 1.0 + 0.0j)
-    return ScaledComplex(m + math.log(mag), s / mag)
+    m = e.real.max(axis=-1, initial=-np.inf, keepdims=True)
+    m[m == -np.inf] = 0.0
+    s = np.exp(e - m).sum(axis=-1, keepdims=True)
+    mag = np.hypot(s.real, s.imag)
+    logmag = m + np.reshape([math.log(v) if v else -math.inf for v in mag.ravel().tolist()],
+                            mag.shape)
+    s[mag == 0.0], mag[mag == 0.0] = 1.0, 1.0
+    out = ScaledComplex(logmag[..., 0], (s.real / mag + 1j * (s.imag / mag))[..., 0])
+    return ScaledComplex(float(out.logmag), complex(out.phase)) if e.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -178,34 +187,54 @@ def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
 
 def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
                           min_radius=0, r_cap=200):
-    """Sum exp(exponent_fn(k)) over k in Z^d by expanding centered boxes.
+    """Sum exp(exponent_fn(k)) over k in Z^d on one certified box, for one point or P.
 
-    `decay` is a constant a > 0 such that every term satisfies
-    |exp(exponent_fn(k))| <= exp(log_scale) * exp(-a |k + c|^2) for some
-    offset vector with |c|_inf <= offset.  The box radius grows until the
-    certified tail falls below tol relative to the accumulated partial sum
-    (and at least to min_radius).  Returns (ScaledComplex, radius, bound).
+    Every term must satisfy |exp(exponent_fn(k))| <= exp(log_scale - decay |k + c|^2)
+    for some |c|_inf <= offset.  exponent_fn maps the (K, d) box to (K,), or to
+    (P, K) when log_scale has shape (P,).  The box has the a-priori radius
+    tail_radius(decay, d, tol, offset), at least min_radius.  A point whose tail
+    exceeds tol relative to its sum is summed again to the radius certified
+    relative to that sum, then to tail underflow (ToleranceUnreachableError past
+    r_cap), and is masked past its own radius.  The box runs in shell order, in
+    which the sum once grew, so a cancelling sum keeps its bits (and the golden
+    files).  Returns (ScaledComplex, largest radius, tail bound relative to each sum).
     """
-    exponents = []
-    r = 0
-    while True:
-        shell = lattice_box(-r, r, d)
-        shell = shell[np.abs(shell).max(axis=1) == r]
-        exponents.append(np.asarray(exponent_fn(shell), dtype=complex))
-        if r >= min_radius:
-            s = sum_scaled_exponents(np.concatenate(exponents))
-            tail = gaussian_box_tail(decay, r, d, offset)
-            if tail == 0.0:
-                return s, r, 0.0
-            rel = math.exp(min(math.log(tail) + log_scale - s.logmag, 700.0)) \
-                if np.isfinite(s.logmag) and np.isfinite(tail) else float("inf")
-            if rel <= tol:
-                return s, r, rel
-        if r >= r_cap:
-            raise ToleranceUnreachableError(
-                f"lattice sum did not reach tol={tol:.1e} by radius {r_cap}"
-            )
-        r += 1
+    def relative(tail, ls, lm):  # a nan sum stays uncertified: nan <= tol is false
+        return 0.0 if tail == 0.0 else math.exp(min(math.log(tail) + ls - lm, 700.0))
+
+    def sums(radii):
+        R = int(radii.max())
+        box = lattice_box(-R, R, d)
+        norm = np.abs(box).max(axis=1)
+        order = np.argsort(norm, kind="stable")
+        e = np.asarray(exponent_fn(box[order]), dtype=complex)
+        return sum_scaled_exponents(np.where(norm[order] <= radii[..., None], e, -np.inf))
+
+    radii = np.array(max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius))
+    if np.ndim(log_scale) == 0:  # one sum, unmasked, unless its box falls short
+        s = sums(radii)
+        bound = relative(gaussian_box_tail(decay, int(radii), d, offset), log_scale, s.logmag)
+        if bound <= tol:
+            return s, int(radii), bound
+    scale = np.atleast_1d(np.asarray(log_scale, dtype=float))
+    radii, todo = np.full(scale.shape, radii), np.ones(scale.shape, dtype=bool)
+    logmag, bound = np.zeros(scale.shape), np.zeros(scale.shape)
+    phase = np.ones(scale.shape, dtype=complex)
+    for grow in range(3):  # a-priori radius, relative radius, underflow
+        idx = np.flatnonzero(todo)
+        if not idx.size:
+            break
+        s = sums(np.where(todo, radii, -1))
+        logmag[idx], phase[idx] = np.atleast_1d(s.logmag)[idx], np.atleast_1d(s.phase)[idx]
+        tails = {r: gaussian_box_tail(decay, r, d, offset) for r in set(radii[idx].tolist())}
+        bound[idx] = [relative(tails[radii[i]], scale[i], logmag[i]) for i in idx]
+        todo = ~(bound <= tol)
+        for i in np.flatnonzero(todo):
+            target = tol * math.exp(min(logmag[i] - scale[i], 0.0)) if grow == 0 else 0.0
+            radii[i] = tail_radius(decay, d, target, offset, r_cap=r_cap)
+    if np.ndim(log_scale) == 0:
+        return ScaledComplex(float(logmag[0]), complex(phase[0])), int(radii[0]), float(bound[0])
+    return ScaledComplex(logmag, phase), int(radii.max()), bound
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +310,38 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
 def winding_number(f, vertices, samples_per_edge=32, max_depth=28):
     """Winding of t -> f(gamma(t)) around 0 along a closed polygon.
 
-    f maps a complex number to a ScaledComplex.  Each edge starts with
-    `samples_per_edge` samples and is bisected wherever the phase increment
-    between neighbours exceeds pi/2, so the count is exact unless the contour
-    passes essentially through a zero, in which case ContourNearZeroError is
-    raised and the caller may jitter the contour.
+    f maps a 1-d array of complex points to a ScaledComplex of that shape.  One
+    call samples `samples_per_edge` intervals per edge; one call per level bisects
+    those whose phase step exceeds pi/2, so f runs at most max_depth + 1 times.
+    The count is exact unless the contour passes essentially through a zero:
+    then ContourNearZeroError is raised and the caller may jitter the contour.
     """
-    def phase_at(zz):
+    def phases(zz):
         val = f(zz)
-        if not np.isfinite(val.logmag):
-            raise ContourNearZeroError(f"exact zero on contour at {zz}")
-        return complex(val.phase)
+        zero = ~np.isfinite(val.logmag)
+        if zero.any():
+            raise ContourNearZeroError(f"exact zero on contour at {zz[zero][0]}")
+        return np.asarray(val.phase, dtype=complex)
 
+    za = np.asarray(vertices, dtype=complex)
+    ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
+    pts = za[:, None] + (np.roll(za, -1) - za)[:, None] * ts   # one row per edge
+    vals = phases(pts.ravel()).reshape(pts.shape)
+    p0, p1 = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+    v0, v1 = vals[:, :-1].ravel(), vals[:, 1:].ravel()
     total = 0.0
-    nv = len(vertices)
-    for i in range(nv):
-        za, zb = vertices[i], vertices[(i + 1) % nv]
-        ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
-        pts = [za + (zb - za) * t for t in ts]
-        vals = [phase_at(p) for p in pts]
-        stack = [(pts[j], pts[j + 1], vals[j], vals[j + 1], 0) for j in range(len(pts) - 1)]
-        stack.reverse()
-        while stack:
-            p0, p1, v0, v1, depth = stack.pop()
-            d_ang = math.atan2((v1 / v0).imag, (v1 / v0).real)
-            if abs(d_ang) <= 0.5 * math.pi:
-                total += d_ang
-                continue
-            if depth >= max_depth:
-                raise ContourNearZeroError(
-                    "phase step stayed above pi/2 after repeated bisection"
-                )
-            pm = 0.5 * (p0 + p1)
-            vm = phase_at(pm)
-            stack.append((pm, p1, vm, v1, depth + 1))
-            stack.append((p0, pm, v0, vm, depth + 1))
+    for depth in range(max_depth + 1):
+        d_ang = np.angle(v1 / v0)
+        ok = np.abs(d_ang) <= 0.5 * math.pi
+        total += math.fsum(d_ang[ok])
+        if ok.all():
+            break
+        if depth == max_depth:
+            raise ContourNearZeroError("phase step stayed above pi/2 after repeated bisection")
+        p0, p1, v0, v1 = p0[~ok], p1[~ok], v0[~ok], v1[~ok]
+        pm = 0.5 * (p0 + p1)
+        vm = phases(pm)
+        p0, p1, v0, v1 = np.r_[p0, pm], np.r_[pm, p1], np.r_[v0, vm], np.r_[vm, v1]
     w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.05:
         raise GaborError(f"winding number {w:.6f} is not close to an integer")

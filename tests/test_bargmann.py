@@ -4,7 +4,6 @@ import pytest
 from torusgabor.bargmann import (
     bargmann,
     bargmann_basis,
-    bargmann_basis_theta_form,
     bergman_density,
     chern_matrix,
     gram,
@@ -13,7 +12,7 @@ from torusgabor.bargmann import (
 )
 from torusgabor import transforms
 from torusgabor.core import GaborParams, QuadratureUnderResolvedError
-from torusgabor.theta import ScaledComplex
+from torusgabor.theta import ScaledComplex, theta_eval
 
 SERIES_TOL = 1e-12
 
@@ -124,14 +123,18 @@ def test_weighted_magnitude_is_gauge_invariant():
 
 
 def test_theta_form_cross_check_agrees():
+    # B eps_n(z) = exp(pi i n'Omega n/N - 2 pi z'n) theta_N(Omega n/N + i z),
+    # with theta_N from theta_eval: its own lattice reduction and exponent
     rng = np.random.default_rng(4)
     for p in (_p(1j, N=2), _p(0.3 + 1j, N=3), _p(d=2, N=2)):
+        om = p.Omega
         for _ in range(5):
             n = rng.integers(0, p.N, p.d)
             z = rng.uniform(-0.5, 0.5, p.d) + 1j * rng.uniform(-1, 1, p.d)
-            got = bargmann_basis(n, z, p, tol=SERIES_TOL, cross_check=True)
-            assert got.cross_check_residual is not None
-            assert got.cross_check_residual <= 1e-9
+            got = bargmann_basis(n, z, p, tol=SERIES_TOL).raw
+            pref = ScaledComplex.from_exponent(1j * np.pi * (n @ om @ n) / p.N - 2 * np.pi * (z @ n))
+            other = pref * theta_eval(om @ n / p.N + 1j * z, p, order=p.N, tol=SERIES_TOL).value
+            assert (got + (-other)).magnitude() <= 1e-9 * max(got.magnitude(), other.magnitude())
 
 
 def test_combination_is_linear_in_coefficients():
@@ -145,6 +148,48 @@ def test_combination_is_linear_in_coefficients():
     )
     got = bargmann(a, z, p, tol=SERIES_TOL).raw.to_complex()
     assert abs(got - direct) < 1e-11 * max(1.0, abs(direct))
+
+
+def _brute_section(a, z, p, box=30):
+    # fixed box of m around the origin, plain double-precision sum
+    m = np.indices((2 * box + 1,) * p.d).reshape(p.d, -1).T - box
+    e = 1j * np.pi * np.einsum("ki,ij,kj->k", m, p.Omega, m) / p.N - 2 * np.pi * (m @ z)
+    return complex((a[tuple((m % p.N).T)] * np.exp(e)).sum())
+
+
+@pytest.mark.parametrize("p,tol", [(_p(0.3 + 1j, N=3), 1e-6), (_p(d=2, N=2), 1e-4)],
+                         ids=["d1", "d2"])
+def test_section_near_its_zero_keeps_tol(p, tol):
+    # a = B eps_1(z1) eps_0 - B eps_0(z1) eps_1 vanishes at z1; 1e-7 away the
+    # two terms cancel to about 1e-6 of their size, so a tail certified per
+    # basis section would miss tol, and one certified for B a(z) must not
+    n0, n1 = (0,) * p.d, (1,) * p.d
+    z1 = p.im @ np.full(p.d, 0.3) + 0.21j
+    a = np.zeros(p.shape, dtype=complex)
+    a[n0] = bargmann_basis(n1, z1, p, tol=1e-15).raw.to_complex()
+    a[n1] = -bargmann_basis(n0, z1, p, tol=1e-15).raw.to_complex()
+    z = z1 + 1e-7
+    want = _brute_section(a, z, p)
+    got = bargmann(a, z, p, tol=tol).raw.to_complex()
+    assert abs(got - want) <= tol * abs(want)
+
+
+def test_batched_sections_are_the_single_calls():
+    rng = np.random.default_rng(6)
+    for p in (_p(0.3 + 1j, N=3), _p(d=2, N=2)):
+        a = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
+        Z = rng.uniform(-1, 1, (9, p.d)) + 1j * rng.uniform(-1, 1, (9, p.d))
+        n = np.ones(p.d, dtype=int)
+        for batch, one in ((bargmann(a, Z, p, tol=SERIES_TOL),
+                            lambda z: bargmann(a, z, p, tol=SERIES_TOL)),
+                           (bargmann_basis(n, Z, p, tol=SERIES_TOL),
+                            lambda z: bargmann_basis(n, z, p, tol=SERIES_TOL))):
+            assert batch.raw.logmag.shape == batch.weighted_mag.shape == (9,)
+            for j, z in enumerate(Z):
+                single = one(z)
+                v, v1 = batch.raw.to_complex()[j], single.raw.to_complex()
+                assert abs(v - v1) <= 1e-14 * abs(v1)
+                assert batch.weighted_mag[j] == pytest.approx(single.weighted_mag, rel=1e-14)
 
 
 def test_zero_coefficients_give_exact_zero():
@@ -195,8 +240,8 @@ def test_gram_is_the_weighted_section_sum(p, nx, nxi, tol):
     # put the aliasing error below tol
     X, XI, cell = transforms.tn_grid(p, nx, nxi, midpoint=True)
     Z = 1j * (X @ p.Omega.T / p.N + XI)
-    B = np.array([[bargmann_basis(np.array(n), z, p).raw.to_complex() for n in np.ndindex(p.shape)]
-                  for z in Z])
+    B = np.array([bargmann_basis(np.array(n), Z, p).raw.to_complex()
+                  for n in np.ndindex(p.shape)]).T
     # dA(z) = det Im Omega / N^d dx dxi
     w = np.exp(-p.N * weight_phi(Z, p)) * cell * np.linalg.det(p.im) / p.N ** p.d
     ref = (B.conj().T * w) @ B

@@ -176,6 +176,44 @@ def test_certified_sum_min_radius_honesty():
     assert abs(s1.to_complex() - s2.to_complex()) <= 1e-12 * abs(s2.to_complex())
 
 
+def _theta_i_exponents(ws):
+    # theta_3(w | i) = sum_k exp(-pi k^2 + 2 pi i k w): one row per w, or one
+    # 1-d sum for a scalar w; it vanishes at w = (1 + i)/2
+    def fn(k):
+        return -np.pi * k[:, 0] ** 2 + 2j * np.pi * np.multiply.outer(ws, k[:, 0])
+    return fn
+
+
+def test_certified_sum_batch_is_the_single_calls():
+    # the third point sits 1e-6 from the zero, so only its box grows; every
+    # other point keeps the radius and the bound of its own single call
+    ws = np.array([0.1 + 0.2j, 0.37 - 0.3j, 0.5 + 0.5j + 1e-6, 0.05 + 0.0j])
+    log_scale = np.pi * ws.imag ** 2
+    s, radius, bound = certified_lattice_sum(_theta_i_exponents(ws), np.pi, 1, 1e-12,
+                                             log_scale=log_scale)
+    radii = []
+    for i, w in enumerate(ws):
+        s1, r1, b1 = certified_lattice_sum(_theta_i_exponents(w), np.pi, 1, 1e-12,
+                                           log_scale=log_scale[i])
+        radii.append(r1)
+        assert bound[i] == b1 <= 1e-12
+        v, v1 = complex(s.phase[i]) * np.exp(s.logmag[i]), s1.to_complex()
+        assert abs(v - v1) <= 1e-14 * abs(v1)
+    assert radius == max(radii)
+    assert radii[2] > radii[0] == radii[1] == radii[3]
+
+
+def test_certified_sum_near_a_zero_is_relative_to_the_value():
+    # |theta| ~ 1e-6 at the third point; its tail is certified against that
+    w = 0.5 + 0.5j + 1e-6
+    s, _, bound = certified_lattice_sum(_theta_i_exponents(w), np.pi, 1, 1e-12,
+                                        log_scale=np.pi * 0.25)
+    k = np.arange(-40, 41)
+    direct = np.exp(-np.pi * k ** 2 + 2j * np.pi * k * w).sum()
+    assert bound <= 1e-12
+    assert abs(s.to_complex() - direct) <= 1e-8 * abs(direct)
+
+
 # ---------------------------------------------------------------------------
 # theta evaluation
 
@@ -294,6 +332,25 @@ def test_winding_rejects_zero_on_contour():
 
     with pytest.raises(ContourNearZeroError):
         winding_number(f, SQUARE)
+
+
+def test_winding_calls_f_once_per_bisection_level():
+    calls = []
+
+    def counted(zeros):
+        def f(w):
+            calls.append(w.shape)
+            return ScaledComplex.from_complex(np.prod([w - z for z in zeros], axis=0))
+        return f
+
+    assert winding_number(counted([0.3 + 0.4j, 0.6 + 0.2j]), SQUARE) == 2
+    assert 1 <= len(calls) <= 28 + 2
+    assert calls[0] == (4 * 33,)
+    # a zero 1e-12 off the contour needs more bisection levels than the cap
+    calls.clear()
+    with pytest.raises(ContourNearZeroError):
+        winding_number(counted([0.51 + 1e-12j]), SQUARE, max_depth=20)
+    assert len(calls) <= 20 + 2
 
 
 # ---------------------------------------------------------------------------
