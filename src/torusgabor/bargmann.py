@@ -32,8 +32,8 @@ import numpy as np
 
 from . import localization
 from . import theta as theta_mod
-from .core import GaborError, im_min_eig, validate
-from .theta import ScaledComplex, certified_lattice_sum
+from .core import GaborError, siegel, validate
+from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
 
 
 def weight_phi(z, params):
@@ -44,15 +44,15 @@ def weight_phi(z, params):
     invariant under the purely imaginary period directions.
     """
     z = np.asarray(z, dtype=complex)
-    yinv = np.linalg.inv(params.im)
+    yinv = siegel(params).im_inv
     h = np.einsum("...i,ij,...j->...", z, yinv, np.conj(z))
     b = np.einsum("...i,ij,...j->...", z, yinv, z)
     return np.pi * (h.real + b.real)
 
 
 def chern_matrix(params):
-    """Coefficient matrix (Im Omega)^{-1} of the translation-invariant curvature form."""
-    return np.linalg.inv(params.im)
+    """Coefficient matrix (Im Omega)^{-1} of the translation-invariant curvature form (read-only)."""
+    return siegel(params).im_inv
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -80,8 +80,12 @@ def bargmann(coeffs, z, params, tol=1e-12):
     lattice sum.  Its terms are at most max|a| e^{N phi(z)/2} exp(-(pi/N) (m - m*)'Y
     (m - m*)), m* = -N Y^{-1} Re z, Y = Im Omega, so the box is centred at round(m*)
     and the tail is certified relative to B a(z), also near a zero of the section.
+    z is not reduced, so far from the cell the exponents e grow, and each is off
+    by about |e| 2^-52.  ToleranceUnreachableError is raised when that rounding,
+    weighted by the term's size relative to the bound, exceeds tol for some term,
+    and when phi(z) is not finite.
     """
-    validate(params)
+    sg = siegel(params)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != params.shape:
         raise GaborError(f"coefficients must have shape {params.shape}")
@@ -92,19 +96,33 @@ def bargmann(coeffs, z, params, tol=1e-12):
     N, om = params.N, params.Omega
     with np.errstate(divide="ignore"):
         loga = np.log(coeffs)
-    m0 = np.round(-N * np.linalg.solve(params.im, zs.real.T).T)
+    m0 = np.round(-N * np.linalg.solve(sg.im, zs.real.T).T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = weight_phi(zs, params)
+    if not np.isfinite(phi).all():
+        raise ToleranceUnreachableError("the weight phi(z) is not finite in double precision")
+    # a zero signal keeps a finite scale, and its sums underflow to an exact zero
+    scale = 0.5 * N * phi + math.log(np.abs(coeffs).max() or 1.0)
 
     def exponent_fn(j):
-        m = m0[:, None, :] + j
-        quad = ((m @ om) * m).sum(axis=-1)
-        res = tuple(np.moveaxis(m.astype(int) % N, -1, 0))
-        return 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs) + loga[res]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite e fails the check
+            m = m0[:, None, :] + j
+            quad = ((m @ om) * m).sum(axis=-1)
+            e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs)
+            e = e0 + loga[tuple(np.moveaxis(m.astype(int) % N, -1, 0))]
+            # each exponent is off by about err; if that is above tol, weigh it by the
+            # term's size relative to exp(scale), which err may understate by e^err
+            err = 2.0 ** -52 * np.abs(e0)
+            rounding = float(err.max())
+            if rounding > tol:
+                rounding = float((err * np.exp(e.real - scale[:, None] + err)).max())
+        if not rounding <= tol:
+            raise ToleranceUnreachableError(
+                f"section exponents are rounded by {rounding:.1e}, not certified to tol={tol:.1e}")
+        return e
 
-    # a zero signal keeps a finite scale, and its sums underflow to an exact zero
-    phi = weight_phi(zs, params)
     raw, _, _ = certified_lattice_sum(
-        exponent_fn, math.pi * im_min_eig(params) / N, params.d, tol,
-        log_scale=0.5 * N * phi + math.log(np.abs(coeffs).max() or 1.0))
+        exponent_fn, math.pi * sg.im_min / N, params.d, tol, log_scale=scale)
     wmag = raw.magnitude(-0.5 * N * phi)
     if z.ndim < 2:
         raw, wmag = ScaledComplex(float(raw.logmag[0]), complex(raw.phase[0])), float(wmag[0])

@@ -17,6 +17,7 @@ integer-lattice membership test the frame predicates are built on.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -85,9 +86,34 @@ class GaborParams:
         return self.Omega.real
 
 
-def validate(params):
-    """Check the Siegel conditions; return params unchanged if they hold."""
+@dataclasses.dataclass(frozen=True, eq=False)
+class Siegel:
+    """What validate establishes about one Omega: Y = Im Omega, Y^{-1}, lambda_min(Y).
+
+    The arrays are read-only; records are shared through the cache of siegel.
+    """
+
+    Omega: np.ndarray
+    im: np.ndarray
+    im_inv: np.ndarray
+    im_min: float
+
+
+def siegel(params):
+    """The Siegel record of params.Omega; raises as validate does.
+
+    Records are kept per Omega value (shape and bytes) in a bounded module-level
+    cache, not on params, so a fresh import starts cold and an equal Omega in a
+    new GaborParams shares the record.  A failed check raises on every call.
+    """
     om = params.Omega
+    return _siegel(om.shape, om.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _siegel(shape, data):
+    om = np.frombuffer(data, dtype=complex).reshape(shape).copy()
+    om.setflags(write=False)
     if not np.all(np.isfinite(om)):
         raise GaborError("Omega must have finite entries")
     scale = float(np.abs(om).max())
@@ -97,18 +123,26 @@ def validate(params):
             f"Omega asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|Omega| "
             f"= {SYMMETRY_RTOL * scale:.3e}"
         )
-    sym_im = 0.5 * (params.im + params.im.T)
-    low = float(np.linalg.eigvalsh(sym_im)[0])
+    im = om.imag
+    low = float(np.linalg.eigvalsh(0.5 * (im + im.T))[0])
     if low <= 0.0:
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue of Im(Omega) is {low:.3e}; must be positive"
         )
+    im_inv = np.linalg.inv(im)
+    im_inv.setflags(write=False)
+    return Siegel(om, im, im_inv, float(np.linalg.eigvalsh(im)[0]))
+
+
+def validate(params):
+    """Check the Siegel conditions; return params unchanged if they hold."""
+    siegel(params)
     return params
 
 
 def im_min_eig(params):
     """Smallest eigenvalue of Im(Omega); every Gaussian decay rate derives from it."""
-    return float(np.linalg.eigvalsh(params.im)[0])
+    return siegel(params).im_min
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

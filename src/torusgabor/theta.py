@@ -26,16 +26,28 @@ too; this module alone decides how far any of them runs: gaussian_box_tail,
 tail_radius (a-priori radius), lattice_box, and certified_lattice_sum (one
 box of the a-priori radius, for one point or a batch, summed in shell order
 so that the golden files keep their bytes).
+
+What does not depend on z is computed once and memoised: the checks on Omega
+with Y = Im Omega, Y^{-1} and lambda_min(Y) (core.siegel, keyed on Omega's
+shape and bytes); gaussian_box_tail and tail_radius (pure functions of their
+scalar arguments); the shell-ordered box (_shell_box, keyed on radius and d);
+and theta_eval's quadratic part i pi n k'Omega k over that box (_theta_quad,
+keyed on the Omega record, the order n and the radius).  The caches are
+module-level and bounded by fixed sizes, so a fresh import starts cold; their
+arrays are read-only, and a failed check is not cached.  theta_eval's two
+solves with Y stay per call: they depend on z, and an inverse computed once
+would move the reduced point, hence log_scale and the bits of tail_bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .core import ComplexPoint, GaborError, lattice_coefficients, validate
+from .core import ComplexPoint, GaborError, lattice_coefficients, siegel, validate
 
 
 class ToleranceUnreachableError(GaborError):
@@ -144,6 +156,7 @@ def lattice_box(lo, hi, d):
     return np.indices((hi - lo + 1,) * d).reshape(d, -1).T + lo
 
 
+@functools.lru_cache(maxsize=4096)
 def gaussian_box_tail(a, R, d, offset=0.5):
     """Upper bound for sum over |k|_inf > R of exp(-a |k + c|^2), |c|_inf <= offset.
 
@@ -164,6 +177,7 @@ def gaussian_box_tail(a, R, d, offset=0.5):
     return float("inf")
 
 
+@functools.lru_cache(maxsize=4096)
 def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
     """Smallest R >= 1 with factor * gaussian_box_tail(a, R, d, offset) <= bound.
 
@@ -185,6 +199,18 @@ def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
     return hi
 
 
+@functools.lru_cache(maxsize=32)
+def _shell_box(R, d):
+    """lattice_box(-R, R, d) stably sorted by max-norm, and that norm; read-only."""
+    box = lattice_box(-R, R, d)
+    norm = np.abs(box).max(axis=1)
+    order = np.argsort(norm, kind="stable")
+    box, norm = box[order], norm[order]
+    box.setflags(write=False)
+    norm.setflags(write=False)
+    return box, norm
+
+
 def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
                           min_radius=0, r_cap=200):
     """Sum exp(exponent_fn(k)) over k in Z^d on one certified box, for one point or P.
@@ -197,18 +223,16 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
     relative to that sum, then to tail underflow (ToleranceUnreachableError past
     r_cap), and is masked past its own radius.  The box runs in shell order, in
     which the sum once grew, so a cancelling sum keeps its bits (and the golden
-    files).  Returns (ScaledComplex, largest radius, tail bound relative to each sum).
+    files); exponent_fn gets the read-only box that _shell_box caches per (radius,
+    d).  Returns (ScaledComplex, largest radius, tail bound relative to each sum).
     """
     def relative(tail, ls, lm):  # a nan sum stays uncertified: nan <= tol is false
         return 0.0 if tail == 0.0 else math.exp(min(math.log(tail) + ls - lm, 700.0))
 
     def sums(radii):
-        R = int(radii.max())
-        box = lattice_box(-R, R, d)
-        norm = np.abs(box).max(axis=1)
-        order = np.argsort(norm, kind="stable")
-        e = np.asarray(exponent_fn(box[order]), dtype=complex)
-        return sum_scaled_exponents(np.where(norm[order] <= radii[..., None], e, -np.inf))
+        box, norm = _shell_box(int(radii.max()), d)
+        e = np.asarray(exponent_fn(box), dtype=complex)
+        return sum_scaled_exponents(np.where(norm <= radii[..., None], e, -np.inf))
 
     radii = np.array(max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius))
     if np.ndim(log_scale) == 0:  # one sum, unmasked, unless its box falls short
@@ -250,6 +274,15 @@ class ThetaEval:
     tail_bound: float
 
 
+@functools.lru_cache(maxsize=64)
+def _theta_quad(sg, order, R):
+    """1j pi order k'Omega k over k = _shell_box(R, d)[0], for the Siegel record sg; read-only."""
+    k = _shell_box(R, sg.Omega.shape[0])[0]
+    q = 1j * np.pi * order * np.einsum("ki,ij,kj->k", k, sg.Omega, k)
+    q.setflags(write=False)
+    return q
+
+
 def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
     """Evaluate theta_order(z, Omega) with a certified truncation.
 
@@ -259,11 +292,10 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
     is the series at the original z.  tail_bound is the certified bound on
     the omitted terms relative to the kept partial sum.
     """
-    validate(params)
+    sg = siegel(params)
     if order < 1:
         raise GaborError("order must be a positive integer")
-    om = params.Omega
-    Y = params.im
+    om, Y = sg.Omega, sg.im
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (params.d,):
         raise GaborError(f"z must be a complex {params.d}-vector")
@@ -286,17 +318,15 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
         )
 
     chat = np.linalg.solve(Y, zr.imag)
-    a = math.pi * order * float(np.linalg.eigvalsh(Y)[0])
     log_scale = math.pi * order * float(chat @ Y @ chat)
     offset = max(0.5, float(np.abs(chat).max()))
 
-    def exponent_fn(k):
-        quad = np.einsum("ki,ij,kj->k", k, om, k)
-        return 1j * np.pi * order * quad + 2j * np.pi * order * (k @ zr)
+    def exponent_fn(k):  # k is a shell box, whose last row is (R, ..., R)
+        return _theta_quad(sg, order, int(k[-1, 0])) + 2j * np.pi * order * (k @ zr)
 
     s, radius, bound = certified_lattice_sum(
-        exponent_fn, a, params.d, tol, offset=offset, log_scale=log_scale,
-        min_radius=min_radius, r_cap=r_cap,
+        exponent_fn, math.pi * order * sg.im_min, params.d, tol, offset=offset,
+        log_scale=log_scale, min_radius=min_radius, r_cap=r_cap,
     )
     if not pref.logmag + s.logmag < math.inf:
         raise ToleranceUnreachableError("theta value overflows double precision")

@@ -12,7 +12,7 @@ from torusgabor.bargmann import (
 )
 from torusgabor import transforms
 from torusgabor.core import GaborParams, QuadratureUnderResolvedError
-from torusgabor.theta import ScaledComplex, theta_eval
+from torusgabor.theta import ScaledComplex, ToleranceUnreachableError, theta_eval
 
 SERIES_TOL = 1e-12
 
@@ -197,6 +197,26 @@ def test_zero_coefficients_give_exact_zero():
     out = bargmann(np.zeros(2), np.array([0.1 + 0.2j]), p)
     assert out.raw.logmag == float("-inf")
     assert out.weighted_mag == 0.0
+
+
+@pytest.mark.parametrize("z", [1e6 + 0.1j, 1e10 + 0.1j, 1e19 + 0.1j, 1e300 + 0j, complex("nan")],
+                         ids=["1e6", "1e10", "1e19", "1e300", "nan"])
+def test_section_far_from_the_cell_is_refused(z):
+    # z is not reduced; at Re z = 1e6 the exponents reach ~9.4e12, so rounding
+    # alone is ~2e-3, and further out they overflow or do not fit an int
+    p, a = _p(0.3 + 1j, N=3), np.array([1.0, 0.5j, -0.2])
+    with pytest.raises(ToleranceUnreachableError):
+        bargmann(a, np.array([z]), p)
+    with pytest.raises(ToleranceUnreachableError):
+        bargmann(a, np.array([[0.4 + 0.1j], [z]]), p)
+
+
+def test_section_in_the_cell_still_evaluates():
+    p, a = _p(0.3 + 1j, N=3), np.array([1.0, 0.5j, -0.2])
+    z = -1j * p.Omega[0, 0] * 0.3 + 0.6j
+    got = bargmann(a, np.array([z]), p, tol=1e-15).raw.to_complex()
+    want = _brute_section(a, np.array([z]), p)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_bargmann_rejects_wrong_shape():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torusgabor.bargmann import bargmann
 from torusgabor.core import (
     ComplexPoint,
     GaborParams,
@@ -20,6 +21,7 @@ from torusgabor.core import (
     to_complex,
     validate,
 )
+from torusgabor.theta import theta_eval
 
 TOL = 1e-12
 
@@ -164,3 +166,23 @@ def test_params_json_round_trip():
 def test_params_json_rejects_bad_matrix():
     with pytest.raises(Exception):
         params_from_json('{"d": 2, "N": 2, "omega_re": [[0]], "omega_im": [[1]]}')
+
+
+@pytest.mark.parametrize("bad,error", [(np.array([[1j, 0.2], [0.1, 1j]]), NonSymmetricError),
+                                       (np.array([[1j, 0.0], [0.0, -0.5j]]),
+                                        NotPositiveDefiniteError)],
+                         ids=["asymmetric", "indefinite"])
+def test_failed_validation_is_not_cached(bad, error):
+    # every call with a bad Omega raises, also between calls with a good one
+    good = GaborParams(d=2, N=2, Omega=np.array([[1j, 0.1], [0.1, 1.2j]]))
+    badp = GaborParams(d=2, N=2, Omega=bad)
+    z, coeffs = np.array([0.1 + 0.2j, 0.3j]), np.ones((2, 2))
+    for _ in range(3):
+        with pytest.raises(error):
+            theta_eval(z, badp)
+        assert theta_eval(z, good).tail_bound <= 1e-12
+        with pytest.raises(error):
+            bargmann(coeffs, z, badp)
+        assert bargmann(coeffs, z, good).weighted_mag > 0.0
+        with pytest.raises(error):
+            validate(GaborParams(d=2, N=2, Omega=bad.copy()))

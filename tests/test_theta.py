@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusgabor import core
+from torusgabor import theta as theta_mod
 from torusgabor.core import GaborParams, complex_distance_mod_lattice
 from torusgabor.theta import (
     ContourNearZeroError,
@@ -404,3 +406,44 @@ def test_theta_eval_refuses_an_uncertified_reduction_phase():
         theta_eval(z, p, tol=1e-12)
     ev = theta_eval(z, p, tol=1e-9)
     assert ev.tail_bound <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the z-independent caches behind theta_eval
+
+
+def _clear_caches():
+    core._siegel.cache_clear()
+    for cached in (gaussian_box_tail, tail_radius, theta_mod._shell_box, theta_mod._theta_quad):
+        cached.cache_clear()
+
+
+def _bits(ev):
+    v = ev.value
+    return np.array([v.logmag, v.phase.real, v.phase.imag, ev.tail_bound]).tobytes(), ev.radius
+
+
+def test_theta_eval_caches_are_invisible():
+    # each call on empty caches, then all again on caches that hold every
+    # (Omega, order, radius) met, then for new GaborParams with an equal Omega:
+    # the same bits every time
+    rng = np.random.default_rng(12)
+    cases = [(p, order, z) for p in (_p(0.3 + 1j, N=3), P2) for order in (1, 2, 3)
+             for z in rng.uniform(-2, 2, (200, p.d)) + 1j * rng.uniform(-2, 2, (200, p.d))]
+    cold = []
+    for p, order, z in cases:
+        _clear_caches()
+        cold.append(_bits(theta_eval(z, p, order=order)))
+    assert [_bits(theta_eval(z, p, order=order)) for p, order, z in cases] == cold
+    fresh = {id(p): GaborParams(d=p.d, N=p.N, Omega=p.Omega.copy()) for p, _, _ in cases}
+    assert [_bits(theta_eval(z, fresh[id(p)], order=order)) for p, order, z in cases] == cold
+
+
+def test_cached_arrays_are_read_only():
+    ev = theta_eval(np.array([0.2 + 0.3j, -0.1j]), P2, order=2)
+    sg = core.siegel(P2)
+    arrays = [*theta_mod._shell_box(ev.radius, 2), theta_mod._theta_quad(sg, 2, ev.radius),
+              sg.Omega, sg.im, sg.im_inv]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.flat[0] = a.flat[0]
