@@ -14,8 +14,10 @@ a centered box whose radius carries an explicit Gaussian tail bound, and
 reassembles the exact quasiperiodicity factor.  That factor and the metric
 weights downstream overflow double precision separately but not combined, so
 values travel as a log-magnitude plus a unit phase (ScaledComplex).  The
-factor's phase is off by about 2^-52 times its argument, so an argument too
-large for the requested tol is an error, not a value.
+factor's exponent e is off, in its phase and in its log-magnitude alike, by
+at most a few 2^-52 times the summed size of its terms; where that bound
+exceeds the requested tol, e is rounded once from its exact rational value,
+and where even that half ulp exceeds tol the result is an error, not a value.
 
 For d = 1 the order-1 series vanishes once per cell, at the half period
 (1 + Omega)/2; theta_zero_1d returns that point and checks it with theta_eval.
@@ -283,6 +285,26 @@ def _theta_quad(sg, order, R):
     return q
 
 
+def _exact_exponent(k0, om, z, order):
+    # e = pi n (-(k0'Y k0 + 2 k0'Im z) + i (k0'X k0 + 2 k0'Re z)), each part
+    # summed exactly in rationals and rounded once to the nearest double.
+    # fractions (and with it decimal) is imported on this rare path only, so
+    # that a CLI process does not pay for it
+    from fractions import Fraction
+
+    # pi to 50 decimals: a relative error near 2e-51, far below half an ulp
+    pi = Fraction(314159265358979323846264338327950288419716939937511, 10 ** 50)
+    k = [int(v) for v in k0]
+    idx = range(len(k))
+
+    def part(A, w):
+        return (sum(Fraction(float(A[i, j])) * (k[i] * k[j]) for i in idx for j in idx)
+                + 2 * sum(Fraction(float(w[i])) * k[i] for i in idx))
+
+    return complex(float(-pi * order * part(om.imag, z.imag)),
+                   float(pi * order * part(om.real, z.real)))
+
+
 def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
     """Evaluate theta_order(z, Omega) with a certified truncation.
 
@@ -311,11 +333,23 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
         pref = ScaledComplex.from_exponent(e)
     if not (pref.logmag < math.inf and np.isfinite(pref.phase)):
         raise ToleranceUnreachableError("lattice reduction overflows double precision")
-    # the phase exp(i Im e) is only as good as Im e, which is off by |Im e| 2^-52
-    if abs(e.imag) * 2.0 ** -52 > tol:
-        raise ToleranceUnreachableError(
-            f"reduction phase {abs(e.imag):.1e} rad is not certified to tol={tol:.1e}"
-        )
+    # an error in Im e is the phase error of exp(e), one in Re e the relative
+    # error of its magnitude.  Each part of e sums terms whose moduli add up to
+    # at most pi n (|k0|'|Omega||k0| + 2|k0|'|z|), with at most 2d + 5
+    # roundings (two length-d dot products, pi, the products by n and by 2, the
+    # final sum), so it is off by at most (d + 4) 2^-52 times that, however
+    # much the terms cancel.  Where that exceeds tol, e is rounded once from its
+    # exact value, which leaves half an ulp per part
+    ak = np.abs(k0)
+    size = math.pi * order * float(ak @ np.abs(om) @ ak + 2 * ak @ np.abs(z))
+    if (params.d + 4) * 2.0 ** -52 * size > tol:
+        e = _exact_exponent(k0, om, z, order)
+        if max(math.ulp(e.real), math.ulp(e.imag)) / 2 > tol:
+            raise ToleranceUnreachableError(
+                f"reduction factor exp(e), |e| = {abs(e):.1e}: its phase and magnitude "
+                f"are not certified to tol={tol:.1e}"
+            )
+        pref = ScaledComplex.from_exponent(e)
 
     chat = np.linalg.solve(Y, zr.imag)
     log_scale = math.pi * order * float(chat @ Y @ chat)

@@ -50,6 +50,10 @@ class NoDecayError(GaborError):
     """A continuous-time operation needs a window with a decay envelope."""
 
 
+class NonFiniteInputError(GaborError):
+    """A signal, window or coefficient array holds a NaN or an infinity."""
+
+
 # ---------------------------------------------------------------------------
 # windows
 
@@ -181,25 +185,66 @@ def time_frequency_shift(h, k, l):
     return phase * out
 
 
+# numbers computed per block: DGT coefficients in dgt_inverse, symbol samples
+# and Heisenberg series terms in localization, atom-matrix entries in a frame
+# scan
+_CHUNK = 1 << 17
+
+
+def _shift_view(h):
+    # read-only H[k, m] = h[(m - k) mod N] of shape (N,)*2d: a view into h
+    # tiled 2^d times, started at the tile's (N, ..., N) corner with stride
+    # -s along each k axis and +s along each m axis
+    d, N = h.ndim, h.shape[0]
+    tiled = np.tile(h, (2,) * d)
+    s = tiled.strides
+    return np.lib.stride_tricks.as_strided(
+        tiled[(slice(N, None),) * d], shape=h.shape * 2,
+        strides=tuple(-v for v in s) + s, writeable=False)
+
+
+def _require_finite(x, name):
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError(f"{name} has a non-finite entry")
+
+
 def dgt(f, g, method="fft"):
     """Discrete Gabor coefficients V_g f[k, l], returned with shape (N,)*2d.
 
-    method="fft" computes, for each shift k, the d-dimensional FFT of
-    m -> f[m] conj(g[m - k]); method="direct" is the literal O(N^{3d})
-    triple summation kept as an independent reference path.
+    method="fft" multiplies f into the shift table conj(g[m - k]), a
+    zero-copy strided view of g, to fill one C-ordered V, then transforms V
+    in place along each frequency axis: no Python loop over the N^d shifts
+    and no table-sized temporary.  method="direct" is the literal O(N^{3d})
+    triple summation, kept as the independent reference path.
+
+    A non-finite f or g is a NonFiniteInputError.  Every |V[k, l]| is at
+    most sum|f| max|g|; where that bound leaves the FFT's partial sums no
+    headroom below the largest double, the overflow is refused up front as
+    ToleranceUnreachableError.
     """
     f = _check_signal(f)
     g = _check_signal(g, "window")
     if f.shape != g.shape:
         raise ShapeMismatchError(f"signal {f.shape} vs window {g.shape}")
+    _require_finite(f, "signal")
+    _require_finite(g, "window")
     d, N = f.ndim, f.shape[0]
-    axes = tuple(range(d))
+    # a partial sum along one axis stays below 4N times its l1 norm: the
+    # Bluestein convolution, for lengths with large prime factors, runs at a
+    # length below 4N
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(f).sum()) * float(np.abs(g).max())
+    if bound > np.finfo(float).max / (8 * N):
+        raise theta.ToleranceUnreachableError(
+            f"coefficients up to {bound:.1e} overflow double precision")
     V = np.empty(f.shape + f.shape, dtype=complex)
     if method == "fft":
-        for k in np.ndindex(f.shape):
-            u = f * np.conj(np.roll(g, k, axis=axes))
-            V[k] = np.fft.fftn(u)
+        # out=V keeps V in C order; the view's own order is not
+        np.multiply(f, _shift_view(np.conj(g)), out=V)
+        for ax in range(2 * d - 1, d - 1, -1):
+            np.fft.fft(V, axis=ax, out=V)
     elif method == "direct":
+        axes = tuple(range(d))
         ms = np.indices(f.shape).reshape(d, -1).T
         fv = f.reshape(-1)
         for k in np.ndindex(f.shape):
@@ -213,21 +258,47 @@ def dgt(f, g, method="fft"):
 
 
 def dgt_inverse(V, g):
-    """Invert the transform: f = (N^d ||g||^2)^{-1} sum_{k,l} V[k,l] M_l T_k g."""
+    """Invert the transform: f = (N^d ||g||^2)^{-1} sum_{k,l} V[k,l] M_l T_k g.
+
+    The sum over l is a normalized inverse FFT, whose 1/N^d is the N^d of
+    the prefactor, so f = ||g||^{-2} sum_k ifft_l(V[k])[m] g[m - k].  It runs
+    over blocks of the first shift axis of about _CHUNK coefficients each
+    (one row k_1 where a row is larger), against the same shift view of g as
+    the forward transform; V is only read, in any memory order.
+
+    A non-finite g is a NonFiniteInputError.  A non-finite result is one
+    too when V holds a non-finite entry, and an overflow
+    (ToleranceUnreachableError) otherwise; V is searched for one only then.
+    """
     g = _check_signal(g, "window")
     d, N = g.ndim, g.shape[0]
     V = np.asarray(V, dtype=complex)
     if V.shape != g.shape * 2:
         raise ShapeMismatchError(f"coefficients must have shape {g.shape * 2}, got {V.shape}")
-    gnorm = float(np.vdot(g, g).real)
+    _require_finite(g, "window")
+    with np.errstate(over="ignore"):
+        gnorm = float(np.vdot(g, g).real)
     if gnorm == 0.0:
         raise ZeroWindowError("window has zero norm")
-    # sum over l first: sum_l V[k, l] e^{2 pi i l.m/N} = N^d ifft_l(V[k])[m]
-    W = np.fft.ifftn(V, axes=tuple(range(d, 2 * d))) * (N ** d)
+    if gnorm == math.inf:
+        raise theta.ToleranceUnreachableError("the window norm overflows double precision")
+    G = _shift_view(g)
+    rows = max(1, _CHUNK // N ** (2 * d - 1))
+    buf = np.empty((min(rows, N),) + V.shape[1:], dtype=complex)
     f = np.zeros(g.shape, dtype=complex)
-    for k in np.ndindex(g.shape):
-        f += W[k] * np.roll(g, k, axis=tuple(range(d)))
-    return f / (N ** d * gnorm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, N, rows):
+            W = buf[:min(rows, N - i)]
+            np.fft.ifft(V[i:i + rows], axis=2 * d - 1, out=W)
+            for ax in range(2 * d - 2, d - 1, -1):
+                np.fft.ifft(W, axis=ax, out=W)
+            np.multiply(W, G[i:i + rows], out=W)
+            f += W.sum(axis=tuple(range(d)))
+        f /= gnorm
+    if not np.isfinite(f).all():
+        _require_finite(V, "coefficients")
+        raise theta.ToleranceUnreachableError("the inverse transform overflows double precision")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +388,6 @@ def stft(coeffs, x, xi, window, rel_tol=1e-13):
 
 # ---------------------------------------------------------------------------
 # quadrature grids and reference inner products
-
-# numbers computed per block: symbol samples and Heisenberg series terms in
-# localization, atom-matrix entries in a frame scan
-_CHUNK = 1 << 17
-
 
 def tn_grid(params, nx, nxi, midpoint=False):
     """Uniform product grid on T_N = [0, N)^d x [0, 1)^d.

@@ -327,10 +327,20 @@ P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
     (["frame", "check", "--params", P4, "--points=--"], 2, "error:"),
     (["theta", "eval", "--params", P4_RE03, "--z", "1e8j"], 1, "phase"),
     (["theta", "zero", "--params", P4, "--tol", "0"], 1, "not below"),
+    (["theta", "eval", "--params", P4, "--z", "1e6j"], 1, "magnitude"),
+    (["dgt", "forward", "--params", P4, "--signal", _signal_doc(np.full(4, 1e308))], 1,
+     "overflow"),
+    (["dgt", "inverse", "--params", P4, "--coeffs", _signal_doc(np.full((4, 4), 1e308))], 1,
+     "overflow"),
+    (["dgt", "forward", "--params", P4, "--signal", _signal_doc([1, np.nan, 0, 0])], 1,
+     "non-finite"),
+    (["dgt", "inverse", "--params", P4, "--coeffs", _signal_doc(np.full((4, 4), np.inf))], 1,
+     "non-finite"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
         "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
-        "theta-eval-phase", "theta-zero-tol0"])
+        "theta-eval-phase", "theta-zero-tol0", "theta-eval-magnitude", "dgt-forward-overflow",
+        "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf"])
 def test_malformed_input_exits_with_a_message(argv, code, message):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr

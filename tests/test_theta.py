@@ -408,6 +408,51 @@ def test_theta_eval_refuses_an_uncertified_reduction_phase():
     assert ev.tail_bound <= 1e-9
 
 
+def test_theta_eval_refuses_an_uncertified_reduction_magnitude():
+    # at Omega = i, z = 1e6 i the reduction exponent is real, e = pi 1e12: its
+    # phase is exact, but even rounded once its log-magnitude is off by up to
+    # half an ulp, 2.4e-4
+    p = _p(1j)
+    with pytest.raises(ToleranceUnreachableError, match="magnitude"):
+        theta_eval(np.array([1e6j]), p, tol=1e-12)
+
+
+def test_theta_eval_rounds_a_large_reduction_exponent_once():
+    # z = 40i = 40 Omega - 12 at Omega = 0.3 + i, so theta(z) = e^{1600 pi} theta(0)
+    # up to the phase e^{-480 pi i} = 1; |e| 2^-52 = 1.2e-12 exceeds tol, half an
+    # ulp of the exponent rounded once (4.5e-13) does not
+    p = _p(0.3 + 1j)
+    ev, ev0 = (theta_eval(np.array([z]), p, tol=1e-12).value for z in (40j, 0j))
+    assert abs(ev.logmag - ev0.logmag - 1600 * math.pi) <= 2e-12
+    assert abs(ev.phase - ev0.phase) <= 1e-12
+
+
+def test_theta_eval_reduction_exponent_is_certified_when_its_terms_cancel():
+    # the terms of Re e nearly cancel here: the floating-point sum is off by
+    # 4.0e-11 while |e| 2^-52 is 4.4e-12, so a check on |e| alone accepts it at
+    # tol 1e-11.  theta(z) = exp(e) theta(zr) with the same reduced zr, whose
+    # own reduction is trivial; e rounded once from its exact value is the
+    # reference
+    om = np.array([[0.3793134649452301 + 5.230515944797466j,
+                    -0.28658590944940454 + 7.30809357497767j],
+                   [-0.28658590944940454 + 7.30809357497767j,
+                    0.1436487489729923 + 11.34611642154529j]])
+    z = np.array([-21.46734990950645 - 43.49006920251484j,
+                  23.34846872957273 + 20.310619897777457j])
+    p, tol = GaborParams(d=2, N=1, Omega=om), 1e-11
+    k0 = -np.round(np.linalg.solve(om.imag, z.imag))
+    z1 = z + om @ k0
+    zr = z1 - np.round(z1.real)
+    e = theta_mod._exact_exponent(k0, om, z, 1)
+    try:
+        ev = theta_eval(z, p, tol=tol).value
+    except ToleranceUnreachableError:
+        return
+    ev_r = theta_eval(zr, p, tol=tol).value
+    assert abs(ev.logmag - (e.real + ev_r.logmag)) <= tol
+    assert abs(ev.phase - np.exp(1j * e.imag) * ev_r.phase) <= tol
+
+
 # ---------------------------------------------------------------------------
 # the z-independent caches behind theta_eval
 

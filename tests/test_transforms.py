@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from torusgabor import transforms
 from torusgabor.core import GaborParams
-from torusgabor.theta import theta_eval
+from torusgabor.theta import ToleranceUnreachableError, theta_eval
 from torusgabor.transforms import (
     ExplicitWindow,
     GaussianWindow,
     NoDecayError,
+    NonFiniteInputError,
     SampledWindow,
     ShapeMismatchError,
     ZeroWindowError,
@@ -27,7 +29,7 @@ from torusgabor.transforms import (
 )
 
 DGT_TOL = 1e-12
-ROUND_TRIP_TOL = 1e-10
+ROUND_TRIP_TOL = 1e-12
 
 
 def _p(omega=1j, N=4, d=1):
@@ -132,8 +134,10 @@ def test_time_frequency_shift_formula():
 
 
 def test_dgt_fft_equals_direct():
+    # random complex windows, so no symmetry of a Gaussian hides an index slip
     rng = np.random.default_rng(2)
-    for p in (_p(N=16), _p(d=2, N=4)):
+    p3 = GaborParams(d=3, N=3, Omega=1j * np.eye(3))
+    for p in (_p(N=16), _p(d=2, N=4), _p(d=2, N=5), p3):
         f = _rand_signal(rng, p)
         g = _rand_signal(rng, p)
         V1 = dgt(f, g, method="fft")
@@ -143,7 +147,7 @@ def test_dgt_fft_equals_direct():
 
 def test_dgt_round_trip():
     rng = np.random.default_rng(3)
-    for p in (_p(N=16), _p(d=2, N=4)):
+    for p in (_p(N=16), _p(d=2, N=4), _p(N=256)):
         f = _rand_signal(rng, p)
         g = periodize_sample(GaussianWindow(p))
         fr = dgt_inverse(dgt(f, g), g)
@@ -172,6 +176,114 @@ def test_dgt_shape_checks():
         dgt_inverse(np.ones((4, 4)), np.ones(3))
     with pytest.raises(ZeroWindowError):
         dgt_inverse(np.ones((4, 4)), np.zeros(4))
+
+
+def test_dgt_returns_its_own_c_ordered_table():
+    rng = np.random.default_rng(21)
+    p = _p(d=2, N=5)
+    f = _rand_signal(rng, p)
+    g = _rand_signal(rng, p)
+    V = dgt(f, g)
+    assert V.shape == (5,) * 4
+    assert V.flags.c_contiguous and V.flags.writeable
+    assert not np.shares_memory(V, f) and not np.shares_memory(V, g)
+
+
+def test_dgt_inverse_only_reads_its_coefficients():
+    rng = np.random.default_rng(22)
+    p = _p(d=2, N=5)
+    f = _rand_signal(rng, p)
+    g = _rand_signal(rng, p)
+    V = dgt(f, g)
+    before = V.copy()
+    back = dgt_inverse(V, g)
+    assert np.array_equal(V, before)
+    assert np.array_equal(dgt_inverse(np.asfortranarray(V), g), back)
+    view = V.view()
+    view.setflags(write=False)
+    assert np.array_equal(dgt_inverse(view, g), back)
+    assert np.abs(back - f).max() < 1e-13
+
+
+def test_dgt_inverse_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(23)
+    for p in (_p(N=16), _p(d=2, N=6)):
+        f = _rand_signal(rng, p)
+        g = _rand_signal(rng, p)
+        V = dgt(f, g)
+        whole = dgt_inverse(V, g)
+        monkeypatch.setattr(transforms, "_CHUNK", 1)  # one row k_1 per block
+        assert np.abs(dgt_inverse(V, g) - whole).max() < 1e-13
+        monkeypatch.undo()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# room for numpy's FFT line buffers and its 8192-element ufunc buffers
+_BUFFER_BYTES = 1 << 20
+
+
+@pytest.mark.parametrize("d,N", [(2, 24), (1, 1024), (2, 32)])
+def test_dgt_memory_is_the_table_plus_signal_sized_arrays(d, N):
+    rng = np.random.default_rng(25)
+    p = _p(d=d, N=N)
+    f = _rand_signal(rng, p)
+    g = _rand_signal(rng, p)
+    V, peak = _traced_peak(dgt, f, g)
+    # the shift table is g tiled 2^d times; a second table-sized array fails this
+    assert peak <= V.nbytes + 8 * 2 ** d * f.nbytes + _BUFFER_BYTES
+    # with V allocated, the inverse holds one block of about _CHUNK values at a time
+    back, peak = _traced_peak(dgt_inverse, V, g)
+    block = 16 * max(transforms._CHUNK, N ** (2 * d - 1))
+    assert peak <= 2 * block + 8 * 2 ** d * f.nbytes + _BUFFER_BYTES
+    if N ** (2 * d - 1) <= transforms._CHUNK:
+        assert peak < V.nbytes / 2
+    assert np.abs(back - f).max() < 1e-12
+
+
+@pytest.mark.parametrize("where", ["signal", "window"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dgt_refuses_non_finite_input(where, bad):
+    f = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    g = np.ones(4, dtype=complex)
+    (f if where == "signal" else g)[1] = bad
+    for method in ("fft", "direct"):
+        with pytest.raises(NonFiniteInputError):
+            dgt(f, g, method=method)
+    if where == "window":
+        with pytest.raises(NonFiniteInputError):
+            dgt_inverse(np.ones((4, 4)), g)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_dgt_inverse_refuses_non_finite_coefficients(bad):
+    V = np.ones((4, 4), dtype=complex)
+    V[2, 3] = bad
+    with pytest.raises(NonFiniteInputError):
+        dgt_inverse(V, np.ones(4))
+
+
+def test_dgt_overflow_is_refused_without_a_warning():
+    # pytest turns RuntimeWarning into an error, so a warning fails here too
+    with pytest.raises(ToleranceUnreachableError):
+        dgt(np.full(4, 1e308), np.ones(4))
+    with pytest.raises(ToleranceUnreachableError):
+        dgt(np.full((3, 3), 1e200), np.full((3, 3), 1e200))
+    with pytest.raises(ToleranceUnreachableError):
+        dgt_inverse(np.full((4, 4), 1e308), np.ones(4))
+    with pytest.raises(ToleranceUnreachableError):
+        dgt_inverse(np.ones((4, 4)), np.full(4, 1e160))
+    # large but representable coefficients still transform
+    V = dgt(np.array([1e300, 0, 0, 0]), np.ones(4))
+    assert np.abs(V).max() == pytest.approx(1e300)
 
 
 def test_sn_inner_ordering():
