@@ -32,7 +32,7 @@ import numpy as np
 
 from . import localization
 from . import theta as theta_mod
-from .core import GaborError, siegel, validate
+from .core import GaborError, exact_sum, siegel, validate
 from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
 
 
@@ -217,8 +217,8 @@ class DensityReport:
     vmax: float
 
     def flatness(self):
-        """(vmax - vmin) / mean, with an order-fixed mean (math.fsum)."""
-        mean = math.fsum(self.values.ravel()) / self.values.size
+        """(vmax - vmin) / mean, with an order-fixed mean (core.exact_sum)."""
+        mean = exact_sum([self.values]) / self.values.size
         return float((self.vmax - self.vmin) / mean)
 
 
@@ -233,7 +233,8 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
     trapezoid grid of oversample * N nodes per axis rho has period oversample,
     so one cell (an inverse FFT of the folded coefficients) is tiled N^{2d}
     times.  Its exact integral over T_N is N^d; the integral reported is the
-    trapezoid sum of the samples, taken with math.fsum (order-fixed).
+    trapezoid sum of the samples, correctly rounded by core.exact_sum (so
+    order-fixed).
     """
     validate(params)
     N, d, ov = params.N, params.d, oversample
@@ -251,7 +252,7 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
         x_nodes=np.arange(nx) * (N / nx),
         xi_nodes=np.arange(nx) / nx,
         values=values,
-        integral=math.fsum(values.ravel()) * (N / nx) ** d * (1.0 / nx) ** d,
+        integral=exact_sum([values]) * (N / nx) ** d * (1.0 / nx) ** d,
         vmin=float(values.min()),
         vmax=float(values.max()),
     )

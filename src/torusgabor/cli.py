@@ -5,8 +5,9 @@ by default, a flat CSV table with --format csv (provenance then goes to
 stderr).  Floats are printed with 17 significant digits so equal inputs give
 byte-identical output; reports carry no timestamps for the same reason.
 The grid sums and means that reports print (phase-space targets, density
-integral and flatness) are order-fixed: they go through math.fsum, so they do
-not change with the summation order of a numpy build.  Restriction matrices
+integral and flatness) are order-fixed: they are correctly rounded sums
+(core.exact_sum, equal to math.fsum), so they do not change with the
+summation order of a numpy build.  Restriction matrices
 (and so their traces) and density values are assembled by FFTs and
 elementwise sums, with no matmul, so their last bits follow numpy's FFT, not
 the BLAS build.  What can still differ between BLAS/LAPACK builds is the
@@ -67,8 +68,14 @@ def _json_dumps(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{_json_dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        # a list of Python floats (an array's values) is formatted in one pass;
+        # an inf or NaN makes the sum non-finite, so one check covers them all
+        # (finite values whose sum overflows take the per-value route)
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = [format(v, ".17g") for v in obj]
+        else:
+            items = [_json_dumps(v, indent + 1) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:

@@ -11,7 +11,8 @@ T_Omega = C^d / Lambda, where
 so the integer time-frequency sample (k, l) lands on z = -i(Omega k/N + l/N).
 The transforms live on the real side and the frame criteria on the complex
 side; this module owns the dictionary between the two, plus the
-integer-lattice membership test the frame predicates are built on.
+integer-lattice membership test the frame predicates are built on and
+exact_sum, the correctly rounded sum behind every grid total a report prints.
 """
 
 from __future__ import annotations
@@ -279,3 +280,50 @@ def params_from_json(text):
     obj = json.loads(text)
     om = np.asarray(obj["omega_re"], dtype=float) + 1j * np.asarray(obj["omega_im"], dtype=float)
     return validate(GaborParams(d=int(obj["d"]), N=int(obj["N"]), Omega=om))
+
+
+# exact_sum reads at most this many values per pass, so the bin sums below stay exact
+_SUM_PIECE = 1 << 17
+
+
+def exact_sum(blocks, what="the values"):
+    """Correctly rounded sum of the float values in an iterable of arrays.
+
+    Equal to math.fsum of the concatenated values, so it does not depend on
+    the order of the values, but one vectorised pass per block.  Each value is
+    q 2^(e - 53) with q = frexp mantissa times 2^53, an integer below 2^53,
+    split into a 27-bit high and a 26-bit low part; np.bincount sums each
+    part per binary exponent e.  A pass holds at most _SUM_PIECE = 2^17
+    values, so every bin sum is an integer below 2^27 * 2^17 = 2^44 and the
+    float additions are exact.  The bins are added up as Python ints and
+    rounded once by int true division, which is correctly rounded (half to
+    even, subnormals included).  Unlike math.fsum, a sum whose partial sums
+    overflow but whose total is finite is returned; a total beyond double
+    precision, or a non-finite value, is a GaborError whose message names
+    what is summed.  A zero total is +0.0.
+    """
+    total = 0
+    for block in blocks:
+        flat = np.asarray(block, dtype=float).reshape(-1)
+        for start in range(0, flat.size, _SUM_PIECE):
+            piece = flat[start:start + _SUM_PIECE]
+            if not np.isfinite(piece).all():
+                raise GaborError(f"{what} must be finite")
+            mant, exp = np.frexp(piece)
+            mant *= 2.0 ** 27
+            hi = np.floor(mant)
+            # in place, so a pass holds one array of its size fewer: mant
+            # becomes the low part, the last 26 bits of q as an integer
+            mant -= hi
+            mant *= 2.0 ** 26
+            # e + 1073 >= 0: frexp gives e >= -1073 for the smallest subnormal
+            exp += 1073
+            for part, shift in ((hi, 26), (mant, 0)):
+                sums = np.bincount(exp, weights=part)
+                for e in np.flatnonzero(sums):
+                    total += int(sums[e]) << (int(e) + shift)
+    try:
+        # the bins count units of 2^(-1073 - 53)
+        return total / (1 << 1126)
+    except OverflowError:
+        raise GaborError(f"the sum of {what} exceeds double precision") from None

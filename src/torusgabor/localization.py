@@ -26,13 +26,12 @@ a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
 from . import theta, transforms
-from .core import GaborError, QuadratureUnderResolvedError, validate
+from .core import GaborError, QuadratureUnderResolvedError, exact_sum, validate
 
 
 class ParseError(GaborError):
@@ -69,6 +68,24 @@ class Symbol:
     def __call__(self, x, xi):
         raise NotImplementedError
 
+    def on_grid(self, axes):
+        """The symbol on the open grid of axes, as an array of their broadcast shape.
+
+        axes[k] holds the coordinates along axis k of (x_1..x_d, xi_1..xi_d),
+        shaped (r, 1, ..., 1) for k = 0, (1, m, 1, ..., 1) for k = 1 and so on.
+        This default builds the grid points and calls the symbol on them.
+        """
+        shape = _grid_shape(axes)
+        pts = np.empty(shape + (len(axes),))
+        for k, ax in enumerate(axes):
+            pts[..., k] = ax
+        pts = pts.reshape(-1, len(axes))
+        return np.asarray(self(pts[:, :self.d], pts[:, self.d:])).reshape(shape)
+
+
+def _grid_shape(axes):
+    return np.broadcast_shapes(*(np.shape(ax) for ax in axes))
+
 
 class Constant(Symbol):
     def __init__(self, value, d=1):
@@ -82,6 +99,9 @@ class Constant(Symbol):
     def __call__(self, x, xi):
         x = np.asarray(x, dtype=float)
         return np.full(x.shape[:-1], self.value)
+
+    def on_grid(self, axes):
+        return np.full(_grid_shape(axes), self.value)
 
 
 class BoxIndicator(Symbol):
@@ -281,19 +301,19 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", off)
 
 
-def _eval_node(node, x, xi):
+def _eval_node(node, var):
+    # var(slot, i) is the coordinate array of x_{i+1} (slot 0) or xi_{i+1} (slot 1)
     kind = node[0]
     if kind == "num":
         # numpy scalars, so 0/0 or 10^400 give nan/inf instead of raising
         return np.float64(node[1])
     if kind == "var":
-        src = x if node[1] == 0 else xi
-        return np.asarray(src, float)[..., node[2]]
+        return var(node[1], node[2])
     if kind == "neg":
-        return -_eval_node(node[1], x, xi)
+        return -_eval_node(node[1], var)
     if kind == "call":
-        return _FUNCS[node[1]](_eval_node(node[2], x, xi))
-    op, lhs, rhs = node[1], _eval_node(node[2], x, xi), _eval_node(node[3], x, xi)
+        return _FUNCS[node[1]](_eval_node(node[2], var))
+    op, lhs, rhs = node[1], _eval_node(node[2], var), _eval_node(node[3], var)
     if op == "+":
         return lhs + rhs
     if op == "-":
@@ -316,12 +336,18 @@ class Expr(Symbol):
         self.description = text
 
     def __call__(self, x, xi):
+        x, xi = np.asarray(x, float), np.asarray(xi, float)
+        return self.on_grid([c[..., i] for c in (x, xi) for i in range(self.d)])
+
+    def on_grid(self, axes):
+        # each node runs on the axes its subtree uses, so on an open grid a
+        # function of x1 alone costs m evaluations, not the whole block;
         # non-finite samples are reported by whoever consumes them
         with np.errstate(all="ignore"):
-            out = _eval_node(self.node, x, xi)
-        x = np.asarray(x, float)
-        if np.ndim(out) == 0:
-            out = np.full(x.shape[:-1], float(out))
+            out = _eval_node(self.node, lambda slot, i: axes[slot * self.d + i])
+        shape = _grid_shape(axes)
+        if np.shape(out) != shape:
+            out = np.full(shape, out)
         return out
 
 
@@ -383,19 +409,16 @@ def _heisenberg_kernel(params, scale, bound):
 
 def _midpoint_samples(symbol, m):
     # the symbol at the midpoint nodes (j + 1/2) / m of [0, 1)^{2d}, in C
-    # order, in blocks of first-axis rows of about _CHUNK coordinates, so the
-    # grid points are never held whole
-    d = symbol.d
+    # order, in blocks of first-axis rows of about _CHUNK coordinates, one
+    # on_grid call per block: the grid points are never held whole, and an
+    # Expr never builds them at all
+    n = 2 * symbol.d
     axis = (np.arange(m) + 0.5) / m
-    rows = max(1, transforms._CHUNK // (2 * d * m ** (2 * d - 1)))
+    rest = [axis.reshape((1,) * k + (m,) + (1,) * (n - 1 - k)) for k in range(1, n)]
+    rows = max(1, transforms._CHUNK // (n * m ** (n - 1)))
     for r0 in range(0, m, rows):
-        shape = (min(rows, m - r0),) + (m,) * (2 * d - 1)
-        pts = np.empty(shape + (2 * d,))
-        for k in range(2 * d):
-            ax = axis[r0:r0 + shape[0]] if k == 0 else axis
-            pts[..., k] = ax.reshape((-1,) + (1,) * (2 * d - 1 - k))
-        pts = pts.reshape(-1, 2 * d)
-        yield np.asarray(symbol(pts[:, :d], pts[:, d:]))
+        first = axis[r0:r0 + rows].reshape((-1,) + (1,) * (n - 1))
+        yield np.asarray(symbol.on_grid([first] + rest)).reshape(-1)
 
 
 def _level_matrix(symbol, params, L):
@@ -575,12 +598,14 @@ class SweepReport:
 
     trace_scaled rows approach the symbol's mean; counts_scaled[alpha]
     approaches the volume of {a < alpha}.  Both targets come from a midpoint
-    grid on [0,1)^2d.  integral_target is the correctly rounded sum of the
-    samples (math.fsum) divided by their count, so it does not depend on
-    summation order; in d = 1 the count is 2^22, the division is exact and
-    the value is the correctly rounded mean of the samples.
-    volume_targets[alpha] is the exact count of samples below alpha over the
-    number of samples.
+    grid on [0,1)^2d (2048^2 nodes in d = 1, 48^4 in d = 2), sampled on its
+    open grid (Symbol.on_grid).  integral_target is the correctly rounded sum
+    of the samples (core.exact_sum, equal to math.fsum) divided by their
+    count, so it does not depend on summation order; in d = 1 the count is
+    2^22, the division is exact and the value is the correctly rounded mean
+    of the samples.  volume_targets[alpha] is the exact count of samples
+    below alpha over the number of samples.  A non-finite sample, or a sum
+    beyond double precision, is a GaborError.
     """
 
     rows: list
@@ -600,11 +625,11 @@ def _phase_space_targets(symbol, alphas):
                 below[a] += np.count_nonzero(vals < a)
             yield vals
 
-    # fsum rounds the exact sum once, so the result does not depend on the
-    # order in which a given numpy build would add the samples.
+    # the correctly rounded sum does not depend on the order in which a given
+    # numpy build would add the samples; it also rejects non-finite samples
     size = m ** (2 * symbol.d)
-    integral = math.fsum(itertools.chain.from_iterable(blocks())) / size
-    return integral, {a: float(c / size) for a, c in below.items()}
+    integral = exact_sum(blocks(), f"the symbol samples on the {m}^{2 * symbol.d} target grid")
+    return integral / size, {a: float(c / size) for a, c in below.items()}
 
 
 def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,

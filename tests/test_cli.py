@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -203,14 +204,15 @@ def _numbers(obj):
 ], ids=["dgt-forward", "dgt-inverse", "density", "restriction", "sweep"])
 def test_json_output_builds_no_csv_rows(capsys, monkeypatch, command):
     # CSV rows are formatted in CSV mode only, so JSON output formats no more
-    # floats than it prints
+    # floats than it prints.  Floats reach format() through _fmt_float and
+    # through the one-pass route for lists of floats, so format() is counted.
     calls = []
 
-    def counted(x):
+    def counted(x, spec=""):
         calls.append(x)
-        return _fmt_float(x)
+        return builtins.format(x, spec)
 
-    monkeypatch.setattr(cli, "_fmt_float", counted)
+    monkeypatch.setattr(cli, "format", counted, raising=False)
     code, out, _ = _run(capsys, *command)
     assert code == 0
     assert 0 < len(calls) <= _numbers(json.loads(out))
@@ -336,11 +338,20 @@ P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
      "non-finite"),
     (["dgt", "inverse", "--params", P4, "--coeffs", _signal_doc(np.full((4, 4), np.inf))], 1,
      "non-finite"),
+    # the restriction grids miss the one target node where these symbols are bad
+    (["asymptotics", "sweep", "--symbol", "1e308*step(x1-0.50024)*step(0.50025-x1)"
+      "+1e308*step(xi1-0.50024)*step(0.50025-xi1)", "--omega", "1j", "--n-list", "2"], 1,
+     "target grid must be finite"),
+    (["asymptotics", "sweep", "--symbol", "1/(x1-0.500244140625)*step(x1-0.50024)"
+      "*step(0.50025-x1)", "--omega", "1j", "--n-list", "2"], 1, "target grid must be finite"),
+    (["asymptotics", "sweep", "--symbol", "1e308*step(x1-0.50024)*step(0.50025-x1)",
+      "--omega", "1j", "--n-list", "2"], 1, "target grid exceeds double precision"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
         "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
         "theta-eval-phase", "theta-zero-tol0", "theta-eval-magnitude", "dgt-forward-overflow",
-        "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf"])
+        "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf", "sweep-target-inf",
+        "sweep-target-pole", "sweep-target-sum-overflow"])
 def test_malformed_input_exits_with_a_message(argv, code, message):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr
@@ -366,6 +377,19 @@ def test_non_finite_report_values_are_domain_errors(value):
         _fmt_float(value)
     with pytest.raises(GaborError, match="non-finite"):
         _json_dumps({"x": [1.0, np.float64(value)]})
+
+
+def test_float_lists_are_formatted_in_one_pass_with_the_same_bytes():
+    values = [0.1, -0.0, 5e-324, 1e308, -2.5, 1.0 / 3.0]
+    text = _json_dumps({"x": values})
+    # the element-wise route: a list that is not all Python floats
+    assert text == _json_dumps({"x": [np.float64(v) for v in values]})
+    assert json.loads(text)["x"] == values
+    # finite values whose sum overflows still print
+    assert json.loads(_json_dumps([1e308, 1e308])) == [1e308, 1e308]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(GaborError, match="non-finite"):
+            _json_dumps({"x": [1.0, bad, 2.0]})
 
 
 def _run_captured(argv):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from torusgabor.bargmann import bargmann
 from torusgabor.core import (
     ComplexPoint,
+    GaborError,
     GaborParams,
     NonSymmetricError,
     NotPositiveDefiniteError,
@@ -11,6 +14,7 @@ from torusgabor.core import (
     complex_distance_mod_lattice,
     complex_to_tf,
     dual_lattice_member,
+    exact_sum,
     from_complex,
     lattice_coefficients,
     params_from_json,
@@ -186,3 +190,52 @@ def test_failed_validation_is_not_cached(bad, error):
         assert bargmann(coeffs, z, good).weighted_mag > 0.0
         with pytest.raises(error):
             validate(GaborParams(d=2, N=2, Omega=bad.copy()))
+
+
+def _sum_cases():
+    rng = np.random.default_rng(11)
+    tiny = 5e-324
+    return {
+        "mixed_signs": rng.standard_normal(5000),
+        "subnormals": np.concatenate([rng.integers(-9, 10, 3000) * tiny,
+                                      [tiny, -tiny, 2.2e-308, -1e-310, 3e-320]]),
+        "1e-300_to_1e300": rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 301, 4000),
+        "cancellation": np.array([1e16, 1.0, -1e16]),
+        "cancellation_to_a_tail": np.array([1e300, 1e-300, 3.0, -1e300, -3.0]),
+        "ties_to_even": np.array([1.0, 2.0 ** -53, 2.0 ** -53, -2.0 ** -105]),
+        "near_max": np.array([1.7e308, 1.0, -1.7e308, 2.0 ** -1074]),
+        "empty": np.array([]),
+        # more than one pass of equal exponents, where the bin sums are largest
+        "beyond_one_pass": np.full(300_001, -np.nextafter(1.0, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_sum_cases()))
+def test_exact_sum_equals_fsum(name):
+    values = _sum_cases()[name]
+    expect = math.fsum(values)
+    # uneven blocks, empty ones included, from lists, arrays and a generator
+    cuts = [0, 1, 1, values.size // 3, values.size // 3 + 7]
+    blocks = [b for b in np.split(values, [c for c in cuts if c <= values.size])]
+    for got in (exact_sum([values]), exact_sum(blocks), exact_sum(iter(blocks)),
+                exact_sum([values.tolist()]), exact_sum([values[::-1]])):
+        assert type(got) is float
+        assert got.hex() == expect.hex()
+
+
+def test_exact_sum_survives_intermediate_overflow():
+    values = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(values)
+    assert exact_sum([values]) == 1e308
+    assert exact_sum([[1e308] * 3, [-1e308] * 3, [5.0]]) == 5.0
+
+
+def test_exact_sum_rejects_overflow_and_non_finite_values():
+    with pytest.raises(GaborError, match="sum of the samples exceeds double precision"):
+        exact_sum([[1e308, 1e308]], "the samples")
+    with pytest.raises(GaborError, match="exceeds double precision"):
+        exact_sum([[np.finfo(float).max, np.finfo(float).max, -np.finfo(float).max / 2]])
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(GaborError, match="the samples must be finite"):
+            exact_sum([[1.0, 2.0], [3.0, bad]], "the samples")

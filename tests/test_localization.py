@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from torusgabor.localization import (
     Symbol,
     TrigPoly,
     UnknownVariableError,
+    _midpoint_samples,
     _phase_space_targets,
     asymptotic_sweep,
     parse_symbol,
@@ -337,6 +339,62 @@ def test_phase_space_targets_do_not_depend_on_summation_order(make_inner):
     # the 2048^2 grid is evaluated in blocks, never whole
     assert vals.size == 2048 ** 2
     assert max(b.size for b in sym.blocks) <= 1 << 17
+
+
+class _Pointwise(Symbol):
+    """A symbol seen through the default on_grid, which builds the grid points."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+
+    def __call__(self, x, xi):
+        return self.inner(x, xi)
+
+
+# every node kind: num, var, neg, call, + - * / ^
+_EVERY_NODE_1D = "-(x1 - 0.25)^2 * 3 / (1 + xi1) + sin(pi*x1)^xi1 - exp(-xi1)*step(x1 - 0.5) + cos(xi1)"
+_EVERY_NODE_2D = ("-(x1 - 0.25)^2 * 3 / (1 + xi2) + sin(pi*x2)^xi1 - exp(-xi1)*step(x2 - 0.5)"
+                  " + cos(x1*xi2)")
+
+
+@pytest.mark.parametrize("d,text", [
+    (1, _EVERY_NODE_1D), (1, "2.5 / 4 - 1"),
+    (2, _EVERY_NODE_2D), (2, "2.5 / 4 - 1"), (2, "cos(2*pi*xi2)^2 - xi2"),
+], ids=["d1-every-node", "d1-constant", "d2-every-node", "d2-constant", "d2-xi2-only"])
+def test_open_grid_samples_equal_the_pointwise_samples(d, text):
+    m = 2048 if d == 1 else 48
+    sym = parse_symbol(text, d)
+    fast = list(_midpoint_samples(sym, m))
+    slow = list(_midpoint_samples(_Pointwise(sym), m))
+    assert [b.shape for b in fast] == [b.shape for b in slow]
+    assert max(b.size for b in fast) <= transforms._CHUNK
+    fast, slow = np.concatenate(fast), np.concatenate(slow)
+    assert fast.size == m ** (2 * d)
+    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    integral, volumes = _phase_space_targets(sym, (0.0, 0.5))
+    assert (integral, volumes) == _phase_space_targets(_Pointwise(sym), (0.0, 0.5))
+    assert integral == math.fsum(slow) / slow.size
+
+
+def test_constant_on_grid_equals_the_pointwise_samples():
+    for sym in (Constant(0.75), Constant(-2.0, d=2)):
+        m = 2048 if sym.d == 1 else 48
+        fast = np.concatenate(list(_midpoint_samples(sym, m)))
+        slow = np.concatenate(list(_midpoint_samples(_Pointwise(sym), m)))
+        assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1/(x1-0.500244140625)*step(x1-0.50024)*step(0.50025-x1)",
+     "samples on the 2048^2 target grid must be finite"),
+    ("1e308*step(x1-0.50024)*step(0.50025-x1)",
+     "samples on the 2048^2 target grid exceeds double precision"),
+], ids=["non-finite", "overflow"])
+def test_bad_target_samples_are_domain_errors(text, message):
+    # the restriction grids miss the one target node where the symbol is bad
+    with pytest.raises(GaborError, match=re.escape(message)):
+        asymptotic_sweep(text, [2], OM)
 
 
 # ---------------------------------------------------------------------------
