@@ -26,19 +26,13 @@ from .core import (
 )
 from .theta import ScaledComplex, theta_eval, theta_zero_1d, winding_number
 from .transforms import (
-    ExplicitWindow,
     GaussianWindow,
-    SampledWindow,
     dgt,
     dgt_inverse,
     periodize_sample,
-    stft,
-    stft_basis,
     time_frequency_shift,
-    zak,
 )
 from .bargmann import (
-    bargmann,
     bargmann_basis,
     bergman_density,
     chern_matrix,
@@ -83,17 +77,11 @@ __all__ = [
     "theta_eval",
     "theta_zero_1d",
     "winding_number",
-    "ExplicitWindow",
     "GaussianWindow",
-    "SampledWindow",
     "dgt",
     "dgt_inverse",
     "periodize_sample",
-    "stft",
-    "stft_basis",
     "time_frequency_shift",
-    "zak",
-    "bargmann",
     "bargmann_basis",
     "bergman_density",
     "chern_matrix",

@@ -104,18 +104,18 @@ def bargmann(coeffs, z, params, tol=1e-12):
     # a zero signal keeps a finite scale, and its sums underflow to an exact zero
     scale = 0.5 * N * phi + math.log(np.abs(coeffs).max() or 1.0)
 
-    def exponent_fn(j):
+    def exponent_fn(j, rows):
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite e fails the check
-            m = m0[:, None, :] + j
+            m = m0[rows, None, :] + j
             quad = ((m @ om) * m).sum(axis=-1)
-            e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs)
+            e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs[rows])
             e = e0 + loga[tuple(np.moveaxis(m.astype(int) % N, -1, 0))]
             # each exponent is off by about err; if that is above tol, weigh it by the
             # term's size relative to exp(scale), which err may understate by e^err
             err = 2.0 ** -52 * np.abs(e0)
             rounding = float(err.max())
             if rounding > tol:
-                rounding = float((err * np.exp(e.real - scale[:, None] + err)).max())
+                rounding = float((err * np.exp(e.real - scale[rows, None] + err)).max())
         if not rounding <= tol:
             raise ToleranceUnreachableError(
                 f"section exponents are rounded by {rounding:.1e}, not certified to tol={tol:.1e}")
@@ -144,20 +144,26 @@ class GramReport:
     grid_history: list
 
 
-def gram(params, oversample=8, rel_stab=1e-6, max_doublings=3):
+# first quadrature level and relative Frobenius change at which gram stops
+_GRAM_OVERSAMPLE = 8
+_GRAM_REL_STAB = 1e-6
+
+
+def gram(params, max_doublings=3):
     """Gram matrix G_{mn} of the weighted basis sections over a fundamental domain.
 
     By the identity of the module docstring, G is
     sqrt(det Im Omega / (2N)^d) times restriction_matrix(Constant(1.0, d))
-    with rel_tol = rel_stab: oversample * N midpoint nodes per axis, doubled
-    until the matrix changes by at most rel_stab in relative Frobenius norm.
-    grid_history holds (oversample * N, trace) for each (oversample, trace)
-    of that report's trace_history, i.e. points per axis at every level.
+    with rel_tol = _GRAM_REL_STAB: _GRAM_OVERSAMPLE * N midpoint nodes per
+    axis, doubled until the matrix changes by at most that much in relative
+    Frobenius norm.  grid_history holds (oversample * N, trace) for each
+    (oversample, trace) of that report's trace_history, i.e. points per axis
+    at every level.
     """
     validate(params)
     rep = localization.restriction_matrix(
-        localization.Constant(1.0, params.d), params, oversample=oversample,
-        rel_tol=rel_stab, max_doublings=max_doublings)
+        localization.Constant(1.0, params.d), params, oversample=_GRAM_OVERSAMPLE,
+        rel_tol=_GRAM_REL_STAB, max_doublings=max_doublings)
     G = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d) * rep.matrix
     evals = np.linalg.eigvalsh(G)
     diag = np.real(np.diag(G))

@@ -141,11 +141,6 @@ def validate(params):
     return params
 
 
-def im_min_eig(params):
-    """Smallest eigenvalue of Im(Omega); every Gaussian decay rate derives from it."""
-    return siegel(params).im_min
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class TFPoint:
     """Point (x, xi) on T_N; x per axis in [0, N), xi per axis in [0, 1)."""

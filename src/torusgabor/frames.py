@@ -215,8 +215,6 @@ def _window_samples(window, params):
                 f"window samples must have shape {params.shape}"
             )
         return np.asarray(window, dtype=complex)
-    if isinstance(window, transforms.SampledWindow):
-        return window.coeffs
     return transforms.periodize_sample(window)
 
 
@@ -260,7 +258,12 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     )
 
 
-def zero_set_diagnostic(D, translates, params, membership_tol=1e-9, tol=1e-10):
+# residual up to which the translate sum of zero_set_diagnostic counts as a
+# lattice point
+_MEMBERSHIP_TOL = 1e-9
+
+
+def zero_set_diagnostic(D, translates, params, tol=1e-10):
     """Weighted distance of every sample point to the union of translated zero sets.
 
     translates is a sequence of N complex d-vectors t_i whose sum must lie in
@@ -273,10 +276,10 @@ def zero_set_diagnostic(D, translates, params, membership_tol=1e-9, tol=1e-10):
     if translates.shape != (params.N, params.d):
         raise GaborError(f"need exactly N = {params.N} translates of dimension {params.d}")
     ssum = translates.sum(axis=0)
-    mem = dual_lattice_member(ssum, params, scale=1.0, tol=membership_tol)
+    mem = dual_lattice_member(ssum, params, scale=1.0, tol=_MEMBERSHIP_TOL)
     if not mem.member:
         raise TranslateSumNotInDualLatticeError(
-            f"translate sum residual {mem.residual:.3e} exceeds {membership_tol:.1e}"
+            f"translate sum residual {mem.residual:.3e} exceeds {_MEMBERSHIP_TOL:.1e}"
         )
     zs = D.complex_images(params)
     out = np.empty(len(D))
@@ -305,12 +308,16 @@ class ScanResult:
     seed: int | None
 
 
+# largest family an exhaustive scan enumerates
+_MAX_EXHAUSTIVE = 10 ** 6
+
+
 def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=None,
-                 svd_threshold=1e-7, max_exhaustive=10 ** 6):
+                 svd_threshold=1e-7):
     """Run the SVD oracle (and parity when applicable) over K-subsets of I_N^2.
 
     mode="exhaustive" enumerates every subset in deterministic
-    lexicographic order and refuses families larger than max_exhaustive;
+    lexicographic order and refuses families larger than _MAX_EXHAUSTIVE;
     mode="random" draws `count` subsets without replacement inside each draw
     from a seeded generator.  Margins are the ratios A/B, recorded for every
     subset so the decision threshold stays auditable.
@@ -333,9 +340,9 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)
-        if n_subsets > max_exhaustive:
+        if n_subsets > _MAX_EXHAUSTIVE:
             raise TooManySubsetsError(
-                f"{n_subsets} subsets exceed the budget of {max_exhaustive}"
+                f"{n_subsets} subsets exceed the budget of {_MAX_EXHAUSTIVE}"
             )
         subset_iter = itertools.combinations(range(total_positions), K)
         total = n_subsets

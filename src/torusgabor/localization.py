@@ -3,7 +3,8 @@
 A symbol a(x, xi) on the torus [0,1)^d x [0,1)^d is applied by restricting
 the coherent-state resolution of the identity, M[m, n] = ||h||_L2^{-2} times
 the integral over T_N of a(x/N, xi) V_n conj(V_m), with V_n the short-time
-transform of the n-th Dirac comb against the Gaussian window h.  The
+transform of the n-th Dirac comb against the Gaussian window h
+(transforms.stft_basis_grid, the pointwise reference of the tests).  The
 Heisenberg group acts on the Bargmann sections by translations, so the
 symbol e^{2 pi i nu.(x, xi)}, nu = (p, q) in Z^{2d}, gives
 
@@ -13,9 +14,10 @@ with Y = Im Omega and W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q)/N}.
 restriction_matrix sums M = sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L
 the DFT of the symbol at L midpoint nodes per axis, which is exactly the
 midpoint rule of that integral; it rejects non-finite samples and doubles L
-until the whole matrix settles in relative Frobenius norm, the only
-grid-doubling loop of the package.  For a == 1 the series is the identity
-up to roundoff.  The Gram matrix of the Bargmann sections is that matrix
+until the whole matrix settles in relative Frobenius norm.  That is the only
+grid-doubling loop of the package: every other series is a certified
+lattice sum (theta.certified_lattice_sum) or a truncated Heisenberg series.
+For a == 1 the series is the identity up to roundoff.  The Gram matrix of the Bargmann sections is that matrix
 times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the Bergman density
 is the trace part of the series (bargmann.bergman_density).
 
@@ -462,8 +464,14 @@ def _level_matrix(symbol, params, L):
     return M
 
 
-def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3,
-                       hermitian_tol=1e-8):
+# largest entry of M - M^H, relative to max(1, max |M|), that a real symbol's
+# restriction matrix may show before symmetrization, and below which spectrum
+# treats its input as Hermitian
+_RESTRICTION_HERMITIAN_TOL = 1e-8
+_SPECTRUM_HERMITIAN_TOL = 1e-10
+
+
+def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3):
     """Localization matrix of the symbol, grid-doubled until the matrix settles.
 
     Level k samples the symbol at L = oversample * N midpoint nodes per axis
@@ -503,7 +511,7 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings
     if symbol.is_real:
         asym = float(np.abs(M - M.conj().T).max())
         scale = max(1.0, float(np.abs(M).max()))
-        if asym > hermitian_tol * scale:
+        if asym > _RESTRICTION_HERMITIAN_TOL * scale:
             raise NonHermitianBeyondToleranceError(
                 f"asymmetry {asym:.3e} for a symbol declared real"
             )
@@ -544,7 +552,7 @@ class SpectrumReport:
         return inside / lam.size
 
 
-def spectrum(restriction, hermitian_tol=1e-10):
+def spectrum(restriction):
     """Eigenvalues of a restriction matrix (or raw square array).
 
     Hermitian input goes through the symmetric solver; otherwise the general
@@ -556,7 +564,7 @@ def spectrum(restriction, hermitian_tol=1e-10):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise GaborError("restriction matrix must be square")
     scale = max(1.0, float(np.abs(M).max()))
-    herm = float(np.abs(M - M.conj().T).max()) <= hermitian_tol * scale
+    herm = float(np.abs(M - M.conj().T).max()) <= _SPECTRUM_HERMITIAN_TOL * scale
     try:
         svals = np.linalg.svd(M, compute_uv=False)
         if herm:
@@ -566,7 +574,7 @@ def spectrum(restriction, hermitian_tol=1e-10):
             lam = np.linalg.eigvals(M)
             lam = lam[np.argsort(lam.real)]
             comm = M @ M.conj().T - M.conj().T @ M
-            nonnormal = float(np.linalg.norm(comm)) > hermitian_tol * scale ** 2
+            nonnormal = float(np.linalg.norm(comm)) > _SPECTRUM_HERMITIAN_TOL * scale ** 2
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     return SpectrumReport(

@@ -23,11 +23,15 @@ For d = 1 the order-1 series vanishes once per cell, at the half period
 (1 + Omega)/2; theta_zero_1d returns that point and checks it with theta_eval.
 winding_number counts the zeros of sections along polygonal contours.
 
-Zak sums, periodized windows and Bargmann sections are Gaussian lattice series
-too; this module alone decides how far any of them runs: gaussian_box_tail,
-tail_radius (a-priori radius), lattice_box, and certified_lattice_sum (one
-box of the a-priori radius, for one point or a batch, summed in shell order
-so that the golden files keep their bytes).
+The periodized Gaussian window, the short-time transform of the Dirac combs
+and the Bargmann sections are Gaussian lattice series too, sections of the
+same theta line bundle; this module alone decides how far any of them runs:
+gaussian_box_tail, tail_radius (a-priori radius), lattice_box, and
+certified_lattice_sum, which theta_eval, bargmann.bargmann,
+transforms.periodize_sample and transforms.stft_basis_grid all call (one box
+of the a-priori radius, for one point or a batch, summed in shell order so
+that the golden files keep their bytes; a batch is evaluated in blocks of
+points, and only its points that fall short are summed again).
 
 What does not depend on z is computed once and memoised: the checks on Omega
 with Y = Im Omega, Y^{-1} and lambda_min(Y) (core.siegel, keyed on Omega's
@@ -180,15 +184,15 @@ def gaussian_box_tail(a, R, d, offset=0.5):
 
 
 @functools.lru_cache(maxsize=4096)
-def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
-    """Smallest R >= 1 with factor * gaussian_box_tail(a, R, d, offset) <= bound.
+def tail_radius(a, d, bound, offset=0.5, r_cap=200):
+    """Smallest R >= 1 with gaussian_box_tail(a, R, d, offset) <= bound.
 
     The tail does not increase with R, so R is bracketed by doubling and then
     found by bisection.  Raises ToleranceUnreachableError when no R <= r_cap
     reaches the bound.
     """
     def reached(R):
-        return factor * gaussian_box_tail(a, R, d, offset) <= bound
+        return gaussian_box_tail(a, R, d, offset) <= bound
 
     lo, hi = 0, 1
     while not reached(hi):
@@ -199,6 +203,10 @@ def tail_radius(a, d, bound, offset=0.5, factor=1.0, r_cap=200):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if reached(mid) else (mid, hi)
     return hi
+
+
+# exponents evaluated per block of points in a batched certified_lattice_sum
+_BLOCK = 1 << 17
 
 
 @functools.lru_cache(maxsize=32)
@@ -218,49 +226,61 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
     """Sum exp(exponent_fn(k)) over k in Z^d on one certified box, for one point or P.
 
     Every term must satisfy |exp(exponent_fn(k))| <= exp(log_scale - decay |k + c|^2)
-    for some |c|_inf <= offset.  exponent_fn maps the (K, d) box to (K,), or to
-    (P, K) when log_scale has shape (P,).  The box has the a-priori radius
+    for some |c|_inf <= offset.  exponent_fn(k) maps the (K, d) box to (K,); when
+    log_scale has shape (P,), exponent_fn(k, rows) maps it to (len(rows), K) for
+    the point indices rows.  The box has the a-priori radius
     tail_radius(decay, d, tol, offset), at least min_radius.  A point whose tail
-    exceeds tol relative to its sum is summed again to the radius certified
-    relative to that sum, then to tail underflow (ToleranceUnreachableError past
-    r_cap), and is masked past its own radius.  The box runs in shell order, in
-    which the sum once grew, so a cancelling sum keeps its bits (and the golden
-    files); exponent_fn gets the read-only box that _shell_box caches per (radius,
-    d).  Returns (ScaledComplex, largest radius, tail bound relative to each sum).
+    exceeds tol relative to its sum is summed again, with only the other such
+    points, to the radius certified relative to that sum, then to tail underflow
+    (ToleranceUnreachableError past r_cap), and is masked past its own radius.
+    The box runs in shell order, in which the sum once grew, so a cancelling sum
+    keeps its bits (and the golden files); exponent_fn gets the read-only box
+    that _shell_box caches per (radius, d).  Returns (ScaledComplex, largest
+    radius, tail bound relative to each sum).
     """
     def relative(tail, ls, lm):  # a nan sum stays uncertified: nan <= tol is false
         return 0.0 if tail == 0.0 else math.exp(min(math.log(tail) + ls - lm, 700.0))
 
-    def sums(radii):
-        box, norm = _shell_box(int(radii.max()), d)
-        e = np.asarray(exponent_fn(box), dtype=complex)
-        return sum_scaled_exponents(np.where(norm <= radii[..., None], e, -np.inf))
+    batch = np.ndim(log_scale) > 0
 
-    radii = np.array(max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius))
-    if np.ndim(log_scale) == 0:  # one sum, unmasked, unless its box falls short
-        s = sums(radii)
-        bound = relative(gaussian_box_tail(decay, int(radii), d, offset), log_scale, s.logmag)
+    def sums(rows, radii):
+        # (logmag, phase) of the sums of the points rows, each masked past its
+        # radius, in blocks of points whose exponents hold about _BLOCK numbers
+        box, norm = _shell_box(int(radii.max()), d)
+        step = max(1, _BLOCK // len(box))
+        parts = []
+        for i in range(0, len(rows), step):
+            e = exponent_fn(box, rows[i:i + step]) if batch else exponent_fn(box)
+            parts.append(sum_scaled_exponents(
+                np.where(norm <= radii[i:i + step, None], e, -np.inf)))
+        return (np.concatenate([s.logmag for s in parts]),
+                np.concatenate([s.phase for s in parts]))
+
+    radius = max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius)
+    if not batch:  # one sum, unmasked, unless its box falls short
+        s = sum_scaled_exponents(exponent_fn(_shell_box(radius, d)[0]))
+        bound = relative(gaussian_box_tail(decay, radius, d, offset), log_scale, s.logmag)
         if bound <= tol:
-            return s, int(radii), bound
+            return s, radius, bound
     scale = np.atleast_1d(np.asarray(log_scale, dtype=float))
-    radii, todo = np.full(scale.shape, radii), np.ones(scale.shape, dtype=bool)
+    radii, todo = np.full(scale.shape, radius), np.ones(scale.shape, dtype=bool)
     logmag, bound = np.zeros(scale.shape), np.zeros(scale.shape)
     phase = np.ones(scale.shape, dtype=complex)
     for grow in range(3):  # a-priori radius, relative radius, underflow
         idx = np.flatnonzero(todo)
         if not idx.size:
             break
-        s = sums(np.where(todo, radii, -1))
-        logmag[idx], phase[idx] = np.atleast_1d(s.logmag)[idx], np.atleast_1d(s.phase)[idx]
-        tails = {r: gaussian_box_tail(decay, r, d, offset) for r in set(radii[idx].tolist())}
-        bound[idx] = [relative(tails[radii[i]], scale[i], logmag[i]) for i in idx]
+        logmag[idx], phase[idx] = sums(idx, radii[idx])
+        vals = radii[idx].tolist(), scale[idx].tolist(), logmag[idx].tolist()
+        tails = {r: gaussian_box_tail(decay, r, d, offset) for r in set(vals[0])}
+        bound[idx] = [relative(tails[r], ls, lm) for r, ls, lm in zip(*vals)]
         todo = ~(bound <= tol)
         for i in np.flatnonzero(todo):
             target = tol * math.exp(min(logmag[i] - scale[i], 0.0)) if grow == 0 else 0.0
             radii[i] = tail_radius(decay, d, target, offset, r_cap=r_cap)
-    if np.ndim(log_scale) == 0:
+    if not batch:
         return ScaledComplex(float(logmag[0]), complex(phase[0])), int(radii[0]), float(bound[0])
-    return ScaledComplex(logmag, phase), int(radii.max()), bound
+    return ScaledComplex(logmag, phase), int(radii.max(initial=radius)), bound
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +391,15 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
 # winding numbers along polygonal contours
 
 
-def winding_number(f, vertices, samples_per_edge=32, max_depth=28):
+# intervals per polygon edge in winding_number's first call
+_SAMPLES_PER_EDGE = 32
+
+
+def winding_number(f, vertices, max_depth=28):
     """Winding of t -> f(gamma(t)) around 0 along a closed polygon.
 
     f maps a 1-d array of complex points to a ScaledComplex of that shape.  One
-    call samples `samples_per_edge` intervals per edge; one call per level bisects
+    call samples _SAMPLES_PER_EDGE intervals per edge; one call per level bisects
     those whose phase step exceeds pi/2, so f runs at most max_depth + 1 times.
     The count is exact unless the contour passes essentially through a zero:
     then ContourNearZeroError is raised and the caller may jitter the contour.
@@ -388,7 +412,7 @@ def winding_number(f, vertices, samples_per_edge=32, max_depth=28):
         return np.asarray(val.phase, dtype=complex)
 
     za = np.asarray(vertices, dtype=complex)
-    ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
+    ts = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE + 1)
     pts = za[:, None] + (np.roll(za, -1) - za)[:, None] * ts   # one row per edge
     vals = phases(pts.ravel()).reshape(pts.shape)
     p0, p1 = pts[:, :-1].ravel(), pts[:, 1:].ravel()

@@ -1,4 +1,4 @@
-"""Discrete Gabor transform, Zak transform, and window machinery on S_N.
+"""Discrete Gabor transform and the Gaussian window on S_N.
 
 Signals are complex arrays of shape (N,)*d indexed by I_N = (Z_N)^d with the
 plain coefficient inner product.  The discrete Gabor transform with window g
@@ -10,22 +10,21 @@ all index arithmetic mod N.  Summing |V_g f|^2 over the full N^{2d} grid
 gives N^d ||f||^2 ||g||^2, so the time-frequency shifts of any nonzero
 window form a tight frame and inversion is a single weighted sum.
 
-Continuous-time windows enter through the Zak transform
+The continuous window is the Gaussian h(t) = conj(exp(pi i t'(Omega/N) t)).
+The short-time transform of the Dirac comb eps_n against it is
 
-    Z_N f(x, xi) = sum_k f(x - Nk) exp(2 pi i N k.xi),
+    V_h eps_n(x, xi) = sum_{w in n - x + N Z^d} e^{pi i w'Omega w/N - 2 pi i xi.(x + w)},
 
-whose value at xi = 0 is the periodization (P f)[n] = sum_k f(n - kN) that
-samples a window onto I_N.  Every such sum is truncated through the window's
-Gaussian decay envelope, at the radius theta.tail_radius certifies, over a
-theta.lattice_box.
-The short-time transform of phi = sum_n a_n eps_n against a decaying window
-g evaluates as V_g phi(x, xi) = sum_n a_n e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi),
-which on the integer samples (k, l/N) reproduces the discrete transform of
-the periodized window.
-
-stft_basis_grid evaluates one Zak sum per basis function and point; it is
-the pointwise reference for the localization matrices and the Bergman
-density, which localization and bargmann sum as Heisenberg series instead.
+a Gaussian lattice series, the Bargmann section B eps_n at
+z = i (Omega x/N + xi) times a phase that does not depend on n.  Its
+conjugate at (x, xi) = (0, 0) is the periodization (P h)[n] = sum_k h(n - kN)
+that samples the window onto I_N, and at the integer samples (k, l/N) the
+transform of sum_n a_n eps_n is the discrete transform of a against that
+window.  periodize_sample and stft_basis_grid each evaluate the series as
+one theta.certified_lattice_sum over the (n, point) pairs, so every value's
+tail is certified relative to that value.  stft_basis_grid is the pointwise
+reference for the localization matrices and the Bergman density, which
+localization and bargmann sum as Heisenberg series instead.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 import numpy as np
 
 from . import theta
-from .core import GaborError, validate, im_min_eig
+from .core import GaborError, siegel, validate
 
 
 class ShapeMismatchError(GaborError):
@@ -46,23 +45,18 @@ class ZeroWindowError(GaborError):
     """The window has zero norm; inversion is undefined."""
 
 
-class NoDecayError(GaborError):
-    """A continuous-time operation needs a window with a decay envelope."""
-
-
 class NonFiniteInputError(GaborError):
     """A signal, window or coefficient array holds a NaN or an infinity."""
 
 
 # ---------------------------------------------------------------------------
-# windows
+# the Gaussian window
 
 
 class GaussianWindow:
-    """Window h0(t) = conj(exp(pi i t'(Omega/N) t)).
+    """Window h(t) = conj(exp(pi i t'(Omega/N) t)).
 
-    |h0(t)| = exp(-pi t'(Im Omega) t / N), so the envelope constant comes from
-    the smallest eigenvalue of Im(Omega) and the squared L2 norm has the
+    |h(t)| = exp(-pi t'(Im Omega) t / N), so the squared L2 norm has the
     closed form sqrt(N^d / (2^d det Im Omega)).
     """
 
@@ -70,90 +64,75 @@ class GaussianWindow:
         self.params = validate(params)
 
     def __call__(self, t):
-        return np.conj(self.conj_fn(t))
-
-    def conj_fn(self, t):
         t = np.asarray(t, dtype=float)
         q = np.einsum("...i,ij,...j->...", t, self.params.Omega, t)
-        return np.exp(1j * np.pi * q / self.params.N)
-
-    @property
-    def decay(self):
-        """(C, alpha) with |h0(t)| <= C exp(-alpha |t|^2)."""
-        return 1.0, math.pi * im_min_eig(self.params) / self.params.N
+        return np.conj(np.exp(1j * np.pi * q / self.params.N))
 
     def l2_norm_sq(self):
         p = self.params
         return math.sqrt(p.N ** p.d / (2.0 ** p.d * float(np.linalg.det(p.im))))
 
 
-class ExplicitWindow:
-    """User-supplied window; the decay envelope (C, alpha) is mandatory.
+# truncation tolerances of the series, relative to each value
+_PERIODIZE_TOL = 1e-14
+_STFT_TOL = 1e-13
 
-    The envelope |f(t)| <= C exp(-alpha |t|^2) is what certifies every
-    periodization and Zak truncation, so it is required up front rather than
-    inferred.
+
+def _delta_stft(params, X, XI, tol):
+    # V_h eps_n at the points (X, XI) of shape (M, d), as an (N^d, M) array.
+    # u = n - x is recentred to u0 = u - N m, m = round(u/N), so the series
+    # runs over w = u0 - N k, k in Z^d.  A term
+    # e^{pi i w'Omega w/N - 2 pi i xi.(n - N m - N k)} is a(row) + b(row).k + c(k)
+    # in the exponent and at most e^{-pi lambda_min(Y) N |k - u0/N|^2}
+    sg = siegel(params)
+    N, d, om = params.N, params.d, sg.Omega
+    n = np.indices(params.shape).reshape(d, -1).T[:, None, :]
+    u = n - X
+    m = np.floor(u / N + 0.5)
+    u0 = (u - N * m).reshape(-1, d)
+    xi = np.broadcast_to(XI, u.shape).reshape(-1, d)
+    a = (1j * np.pi / N) * np.einsum("pi,ij,pj->p", u0, om, u0) \
+        - 2j * np.pi * np.einsum("pi,pi->p", xi, (n - N * m).reshape(-1, d))
+    b = 2j * np.pi * (N * xi - u0 @ om)
+
+    def exponent_fn(k, rows):
+        k = k.astype(float)
+        e = b[rows] @ k.T
+        e += a[rows, None]
+        e += 1j * np.pi * N * np.einsum("ki,ij,kj->k", k, om, k)
+        return e
+
+    offset = max(0.5, float(np.abs(u0).max(initial=0.0)) / N)
+    s, _, _ = theta.certified_lattice_sum(exponent_fn, math.pi * sg.im_min * N, d, tol,
+                                          offset=offset, log_scale=np.zeros(len(a)))
+    return s.to_complex().reshape(u.shape[:-1])
+
+
+def periodize_sample(window):
+    """Sample the periodization (P h)[n] = sum_k h(n - kN) of a GaussianWindow on I_N.
+
+    It is conj(V_h eps_n(0, 0)), one certified series per n, each truncated
+    at _PERIODIZE_TOL relative to its own value.
     """
-
-    def __init__(self, fn, decay_c, decay_alpha, params):
-        if decay_c is None or decay_alpha is None or not decay_alpha > 0.0:
-            raise NoDecayError(
-                "explicit windows require an envelope |f(t)| <= C exp(-alpha |t|^2)"
-            )
-        self.fn = fn
-        self.decay_c = float(decay_c)
-        self.decay_alpha = float(decay_alpha)
-        self.params = validate(params)
-
-    def __call__(self, t):
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=complex)
-
-    def conj_fn(self, t):
-        return np.conj(self(t))
-
-    @property
-    def decay(self):
-        return self.decay_c, self.decay_alpha
-
-    def l2_norm_sq(self):
-        return float(l2_inner_product(self, self).real)
-
-
-class SampledWindow:
-    """Window given directly by its N^d coefficients; no off-grid values exist."""
-
-    def __init__(self, coeffs, params):
-        self.params = validate(params)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != params.shape:
-            raise ShapeMismatchError(
-                f"sampled window must have shape {params.shape}, got {coeffs.shape}"
-            )
-        self.coeffs = coeffs
-
-
-def _require_decay(window):
-    if isinstance(window, SampledWindow):
-        raise NoDecayError("operation needs a continuous-time window with a decay bound")
-    return window
-
-
-# ---------------------------------------------------------------------------
-# periodization / sampling
-
-
-def periodize_sample(window, rel_tol=1e-14):
-    """Sample the periodization (P f)[n] = sum_k f(n - kN) on I_N.
-
-    This is the Zak sum of the window at xi = 0, truncated at a radius whose
-    Gaussian tail bound is below rel_tol relative to the smallest on-grid
-    leading term.
-    """
-    if isinstance(window, SampledWindow):
-        return window.coeffs.copy()
     p = window.params
-    ns = np.indices(p.shape).reshape(p.d, -1).T.astype(float)
-    return _zak_sum_grid(window, window, ns, np.zeros(p.d), rel_tol).reshape(p.shape)
+    zero = np.zeros((1, p.d))
+    return np.conj(_delta_stft(p, zero, zero, _PERIODIZE_TOL)).reshape(p.shape)
+
+
+def stft_basis_grid(window, X, XI):
+    """V_h eps_n at every point, for every n in I_N, for a GaussianWindow h.
+
+    X, XI have shape (..., d) and broadcast; the result has shape (N^d, ...)
+    ordered by C-order enumeration of I_N.  Positions need not be reduced:
+    n - x is recentred in the series (module docstring), whose truncation is
+    certified to _STFT_TOL relative to each value.
+    """
+    p = window.params
+    X, XI = np.broadcast_arrays(np.atleast_2d(np.asarray(X, dtype=float)),
+                                np.atleast_2d(np.asarray(XI, dtype=float)))
+    pts = X.shape[:-1]
+    V = _delta_stft(p, X.reshape(-1, p.d), XI.reshape(-1, p.d), _STFT_TOL)
+    return V.reshape((p.dim_sn,) + pts)
 
 
 # ---------------------------------------------------------------------------
@@ -302,92 +281,7 @@ def dgt_inverse(V, g):
 
 
 # ---------------------------------------------------------------------------
-# Zak transform and the short-time transform of Dirac combs
-
-
-def _zak_sum_grid(window, fn, U, XI, rel_tol=1e-13):
-    # sum_k fn(U - Nk) exp(2 pi i N k.XI) elementwise for float arrays with U
-    # entries in (-N, N); fn shares the window's decay envelope.  The tail
-    # target is rel_tol relative to the worst-case on-grid lead term, and the
-    # box is one wider than R to cover every rounding of u/N
-    N, d = window.params.N, window.params.d
-    C, alpha = window.decay
-    lead = C * math.exp(-alpha * d * (N / 2.0) ** 2)
-    R = theta.tail_radius(alpha * N * N, d, rel_tol * lead, factor=C)
-    out = np.zeros(np.broadcast_shapes(U.shape[:-1], XI.shape[:-1]), dtype=complex)
-    for k in theta.lattice_box(-(R + 1), R + 1, d):
-        out = out + fn(U - N * k) * np.exp(2j * np.pi * N * (XI @ k.astype(float)))
-    return out
-
-
-def zak(window, x, xi, rel_tol=1e-13):
-    """Z_N w(x, xi) = sum_k w(x - Nk) exp(2 pi i N k.xi), certified truncation.
-
-    x is first reduced mod N through the covariance
-    Z(x + N m, xi) = exp(2 pi i N m.xi) Z(x, xi), which keeps the summation
-    box centered.
-    """
-    window = _require_decay(window)
-    p = window.params
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    m = np.floor(x / p.N)
-    x0 = x - p.N * m
-    base = _zak_sum_grid(window, window, x0, xi, rel_tol)
-    return complex(np.exp(2j * np.pi * p.N * (xi @ m)) * base)
-
-
-def _stft_rows(window, ns, X, XI, rel_tol):
-    # V_g eps_n at the broadcast points (X, XI), one row per n in ns; the Zak
-    # argument n - x is recentered through the covariance phase
-    window = _require_decay(window)
-    p = window.params
-    X, XI = np.broadcast_arrays(X, XI)
-    out = np.empty((len(ns),) + X.shape[:-1], dtype=complex)
-    for i, n in enumerate(ns):
-        u = n - X
-        m = np.floor(u / p.N + 0.5)
-        zb = _zak_sum_grid(window, window.conj_fn, u - p.N * m, XI, rel_tol)
-        cov = np.exp(2j * np.pi * p.N * np.einsum("...i,...i->...", XI, m))
-        out[i] = np.exp(-2j * np.pi * (XI @ n)) * cov * zb
-    return out
-
-
-def stft_basis_grid(window, X, XI, rel_tol=1e-13):
-    """V_g eps_n at every grid point, for every n in I_N.
-
-    X, XI have shape (..., d); the result has shape (N^d, ...) ordered by
-    C-order enumeration of I_N.  The Zak argument n - x is recentered through
-    the covariance phase, so arbitrary (unreduced) positions are fine.
-    """
-    p = window.params
-    ns = np.indices(p.shape).reshape(p.d, -1).T.astype(float)
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    XI = np.atleast_2d(np.asarray(XI, dtype=float))
-    return _stft_rows(window, ns, X, XI, rel_tol)
-
-
-def stft_basis(n, x, xi, window, rel_tol=1e-13):
-    """V_g eps_n(x, xi) = e^{-2 pi i xi.n} Z_N(conj g)(n - x, xi)."""
-    n = np.atleast_1d(np.asarray(n, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return complex(_stft_rows(window, n[None, :], x, xi, rel_tol)[0])
-
-
-def stft(coeffs, x, xi, window, rel_tol=1e-13):
-    """Short-time transform of phi = sum_n coeffs[n] eps_n at one point."""
-    window = _require_decay(window)
-    p = window.params
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != p.shape:
-        raise ShapeMismatchError(f"coefficients must have shape {p.shape}")
-    V = stft_basis_grid(window, x, xi, rel_tol)
-    return complex((coeffs.reshape(-1) @ V).reshape(-1)[0])
-
-
-# ---------------------------------------------------------------------------
-# quadrature grids and reference inner products
+# quadrature grids
 
 def tn_grid(params, nx, nxi, midpoint=False):
     """Uniform product grid on T_N = [0, N)^d x [0, 1)^d.
@@ -408,34 +302,3 @@ def tn_grid(params, nx, nxi, midpoint=False):
     pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
     return pts[:, :d], pts[:, d:], (N / nx) ** d * (1.0 / nxi) ** d
 
-
-def l2_inner_product(w1, w2, rel_tol=1e-12):
-    """<w1, w2> over R^d by tensor trapezoid with automatic refinement.
-
-    Both windows must carry decay envelopes; the integration box comes from
-    the combined envelope and the step is halved until the value stabilizes.
-    """
-    _require_decay(w1), _require_decay(w2)
-    if w1.params.d != w2.params.d:
-        raise ShapeMismatchError("windows have different dimensions")
-    d = w1.params.d
-    C1, a1 = w1.decay
-    C2, a2 = w2.decay
-    a = a1 + a2
-    T = math.sqrt(max(80.0, -math.log(max(rel_tol, 1e-300))) / a)
-    # point count is per axis, so the refinement cap shrinks with dimension
-    n = 128 if d == 1 else 32
-    n_cap = 2 ** 14 if d == 1 else 2 ** 10
-    prev = None
-    while n <= n_cap:
-        ts = np.linspace(-T, T, n + 1)
-        mesh = np.meshgrid(*([ts] * d), indexing="ij")
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        vals = w1(pts) * np.conj(w2(pts))
-        h = ts[1] - ts[0]
-        val = complex(vals.sum() * h ** d)
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-30):
-            return val
-        prev = val
-        n *= 2
-    raise theta.ToleranceUnreachableError("window inner product did not stabilize")

@@ -347,7 +347,7 @@ def test_density_matches_the_pointwise_grid_sum(monkeypatch, chunk, p, ov):
     rep = bergman_density(p, oversample=ov)
     w = transforms.GaussianWindow(p)
     X, XI, _ = transforms.tn_grid(p, ov * p.N, ov * p.N)
-    V = transforms.stft_basis_grid(w, X, XI, 1e-13)
+    V = transforms.stft_basis_grid(w, X, XI)
     rho = (np.abs(V) ** 2).sum(axis=0) / w.l2_norm_sq()
     assert rep.values.size == rho.size
     assert np.abs(rep.values.reshape(-1) - rho).max() <= 1e-13 * rho.max()

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusgabor import GaborParams, cli, theta_eval
+from torusgabor.bargmann import bergman_density
 from torusgabor.cli import _fmt_float, _json_dumps, main
 from torusgabor.core import GaborError
 
@@ -146,6 +147,29 @@ def test_bergman_density_document(capsys):
     assert doc["vmin"] > 0
     assert len(doc["x_nodes"]) == 16
     assert doc["values"]["shape"] == [16, 16]
+
+
+def test_density_document_is_a_real_array(capsys):
+    code, out, _ = _run(capsys, "bergman", "density", "--params", P4, "--oversample", "4")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert set(values) == {"shape", "re"}
+    text = json.dumps(values)
+    back = cli._load_array(text, (16, 16), "values")
+    assert back.dtype == complex and not back.imag.any()
+    assert back.real.tolist() == np.reshape(values["re"], (16, 16)).tolist()
+    # the re list is the library's density, bit for bit
+    rep = bergman_density(GaborParams(d=1, N=4, Omega=np.array([[1j]])), oversample=4)
+    assert np.array_equal(back.real, rep.values)
+
+
+def test_complex_documents_keep_their_imaginary_part(capsys):
+    f = np.arange(4.0)
+    _, out, _ = _run(capsys, "dgt", "forward", "--params", P4, "--signal", _signal_doc(f))
+    coeffs = json.loads(out)["coefficients"]
+    assert set(coeffs) == {"shape", "re", "im"}
+    _, out, _ = _run(capsys, "dgt", "inverse", "--params", P4, "--coeffs", json.dumps(coeffs))
+    assert set(json.loads(out)["signal"]) == {"shape", "re", "im"}
 
 
 def test_spectrum_restriction_document(capsys):

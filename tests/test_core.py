@@ -239,3 +239,16 @@ def test_exact_sum_rejects_overflow_and_non_finite_values():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(GaborError, match="the samples must be finite"):
             exact_sum([[1.0, 2.0], [3.0, bad]], "the samples")
+
+
+def test_submodules_are_not_shadowed_by_functions():
+    # `import torusgabor.bargmann as m` binds the attribute of the package, which
+    # must be the submodule, not a function re-exported under its name
+    import types
+
+    import torusgabor
+    import torusgabor.bargmann as m
+
+    assert isinstance(m, types.ModuleType) and m.__name__ == "torusgabor.bargmann"
+    for name in ("core", "transforms", "theta", "bargmann", "frames", "localization"):
+        assert isinstance(getattr(torusgabor, name), types.ModuleType), name

@@ -130,16 +130,16 @@ def test_gaussian_box_tail_rejects_nonpositive_decay():
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=st.floats(0.05, 20.0), d=st.integers(1, 3), log_bound=st.floats(-300.0, 2.0),
-       factor=st.floats(1e-3, 1e6), offset=st.floats(0.0, 2.0), r_cap=st.integers(1, 40))
-def test_tail_radius_is_the_smallest_certified_radius(a, d, log_bound, factor, offset, r_cap):
+@given(a=st.floats(0.05, 20.0), d=st.integers(1, 3), log_bound=st.floats(-306.0, 5.0),
+       offset=st.floats(0.0, 2.0), r_cap=st.integers(1, 40))
+def test_tail_radius_is_the_smallest_certified_radius(a, d, log_bound, offset, r_cap):
     bound = 10.0 ** log_bound
 
     def tail(R):
-        return factor * gaussian_box_tail(a, R, d, offset)
+        return gaussian_box_tail(a, R, d, offset)
 
     try:
-        R = tail_radius(a, d, bound, offset, factor, r_cap)
+        R = tail_radius(a, d, bound, offset, r_cap)
     except ToleranceUnreachableError:
         assert tail(r_cap) > bound
         return
@@ -179,10 +179,10 @@ def test_certified_sum_min_radius_honesty():
 
 
 def _theta_i_exponents(ws):
-    # theta_3(w | i) = sum_k exp(-pi k^2 + 2 pi i k w): one row per w, or one
-    # 1-d sum for a scalar w; it vanishes at w = (1 + i)/2
-    def fn(k):
-        return -np.pi * k[:, 0] ** 2 + 2j * np.pi * np.multiply.outer(ws, k[:, 0])
+    # theta_3(w | i) = sum_k exp(-pi k^2 + 2 pi i k w): one row per w in ws[rows],
+    # or one 1-d sum for a scalar w; it vanishes at w = (1 + i)/2
+    def fn(k, rows=...):
+        return -np.pi * k[:, 0] ** 2 + 2j * np.pi * np.multiply.outer(np.asarray(ws)[rows], k[:, 0])
     return fn
 
 
@@ -203,6 +203,31 @@ def test_certified_sum_batch_is_the_single_calls():
         assert abs(v - v1) <= 1e-14 * abs(v1)
     assert radius == max(radii)
     assert radii[2] > radii[0] == radii[1] == radii[3]
+
+
+def test_certified_sum_evaluates_only_open_points_in_blocks(monkeypatch):
+    # the first round evaluates every point, in blocks of about _BLOCK
+    # exponents; a later round only the points that fell short
+    ws = np.array([0.1 + 0.2j, 0.37 - 0.3j, 0.5 + 0.5j + 1e-6, 0.05 + 0.0j] * 3)
+    log_scale = np.pi * ws.imag ** 2
+    fn = _theta_i_exponents(ws)
+    whole = certified_lattice_sum(fn, np.pi, 1, 1e-12, log_scale=log_scale)
+    calls = []
+
+    def recorded(k, rows):
+        calls.append((len(k), rows.tolist()))
+        return fn(k, rows)
+
+    monkeypatch.setattr(theta_mod, "_BLOCK", 20)
+    s, radius, bound = certified_lattice_sum(recorded, np.pi, 1, 1e-12, log_scale=log_scale)
+    K = calls[0][0]
+    first = [c for c in calls if c[0] == K]
+    assert [r for _, rows in first for r in rows] == list(range(12))
+    assert all(len(rows) == max(1, 20 // K) for _, rows in first[:-1])
+    assert {r for k, rows in calls[len(first):] for r in rows} == {2, 6, 10}
+    assert radius == whole[1] and np.array_equal(bound, whole[2])
+    assert np.array_equal(s.logmag, whole[0].logmag)
+    assert np.array_equal(s.phase, whole[0].phase)
 
 
 def test_certified_sum_near_a_zero_is_relative_to_the_value():

@@ -8,24 +8,17 @@ from torusgabor import transforms
 from torusgabor.core import GaborParams
 from torusgabor.theta import ToleranceUnreachableError, theta_eval
 from torusgabor.transforms import (
-    ExplicitWindow,
     GaussianWindow,
-    NoDecayError,
     NonFiniteInputError,
-    SampledWindow,
     ShapeMismatchError,
     ZeroWindowError,
     dgt,
     dgt_inverse,
-    l2_inner_product,
     periodize_sample,
     sn_inner,
-    stft,
-    stft_basis,
     stft_basis_grid,
     time_frequency_shift,
     tn_grid,
-    zak,
 )
 
 DGT_TOL = 1e-12
@@ -45,7 +38,7 @@ def _rand_signal(rng, p):
 
 
 # ---------------------------------------------------------------------------
-# windows
+# the Gaussian window and its series
 
 
 def test_gaussian_window_values_and_envelope():
@@ -55,46 +48,22 @@ def test_gaussian_window_values_and_envelope():
     # conjugated quadratic phase: exp(-i pi conj(Omega) t^2 / N)
     expect = np.exp(-1j * np.pi * (0.3 - 1j) / 2)
     assert abs(w(t) - expect) < 1e-14
-    C, alpha = w.decay
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = rng.uniform(-6, 6, 1)
-        assert abs(w(t)) <= C * math.exp(-alpha * float(t @ t)) + 1e-15
+    for q in (p, _p(d=2, N=3)):
+        w = GaussianWindow(q)
+        t = rng.uniform(-6, 6, (20, q.d))
+        envelope = np.exp(-np.pi * np.einsum("pi,ij,pj->p", t, q.im, t) / q.N)
+        assert np.allclose(np.abs(w(t)), envelope, rtol=1e-13, atol=0)
 
 
 def test_gaussian_l2_norm_closed_form():
+    # trapezoid rule on [-T, T]^d, spectrally accurate for this Gaussian
     for p in (_p(1j), _p(0.3 + 2j, N=3), _p(d=2, N=2)):
         w = GaussianWindow(p)
-        num = l2_inner_product(w, w, rel_tol=1e-12)
-        assert abs(num.imag) < 1e-10
-        assert num.real == pytest.approx(w.l2_norm_sq(), rel=1e-8)
-
-
-def test_l2_inner_product_matches_gaussian_integral():
-    # h_1 conj(h_2) is a pure Gaussian, so the integral has a closed form
-    p1, p2 = _p(0.4 + 1j, N=2), _p(-0.3 + 2j, N=2)
-    w1, w2 = GaussianWindow(p1), GaussianWindow(p2)
-    c = np.pi * ((1 + 2) - 1j * (-0.3 - 0.4)) / 2
-    expect = np.sqrt(np.pi / c)
-    got = l2_inner_product(w1, w2, rel_tol=1e-12)
-    assert abs(got - expect) < 1e-9 * abs(expect)
-
-
-def test_explicit_window_requires_envelope():
-    p = _p()
-    with pytest.raises(NoDecayError):
-        ExplicitWindow(lambda t: np.exp(-t.sum(-1) ** 2), None, None, p)
-    with pytest.raises(NoDecayError):
-        ExplicitWindow(lambda t: np.exp(-t.sum(-1) ** 2), 1.0, 0.0, p)
-
-
-def test_sampled_window_shape_check_and_no_decay():
-    p = _p()
-    with pytest.raises(ShapeMismatchError):
-        SampledWindow(np.ones(3), p)
-    sw = SampledWindow(np.ones(4), p)
-    with pytest.raises(NoDecayError):
-        zak(sw, 0.0, 0.0)
+        ts = np.linspace(-12.0, 12.0, 241 if p.d == 1 else 97)
+        pts = np.stack(np.meshgrid(*([ts] * p.d), indexing="ij"), axis=-1).reshape(-1, p.d)
+        num = complex((np.abs(w(pts)) ** 2).sum() * (ts[1] - ts[0]) ** p.d)
+        assert num.real == pytest.approx(w.l2_norm_sq(), rel=1e-12)
 
 
 def test_periodized_gaussian_center_value():
@@ -116,6 +85,82 @@ def test_periodize_matches_brute_force_d2():
             for k2 in range(-8, 9):
                 acc += complex(w(np.array(n, float) - 2 * np.array([k1, k2], float)))
         assert abs(h[n] - acc) < 1e-13
+
+
+OM2 = np.array([[0.1 + 1.0j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
+OM3 = np.array([[0.2 + 1.0j, 0.1 + 0.1j, 0.0],
+                [0.1 + 0.1j, -0.3 + 1.2j, 0.05j],
+                [0.0, 0.05j, 0.4 + 0.9j]])
+SERIES_CASES = {
+    "d1-re-omega": GaborParams(d=1, N=5, Omega=np.array([[-0.7 + 1.1j]])),
+    "d2-bench-omega": GaborParams(d=2, N=3, Omega=OM2),
+    "d3-N3": GaborParams(d=3, N=3, Omega=OM3),
+    "d1-N2048": GaborParams(d=1, N=2048, Omega=np.array([[1j]])),
+}
+
+
+def _brute_force_stft(p, X, XI, box):
+    # V_h eps_n(x, xi) = sum_j e^{pi i w'Omega w/N - 2 pi i xi.(n + N j)}, w = n + N j - x,
+    # over the fixed box |j|_inf <= box, with no recentring; shape (N^d, P)
+    ns = np.indices(p.shape).reshape(p.d, -1).T
+    js = np.indices((2 * box + 1,) * p.d).reshape(p.d, -1).T - box
+    out = np.zeros((len(ns), len(X)), dtype=complex)
+    for i, n in enumerate(ns):
+        t = n + p.N * js                                  # (J, d) integers
+        w = t[None, :, :] - X[:, None, :]                 # (P, J, d)
+        e = 1j * np.pi * np.einsum("pji,ik,pjk->pj", w, p.Omega, w) / p.N
+        e -= 2j * np.pi * np.einsum("pi,ji->pj", XI, t)
+        out[i] = np.exp(e).sum(axis=1)
+    return out
+
+
+def _assert_close_to_each_value(got, ref, rtol):
+    # relative to each value where it is normal; where it is subnormal or zero,
+    # within a few units of the subnormal spacing
+    atol = 4 * np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref) + atol)
+
+
+@pytest.mark.parametrize("name", list(SERIES_CASES))
+def test_periodize_matches_a_fixed_box_sum(name):
+    p = SERIES_CASES[name]
+    w = GaussianWindow(p)
+    h = periodize_sample(w)
+    ref = np.conj(_brute_force_stft(p, np.zeros((1, p.d)), np.zeros((1, p.d)), 3))
+    # an exponent of size |log|h|| is rounded to a few of its ulps
+    size = 1.0 + np.abs(np.log(np.maximum(np.abs(ref), 1e-300)))
+    _assert_close_to_each_value(h.reshape(-1), ref[:, 0], 1e-14 * size[:, 0])
+    if p.N == 2048:
+        # the corner values exp(-pi u^2 / N), |u| near N/2, underflow to 0
+        assert h[p.N // 2] == 0.0 and ref[p.N // 2, 0] == 0.0
+        assert np.count_nonzero(h == 0.0) == np.count_nonzero(ref == 0.0) > 0
+
+
+@pytest.mark.parametrize("name", list(SERIES_CASES))
+def test_stft_basis_grid_matches_a_fixed_box_sum(name):
+    p = SERIES_CASES[name]
+    rng = np.random.default_rng(11)
+    P = 4 if p.N == 2048 else 12
+    # positions up to two periods away, so the recentring is exercised
+    X = rng.uniform(-2 * p.N, 2 * p.N, (P, p.d))
+    XI = rng.uniform(-1.0, 2.0, (P, p.d))
+    V = stft_basis_grid(GaussianWindow(p), X, XI)
+    assert V.shape == (p.dim_sn, P)
+    ref = _brute_force_stft(p, X, XI, 5)
+    # exponents and phases of size up to |log|V|| + 2 pi |xi| |x| are rounded
+    size = 1.0 + np.abs(np.log(np.maximum(np.abs(ref), 1e-300))) \
+        + 2 * np.pi * (np.abs(XI) * (np.abs(X) + p.N)).sum(axis=1)
+    _assert_close_to_each_value(V, ref, 1e-14 * size)
+
+
+def test_stft_basis_grid_keeps_the_point_shape():
+    p = _p(0.3 + 1j, N=3)
+    w = GaussianWindow(p)
+    X = np.linspace(-2.0, 4.0, 6).reshape(2, 3, 1)
+    V = stft_basis_grid(w, X, np.array([0.25]))
+    assert V.shape == (3, 2, 3)
+    flat = stft_basis_grid(w, X.reshape(-1, 1), np.full((6, 1), 0.25))
+    assert np.array_equal(V.reshape(3, -1), flat)
 
 
 # ---------------------------------------------------------------------------
@@ -293,65 +338,57 @@ def test_sn_inner_ordering():
 
 
 # ---------------------------------------------------------------------------
-# Zak transform
+# identities of the short-time transform of the Dirac combs
 
 
 def test_zak_covariance_and_frequency_period():
+    # V_h eps_n(x, xi) = e^{-2 pi i xi.n} Z(conj h)(n - x, xi), so the Zak
+    # covariance Z(u + N m, xi) = e^{2 pi i N m.xi} Z(u, xi) and the period
+    # 1/N of Z in xi read V_n(x + N m, xi) = e^{-2 pi i N m.xi} V_n(x, xi)
+    # and V_n(x, xi + 1/N) = e^{-2 pi i n/N} V_n(x, xi)
     p = _p(0.3 + 1j, N=3)
     w = GaussianWindow(p)
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        x = float(rng.uniform(0, 3))
-        xi = float(rng.uniform(0, 1))
-        base = zak(w, x, xi)
-        m = int(rng.integers(-2, 3))
-        shifted = zak(w, x + 3 * m, xi)
-        assert abs(shifted - np.exp(2j * np.pi * 3 * m * xi) * base) < 1e-12 * abs(base)
-        # period 1/N in frequency
-        assert abs(zak(w, x, xi + 1.0 / 3) - base) < 1e-12 * abs(base)
+    X = rng.uniform(0, 3, (10, 1))
+    XI = rng.uniform(0, 1, (10, 1))
+    m = rng.integers(-2, 3, (10, 1)).astype(float)
+    base = stft_basis_grid(w, X, XI)
+    shifted = stft_basis_grid(w, X + 3 * m, XI)
+    phase = np.exp(-2j * np.pi * 3 * (m * XI).sum(axis=1))
+    assert np.all(np.abs(shifted - phase * base) <= 1e-12 * np.abs(base))
+    n = np.arange(3)[:, None]
+    up = stft_basis_grid(w, X, XI + 1.0 / 3)
+    assert np.all(np.abs(up - np.exp(-2j * np.pi * n / 3) * base) <= 1e-12 * np.abs(base))
 
 
 def test_zak_of_conjugate_window_matches_theta_form():
-    # Z(conj h)(u, xi) = exp(pi i u^2 Omega / N) theta_N(xi - Omega u / N)
-    for om, N in ((1j, 2), (0.3 + 1j, 3)):
-        p = _p(om, N=N)
-        w = GaussianWindow(p)
-        rng = np.random.default_rng(6)
-
-        class _Conj:
-            params = p
-            decay = w.decay
-
-            def __call__(self, t):
-                return w.conj_fn(t)
-
-        for _ in range(10):
-            u = float(rng.uniform(-1, N))
-            xi = float(rng.uniform(0, 1))
-            got = zak(_Conj(), u, xi)
-            pref = np.exp(1j * np.pi * u * u * om / N)
-            th = theta_eval(np.array([xi - om * u / N]), p, order=N, tol=1e-13)
+    # Z(conj h)(u, xi) = exp(pi i u'Omega u / N) theta_N(xi - Omega u / N), and
+    # Z(conj h)(u, xi) = V_h eps_0(-u, xi)
+    rng = np.random.default_rng(6)
+    for p in (_p(1j, N=2), _p(0.3 + 1j, N=3), GaborParams(d=2, N=2, Omega=OM2)):
+        U = rng.uniform(-1, p.N, (10, p.d))
+        XI = rng.uniform(0, 1, (10, p.d))
+        got = stft_basis_grid(GaussianWindow(p), -U, XI)[0]
+        for j in range(10):
+            u, xi = U[j], XI[j]
+            pref = np.exp(1j * np.pi * (u @ p.Omega @ u) / p.N)
+            th = theta_eval(xi - p.Omega @ u / p.N, p, order=p.N, tol=1e-13)
             expect = pref * th.value.to_complex()
-            assert abs(got - expect) < 1e-11 * max(1.0, abs(expect))
+            assert abs(got[j] - expect) < 1e-11 * max(1.0, abs(expect))
 
 
 def test_zak_unitarity_on_fundamental_cell():
-    # N * integral over [0,N) x [0,1/N) of |Z h|^2 equals the L2 norm squared
+    # N * integral over [0,N) x [0,1/N) of |Z h|^2 equals the L2 norm squared,
+    # with |Z h(x, xi)| = |Z(conj h)(x, -xi)| = |V_h eps_0(-x, -xi)|
     p = _p(0.2 + 1.1j, N=2)
     w = GaussianWindow(p)
     n1 = n2 = 48
     xs = (np.arange(n1) + 0.5) * (p.N / n1)
     xis = (np.arange(n2) + 0.5) * (1.0 / p.N / n2)
-    acc = 0.0
-    for x in xs:
-        for xi in xis:
-            acc += abs(zak(w, x, xi)) ** 2
+    X, XI = (g.reshape(-1, 1) for g in np.meshgrid(xs, xis, indexing="ij"))
+    acc = float((np.abs(stft_basis_grid(w, -X, -XI)[0]) ** 2).sum())
     integral = acc * (p.N / n1) * (1.0 / p.N / n2)
     assert p.N * integral == pytest.approx(w.l2_norm_sq(), rel=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# short-time transform of combs
 
 
 def test_stft_sampling_reproduces_dgt():
@@ -361,28 +398,27 @@ def test_stft_sampling_reproduces_dgt():
     for p in (_p(0.3 + 1j, N=4), _p(d=2, N=2)):
         w = GaussianWindow(p)
         a = _rand_signal(rng, p)
-        g = periodize_sample(w)
-        V = dgt(a, g)
-        for k in np.ndindex(p.shape):
-            for l in np.ndindex(p.shape):
-                got = stft(a, np.array(k, float), np.array(l, float) / p.N, w)
-                assert abs(got - V[k + l]) < 1e-10 * max(1.0, abs(V[k + l]))
+        V = dgt(a, periodize_sample(w))
+        kl = np.indices(p.shape * 2).reshape(2 * p.d, -1).T.astype(float)
+        got = (a.reshape(-1) @ stft_basis_grid(w, kl[:, :p.d], kl[:, p.d:] / p.N))
+        ref = V.reshape(-1)
+        assert np.all(np.abs(got - ref) < 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_stft_quasiperiodicity():
     rng = np.random.default_rng(8)
-    p = _p(0.3 + 1j, N=3)
-    w = GaussianWindow(p)
-    a = _rand_signal(rng, p)
-    for _ in range(10):
-        x = rng.uniform(0, 3, 1)
-        xi = rng.uniform(0, 1, 1)
-        base = stft(a, x, xi, w)
-        k = rng.integers(-2, 3, 1).astype(float)
-        m = rng.integers(-2, 3, 1).astype(float)
-        lhs = stft(a, x + 3 * k, xi, w)
-        assert abs(lhs - np.exp(-2j * np.pi * 3 * (k @ xi)) * base) < 1e-11 * abs(base)
-        assert abs(stft(a, x, xi + m, w) - base) < 1e-11 * abs(base)
+    for p in (_p(0.3 + 1j, N=3), GaborParams(d=2, N=2, Omega=OM2)):
+        w = GaussianWindow(p)
+        a = _rand_signal(rng, p).reshape(-1)
+        X = rng.uniform(0, p.N, (10, p.d))
+        XI = rng.uniform(0, 1, (10, p.d))
+        k = rng.integers(-2, 3, (10, p.d)).astype(float)
+        m = rng.integers(-2, 3, (10, p.d)).astype(float)
+        base = a @ stft_basis_grid(w, X, XI)
+        lhs = a @ stft_basis_grid(w, X + p.N * k, XI)
+        phase = np.exp(-2j * np.pi * p.N * (k * XI).sum(axis=1))
+        assert np.all(np.abs(lhs - phase * base) < 1e-11 * np.abs(base))
+        assert np.all(np.abs(a @ stft_basis_grid(w, X, XI + m) - base) < 1e-11 * np.abs(base))
 
 
 def test_stft_basis_grid_matches_pointwise_path():
@@ -399,11 +435,9 @@ def test_stft_basis_grid_matches_pointwise_path():
     for n in range(3):
         for j in range(6):
             x, xi = X[j, 0], XI[j, 0]
-            terms = w.conj_fn((n - x - 3 * ks)[:, None]) * np.exp(2j * np.pi * 3 * ks * xi)
+            terms = np.conj(w((n - x - 3 * ks)[:, None])) * np.exp(2j * np.pi * 3 * ks * xi)
             ref = np.exp(-2j * np.pi * xi * n) * terms.sum()
-            tol = 1e-12 * max(1.0, abs(ref))
-            assert abs(V[n, j] - ref) < tol
-            assert abs(stft_basis(np.array([n], float), X[j], XI[j], w) - ref) < tol
+            assert abs(V[n, j] - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_moyal_identity_on_grid():
