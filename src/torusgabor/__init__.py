@@ -3,7 +3,7 @@
 The package revolves around one dictionary: signals on the discrete group
 (Z_N)^d, their time-frequency transforms on T_N = [0,N)^d x [0,1)^d, and
 theta-series models of the same objects on the complex torus C^d / Lambda.
-`core` fixes the parameters and coordinate maps, `transforms` the discrete
+`core` fixes the parameters and lattice coefficients, `transforms` the discrete
 and short-time transforms, `theta` the certified series evaluation,
 `bargmann` the holomorphic sections and their Bergman geometry, `frames`
 the spanning certificates for sampled systems, and `localization` the
@@ -14,14 +14,10 @@ from .core import (
     GaborError,
     GaborParams,
     ComplexPoint,
-    TFPoint,
     dual_lattice_member,
-    from_complex,
     lattice_coefficients,
     params_from_json,
     params_to_json,
-    reduce_complex,
-    to_complex,
     validate,
 )
 from .theta import ScaledComplex, theta_eval, theta_zero_1d, winding_number
@@ -64,14 +60,10 @@ __all__ = [
     "GaborError",
     "GaborParams",
     "ComplexPoint",
-    "TFPoint",
     "dual_lattice_member",
-    "from_complex",
     "lattice_coefficients",
     "params_from_json",
     "params_to_json",
-    "reduce_complex",
-    "to_complex",
     "validate",
     "ScaledComplex",
     "theta_eval",

@@ -5,7 +5,9 @@ A signal with coefficients a_n on I_N maps to the entire function
     B a(z) = sum_n a_n sum_{k in Z^d} exp(pi i (n+Nk)'Omega(n+Nk)/N - 2 pi (n+Nk)'z),
 
 which obeys the order-N shift identities B(z + i m) = B(z) and
-B(z - i Omega k) = exp(-pi i N k'Omega k + 2 pi N k'z) B(z) for integer m, k.
+B(z - i Omega k) = exp(-pi i N k'Omega k + 2 pi N k'z) B(z) for integer m, k,
+those of theta_N at w = i z; so bargmann sums the series at z reduced into
+the cell by the reduction theta_eval uses, and multiplies the factor back.
 With the invariant weight
 
     phi(z) = pi (z' (Im Omega)^{-1} conj(z) + Re(z' (Im Omega)^{-1} z)),
@@ -76,31 +78,32 @@ def bargmann_basis(n, z, params, tol=1e-12):
 def bargmann(coeffs, z, params, tol=1e-12):
     """Section value B a(z) for a signal a at one point z (d,) or at P points (P, d).
 
-    B a(z) = sum_m a_{m mod N} exp(pi i m'Omega m/N - 2 pi m'z) is one certified
-    lattice sum.  Its terms are at most max|a| e^{N phi(z)/2} exp(-(pi/N) (m - m*)'Y
-    (m - m*)), m* = -N Y^{-1} Re z, Y = Im Omega, so the box is centred at round(m*)
-    and the tail is certified relative to B a(z), also near a zero of the section.
-    z is not reduced, so far from the cell the exponents e grow, and each is off
-    by about |e| 2^-52.  ToleranceUnreachableError is raised when that rounding,
-    weighted by the term's size relative to the bound, exceeds tol for some term,
-    and when phi(z) is not finite.
+    B a satisfies the order-N identities of theta_N at w = i z, so z is first
+    reduced as theta_eval reduces w (theta._reduce): B a(z) = exp(e) B a(zr) with
+    zr in the centred cell and e certified to tol; ToleranceUnreachableError is
+    raised exactly where theta_eval(i z, order=N) raises it for the reduction.
+    B a(zr) = sum_m a_{m mod N} exp(pi i m'Omega m/N - 2 pi m'zr) is one certified
+    lattice sum.  Its terms are at most max|a| e^{N phi(zr)/2} exp(-(pi/N) (m - m*)'Y
+    (m - m*)), m* = -N Y^{-1} Re zr, Y = Im Omega, so the box is centred at round(m*)
+    and the tail is certified relative to B a(zr), also near a zero of the section.
+    Each exponent is off by about |e| 2^-52; ToleranceUnreachableError is also
+    raised when that rounding, weighted by the term's size relative to the
+    bound, exceeds tol for some term.  weighted_mag is |B a(zr)| e^{-N phi(zr)/2},
+    which equals |B a(z)| e^{-N phi(z)/2} and keeps its digits far from the cell.
     """
     sg = siegel(params)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != params.shape:
         raise GaborError(f"coefficients must have shape {params.shape}")
-    z = np.asarray(z, dtype=complex)
-    zs = np.atleast_2d(z)
-    if zs.ndim != 2 or zs.shape[1] != params.d:
-        raise GaborError(f"z must have shape ({params.d},) or (P, {params.d})")
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan, which the reduction refuses
+        w, one = theta_mod._points(1j * np.asarray(z, dtype=complex), params.d)
     N, om = params.N, params.Omega
+    wr, e, c = theta_mod._reduce(w, sg, N, tol)
+    zr = -1j * wr
     with np.errstate(divide="ignore"):
         loga = np.log(coeffs)
-    m0 = np.round(-N * np.linalg.solve(sg.im, zs.real.T).T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = weight_phi(zs, params)
-    if not np.isfinite(phi).all():
-        raise ToleranceUnreachableError("the weight phi(z) is not finite in double precision")
+    m0 = np.rint(-N * c)  # c = Y^{-1} Re zr
+    phi = weight_phi(zr, params)
     # a zero signal keeps a finite scale, and its sums underflow to an exact zero
     scale = 0.5 * N * phi + math.log(np.abs(coeffs).max() or 1.0)
 
@@ -108,7 +111,7 @@ def bargmann(coeffs, z, params, tol=1e-12):
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite e fails the check
             m = m0[rows, None, :] + j
             quad = ((m @ om) * m).sum(axis=-1)
-            e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zs[rows])
+            e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zr[rows])
             e = e0 + loga[tuple(np.moveaxis(m.astype(int) % N, -1, 0))]
             # each exponent is off by about err; if that is above tol, weigh it by the
             # term's size relative to exp(scale), which err may understate by e^err
@@ -121,10 +124,11 @@ def bargmann(coeffs, z, params, tol=1e-12):
                 f"section exponents are rounded by {rounding:.1e}, not certified to tol={tol:.1e}")
         return e
 
-    raw, _, _ = certified_lattice_sum(
+    s, _, _ = certified_lattice_sum(
         exponent_fn, math.pi * sg.im_min / N, params.d, tol, log_scale=scale)
-    wmag = raw.magnitude(-0.5 * N * phi)
-    if z.ndim < 2:
+    raw = ScaledComplex.from_exponent(e) * s
+    wmag = s.magnitude(-0.5 * N * phi)
+    if one:
         raw, wmag = ScaledComplex(float(raw.logmag[0]), complex(raw.phase[0])), float(wmag[0])
     return SectionValue(raw=raw, weighted_mag=wmag)
 

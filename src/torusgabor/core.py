@@ -1,4 +1,4 @@
-"""Parameters, lattices, and coordinate maps for the time-frequency torus.
+"""Parameters and lattices for the time-frequency torus.
 
 Everything in this package is configured by a triple (d, N, Omega): the space
 dimension, the number of samples per axis, and a Siegel matrix Omega
@@ -10,9 +10,11 @@ T_Omega = C^d / Lambda, where
 
 so the integer time-frequency sample (k, l) lands on z = -i(Omega k/N + l/N).
 The transforms live on the real side and the frame criteria on the complex
-side; this module owns the dictionary between the two, plus the
-integer-lattice membership test the frame predicates are built on and
-exact_sum, the correctly rounded sum behind every grid total a report prints.
+side; this module owns the lattice coefficients of complex points (one or a
+batch), the integer-lattice membership test the frame predicates are built
+on, and exact_sum, the correctly rounded sum behind every grid total a report
+prints.  The reduction of a point into the cell, with the factor the theta
+series and the sections pick up on the way, lives in theta (theta._reduce).
 """
 
 from __future__ import annotations
@@ -142,72 +144,40 @@ def validate(params):
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class TFPoint:
-    """Point (x, xi) on T_N; x per axis in [0, N), xi per axis in [0, 1)."""
-
-    x: np.ndarray
-    xi: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
 class ComplexPoint:
     """Representative z of a class in C^d / Lambda."""
 
     z: np.ndarray
 
 
-def reduce_tf(x, xi, params):
-    """Reduce time mod N and frequency mod 1."""
-    return np.mod(np.asarray(x, dtype=float), params.N), np.mod(np.asarray(xi, dtype=float), 1.0)
+def lattice_coefficients(z, params):
+    """Real coefficients (a, b) with z = -i Omega a + i b, for z of shape (d,) or (P, d).
 
-
-def tf_to_complex(x, xi, params):
-    """Raw coordinate map z = -i(Omega x/N + xi); no reduction."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return -1j * (params.Omega @ x / params.N + xi)
-
-
-def to_complex(p, params):
-    """Map a TFPoint to its image on the complex torus."""
-    return ComplexPoint(tf_to_complex(p.x, p.xi, params))
-
-
-def _real_solve(z, params, b_sign):
-    # Solve z = -i(Omega a + b_sign * b) for real d-vectors (a, b):
-    # Re z = Y a, Im z = -X a - b_sign * b, with Omega = X + iY.
+    Re z = Y a and Im z = -X a + b with Omega = X + iY, one 2d x 2d solve per point.
+    """
     d = params.d
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (d,):
-        raise GaborError(f"expected a complex {d}-vector, got shape {z.shape}")
+    if z.ndim > 2 or z.shape[-1] != d:
+        raise GaborError(f"expected a complex {d}-vector or (P, {d}) array, "
+                         f"got shape {z.shape}")
     M = np.zeros((2 * d, 2 * d))
     M[:d, :d] = params.im
     M[d:, :d] = -params.re
-    M[d:, d:] = -b_sign * np.eye(d)
-    rhs = np.concatenate([z.real, z.imag])
+    M[d:, d:] = np.eye(d)
+    rhs = np.concatenate([z.real, z.imag], axis=-1)[..., None]
     try:
-        sol = np.linalg.solve(M, rhs)
+        sol = np.linalg.solve(M, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"coordinate solve failed: {exc}") from None
-    return sol[:d], sol[d:]
+    return sol[..., :d], sol[..., d:]
 
 
-def complex_to_tf(z, params):
-    """Solve z = -i(Omega a + b) and return the unreduced (x, xi) = (N a, b)."""
-    a, b = _real_solve(z, params, +1.0)
-    return params.N * a, b
-
-
-def from_complex(cp, params):
-    """Invert the coordinate map; the result lies in the fundamental box."""
-    x, xi = complex_to_tf(cp.z, params)
-    x, xi = reduce_tf(x, xi, params)
-    return TFPoint(x, xi)
-
-
-def lattice_coefficients(z, params):
-    """Real coefficients (a, b) with z = -i Omega a + i b."""
-    return _real_solve(z, params, -1.0)
+def _point_coefficients(z, params):
+    # lattice_coefficients of a single point: a (P, d) batch is refused here
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape != (params.d,):
+        raise GaborError(f"expected a complex {params.d}-vector, got shape {z.shape}")
+    return lattice_coefficients(z, params)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -230,7 +200,7 @@ def dual_lattice_member(z, params, scale=1.0, tol=1e-9):
     the frame parity predicate needs; scale 1/N probes the refinement that
     shows up in sampling arguments.
     """
-    a, b = lattice_coefficients(z, params)
+    a, b = _point_coefficients(z, params)
     ca, cb = a / scale, b / scale
     wa, wb = np.round(ca), np.round(cb)
     residual = float(max(np.abs(ca - wa).max(), np.abs(cb - wb).max()))
@@ -242,17 +212,9 @@ def dual_lattice_member(z, params, scale=1.0, tol=1e-9):
     )
 
 
-def reduce_complex(z, params):
-    """Lattice-reduce z into the box {-i Omega a + i b : a, b in [0, 1)^d}."""
-    a, b = lattice_coefficients(z, params)
-    af = a - np.floor(a)
-    bf = b - np.floor(b)
-    return -1j * (params.Omega @ af) + 1j * bf
-
-
 def complex_distance_mod_lattice(z1, z2, params):
     """Euclidean distance |z1 - z2| minimized over Lambda translates."""
-    a, b = lattice_coefficients(np.atleast_1d(np.asarray(z1 - z2, dtype=complex)), params)
+    a, b = _point_coefficients(z1 - z2, params)
     ra = a - np.round(a)
     rb = b - np.round(b)
     return float(np.linalg.norm(-1j * (params.Omega @ ra) + 1j * rb))

@@ -171,7 +171,7 @@ def _lambda_membership(params, zs, z0, tol=1e-9):
     # idx (..., K) -> whether sum_j zs[idx] - N z0 lies in Lambda, one bool per
     # row; lattice coefficients are real-linear, so each z_j and N z0 is
     # solved once, not per subset
-    coef = np.array([np.concatenate(lattice_coefficients(z, params)) for z in zs])
+    coef = np.concatenate(lattice_coefficients(zs, params), axis=-1)
     base = np.concatenate(lattice_coefficients(params.N * np.array([z0]), params))
 
     def member(idx):
@@ -281,17 +281,11 @@ def zero_set_diagnostic(D, translates, params, tol=1e-10):
         raise TranslateSumNotInDualLatticeError(
             f"translate sum residual {mem.residual:.3e} exceeds {_MEMBERSHIP_TOL:.1e}"
         )
-    zs = D.complex_images(params)
-    out = np.empty(len(D))
-    for j, zj in enumerate(zs):
-        best = float("inf")
-        for ti in translates:
-            w = zj - ti
-            ev = theta_mod.theta_eval(1j * w, params, order=1, tol=tol)
-            phi = float(weight_phi(w, params))
-            best = min(best, float(ev.value.magnitude(-0.5 * phi)))
-        out[j] = best
-    return out
+    # one batched theta_eval over every difference z_j - t_i, rows j, columns i
+    w = (D.complex_images(params)[:, None, :] - translates).reshape(-1, params.d)
+    ev = theta_mod.theta_eval(1j * w, params, order=1, tol=tol)
+    weighted = ev.value.magnitude(-0.5 * weight_phi(w, params))
+    return weighted.reshape(len(D), params.N).min(axis=1)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

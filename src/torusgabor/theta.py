@@ -8,16 +8,20 @@ an entire function of z in C^d with the quasiperiodicity
 
     theta_n(z + m + Omega k) = exp(-pi i n k'Omega k - 2 pi i n k'z) theta_n(z)
 
-for integer vectors m, k.  Evaluation reduces the argument by a lattice
-translate so the remaining series has a unit-size leading term, sums it over
-a centered box whose radius carries an explicit Gaussian tail bound, and
-reassembles the exact quasiperiodicity factor.  That factor and the metric
-weights downstream overflow double precision separately but not combined, so
-values travel as a log-magnitude plus a unit phase (ScaledComplex).  The
-factor's exponent e is off, in its phase and in its log-magnitude alike, by
-at most a few 2^-52 times the summed size of its terms; where that bound
-exceeds the requested tol, e is rounded once from its exact rational value,
-and where even that half ulp exceeds tol the result is an error, not a value.
+for integer vectors m, k.  Every order-n section of the theta line bundle
+obeys the same identity: theta_n itself, and the Bargmann section B a of
+bargmann at w = i z with n = N.  So one function, _reduce, moves a batch of
+points by lattice translates into the centred cell and returns the exponent e
+of the factor each section picks up; theta_eval and bargmann.bargmann sum
+their series at the reduced points, whose leading term has unit size, over a
+centred box whose radius carries an explicit Gaussian tail bound, and
+multiply the factor back.  That factor and the metric weights downstream
+overflow double precision separately but not combined, so values travel as a
+log-magnitude plus a unit phase (ScaledComplex).  The factor's exponent e is
+off, in its phase and in its log-magnitude alike, by at most a few 2^-52
+times the summed size of its terms; where that bound exceeds the requested
+tol, e is rounded once from its exact rational value, and where even that
+half ulp exceeds tol the result is an error, not a value.
 
 For d = 1 the order-1 series vanishes once per cell, at the half period
 (1 + Omega)/2; theta_zero_1d returns that point and checks it with theta_eval.
@@ -28,10 +32,13 @@ and the Bargmann sections are Gaussian lattice series too, sections of the
 same theta line bundle; this module alone decides how far any of them runs:
 gaussian_box_tail, tail_radius (a-priori radius), lattice_box, and
 certified_lattice_sum, which theta_eval, bargmann.bargmann,
-transforms.periodize_sample and transforms.stft_basis_grid all call (one box
-of the a-priori radius, for one point or a batch, summed in shell order so
-that the golden files keep their bytes; a batch is evaluated in blocks of
-points, and only its points that fall short are summed again).
+transforms.periodize_sample and transforms.stft_basis_grid all call.  It
+takes a batch of P points (one point is a batch of one) and sums one box of
+the a-priori radius in shell order, so that the golden files keep their
+bytes, in blocks of points; only the points that fall short are summed
+again, each on the box of its own radius, so a point's bits do not depend on
+the batch.  theta_eval takes one point or P points and makes one
+certified_lattice_sum call for all of them.
 
 What does not depend on z is computed once and memoised: the checks on Omega
 with Y = Im Omega, Y^{-1} and lambda_min(Y) (core.siegel, keyed on Omega's
@@ -40,9 +47,10 @@ scalar arguments); the shell-ordered box (_shell_box, keyed on radius and d);
 and theta_eval's quadratic part i pi n k'Omega k over that box (_theta_quad,
 keyed on the Omega record, the order n and the radius).  The caches are
 module-level and bounded by fixed sizes, so a fresh import starts cold; their
-arrays are read-only, and a failed check is not cached.  theta_eval's two
-solves with Y stay per call: they depend on z, and an inverse computed once
-would move the reduced point, hence log_scale and the bits of tail_bound.
+arrays are read-only, and a failed check is not cached.  The solve with Y in
+_reduce stays per batch: it depends on z, and an inverse computed once would
+move the rounding of Y^{-1} Im z, and with it the reduced point of a z on a
+cell edge.
 """
 
 from __future__ import annotations
@@ -109,19 +117,6 @@ class ScaledComplex:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        # rescale both summands by the larger magnitude before adding
-        if not isinstance(other, ScaledComplex):
-            other = ScaledComplex.from_complex(other)
-        m = np.maximum(self.logmag, other.logmag)
-        if np.ndim(m) == 0 and np.isneginf(m):
-            return ScaledComplex(float("-inf"), 1.0 + 0.0j)
-        w = self.phase * np.exp(self.logmag - m) + other.phase * np.exp(other.logmag - m)
-        return ScaledComplex.from_complex(w) * ScaledComplex(m, 1.0 + 0.0j)
-
-    def __neg__(self):
-        return ScaledComplex(self.logmag, -self.phase)
-
     def conjugate(self):
         return ScaledComplex(self.logmag, np.conj(self.phase))
 
@@ -135,22 +130,27 @@ class ScaledComplex:
         return np.exp(self.logmag + log_shift)
 
 
+_LOWEST = -np.finfo(float).max
+
+
 def sum_scaled_exponents(exponents):
     """Stable sum of exp(e) over the last axis of complex exponents (zero if empty).
 
-    Scalar fields for 1-d input, else one per row; each row's bits are those of
+    Fields of shape e.shape[:-1], one per row; each row's bits are those of
     Python's abs, math.log and complex division, whatever the numpy build.
     """
     e = np.asarray(exponents, dtype=complex)
-    m = e.real.max(axis=-1, initial=-np.inf, keepdims=True)
-    m[m == -np.inf] = 0.0
+    # the shift m starts at the lowest double, not -inf, so that a row without
+    # terms, or whose terms are all exp(-inf), sums to an exact zero
+    m = e.real.max(axis=-1, initial=_LOWEST, keepdims=True)
     s = np.exp(e - m).sum(axis=-1, keepdims=True)
     mag = np.hypot(s.real, s.imag)
-    logmag = m + np.reshape([math.log(v) if v else -math.inf for v in mag.ravel().tolist()],
-                            mag.shape)
-    s[mag == 0.0], mag[mag == 0.0] = 1.0, 1.0
-    out = ScaledComplex(logmag[..., 0], (s.real / mag + 1j * (s.imag / mag))[..., 0])
-    return ScaledComplex(float(out.logmag), complex(out.phase)) if e.ndim == 1 else out
+    logmag = m + np.array([math.log(v) if v else -math.inf
+                           for v in mag.ravel().tolist()]).reshape(mag.shape)
+    s[mag == 0.0], mag[mag == 0.0] = 1.0, 1.0  # a zero sum has the phase 1
+    # the real and the imaginary part divided by mag, as one float array
+    phase = (s.view(float) / mag).view(complex)
+    return ScaledComplex(logmag[..., 0], phase[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -205,82 +205,69 @@ def tail_radius(a, d, bound, offset=0.5, r_cap=200):
     return hi
 
 
-# exponents evaluated per block of points in a batched certified_lattice_sum
+# exponents evaluated per block of points in certified_lattice_sum
 _BLOCK = 1 << 17
 
 
 @functools.lru_cache(maxsize=32)
 def _shell_box(R, d):
-    """lattice_box(-R, R, d) stably sorted by max-norm, and that norm; read-only."""
+    """lattice_box(-R, R, d) stably sorted by max-norm; read-only."""
     box = lattice_box(-R, R, d)
-    norm = np.abs(box).max(axis=1)
-    order = np.argsort(norm, kind="stable")
-    box, norm = box[order], norm[order]
+    box = box[np.argsort(np.abs(box).max(axis=1), kind="stable")]
     box.setflags(write=False)
-    norm.setflags(write=False)
-    return box, norm
+    return box
 
 
 def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
                           min_radius=0, r_cap=200):
-    """Sum exp(exponent_fn(k)) over k in Z^d on one certified box, for one point or P.
+    """Sum exp(exponent_fn(k, rows)) over k in Z^d on a certified box, for each of P points.
 
-    Every term must satisfy |exp(exponent_fn(k))| <= exp(log_scale - decay |k + c|^2)
-    for some |c|_inf <= offset.  exponent_fn(k) maps the (K, d) box to (K,); when
-    log_scale has shape (P,), exponent_fn(k, rows) maps it to (len(rows), K) for
-    the point indices rows.  The box has the a-priori radius
-    tail_radius(decay, d, tol, offset), at least min_radius.  A point whose tail
-    exceeds tol relative to its sum is summed again, with only the other such
-    points, to the radius certified relative to that sum, then to tail underflow
-    (ToleranceUnreachableError past r_cap), and is masked past its own radius.
-    The box runs in shell order, in which the sum once grew, so a cancelling sum
-    keeps its bits (and the golden files); exponent_fn gets the read-only box
-    that _shell_box caches per (radius, d).  Returns (ScaledComplex, largest
-    radius, tail bound relative to each sum).
+    log_scale holds one number per point (a scalar is one point).  Every term of
+    point p must satisfy |exp(e)| <= exp(log_scale[p] - decay |k + c|^2) for some
+    |c|_inf <= offset, where exponent_fn(k, rows) maps the (K, d) box to the
+    (len(rows), K) exponents e of the point indices rows.  Every point is summed
+    on the box of the a-priori radius tail_radius(decay, d, tol, offset), at least
+    min_radius, in blocks of points whose exponents hold about _BLOCK numbers.  A
+    point whose tail exceeds tol relative to its sum is summed again, with the
+    other such points of its radius, on the box of the radius certified relative
+    to that sum, then to tail underflow (ToleranceUnreachableError past r_cap).
+    So a point's bits do not depend on the other points.  The box runs in shell
+    order, in which the sum once grew, so a cancelling sum keeps its bits (and the
+    golden files); exponent_fn gets the read-only box that _shell_box caches per
+    (radius, d).  Returns (ScaledComplex of shape (P,), largest radius, tail bound
+    relative to each sum).
     """
     def relative(tail, ls, lm):  # a nan sum stays uncertified: nan <= tol is false
         return 0.0 if tail == 0.0 else math.exp(min(math.log(tail) + ls - lm, 700.0))
 
-    batch = np.ndim(log_scale) > 0
+    scale = np.asarray(log_scale, dtype=float).reshape(-1)
 
-    def sums(rows, radii):
-        # (logmag, phase) of the sums of the points rows, each masked past its
-        # radius, in blocks of points whose exponents hold about _BLOCK numbers
-        box, norm = _shell_box(int(radii.max()), d)
+    def sums(rows, R):  # (logmag, phase, relative tail bound) of the points rows
+        box = _shell_box(R, d)
         step = max(1, _BLOCK // len(box))
-        parts = []
+        lm, ph = np.empty(len(rows)), np.empty(len(rows), dtype=complex)
         for i in range(0, len(rows), step):
-            e = exponent_fn(box, rows[i:i + step]) if batch else exponent_fn(box)
-            parts.append(sum_scaled_exponents(
-                np.where(norm <= radii[i:i + step, None], e, -np.inf)))
-        return (np.concatenate([s.logmag for s in parts]),
-                np.concatenate([s.phase for s in parts]))
+            s = sum_scaled_exponents(exponent_fn(box, rows[i:i + step]))
+            lm[i:i + step], ph[i:i + step] = s.logmag, s.phase
+        tail = gaussian_box_tail(decay, R, d, offset)
+        return lm, ph, np.array([relative(tail, ls, m)
+                                 for ls, m in zip(scale[rows].tolist(), lm.tolist())])
 
     radius = max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius)
-    if not batch:  # one sum, unmasked, unless its box falls short
-        s = sum_scaled_exponents(exponent_fn(_shell_box(radius, d)[0]))
-        bound = relative(gaussian_box_tail(decay, radius, d, offset), log_scale, s.logmag)
-        if bound <= tol:
-            return s, radius, bound
-    scale = np.atleast_1d(np.asarray(log_scale, dtype=float))
-    radii, todo = np.full(scale.shape, radius), np.ones(scale.shape, dtype=bool)
-    logmag, bound = np.zeros(scale.shape), np.zeros(scale.shape)
-    phase = np.ones(scale.shape, dtype=complex)
-    for grow in range(3):  # a-priori radius, relative radius, underflow
-        idx = np.flatnonzero(todo)
-        if not idx.size:
+    logmag, phase, bound = sums(np.arange(len(scale)), radius)
+    largest = radius
+    for grow in range(2):  # the radius certified relative to the sum, then underflow
+        certified = bound <= tol
+        if np.count_nonzero(certified) == certified.size:
             break
-        logmag[idx], phase[idx] = sums(idx, radii[idx])
-        vals = radii[idx].tolist(), scale[idx].tolist(), logmag[idx].tolist()
-        tails = {r: gaussian_box_tail(decay, r, d, offset) for r in set(vals[0])}
-        bound[idx] = [relative(tails[r], ls, lm) for r, ls, lm in zip(*vals)]
-        todo = ~(bound <= tol)
-        for i in np.flatnonzero(todo):
+        radii = {}
+        for i in np.flatnonzero(~certified).tolist():
             target = tol * math.exp(min(logmag[i] - scale[i], 0.0)) if grow == 0 else 0.0
-            radii[i] = tail_radius(decay, d, target, offset, r_cap=r_cap)
-    if not batch:
-        return ScaledComplex(float(logmag[0]), complex(phase[0])), int(radii[0]), float(bound[0])
-    return ScaledComplex(logmag, phase), int(radii.max(initial=radius)), bound
+            radii.setdefault(tail_radius(decay, d, target, offset, r_cap=r_cap), []).append(i)
+        for R, rows in radii.items():
+            logmag[rows], phase[rows], bound[rows] = sums(np.array(rows), R)
+        largest = max(largest, *radii)
+    return ScaledComplex(logmag, phase), largest, bound
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +276,40 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ThetaEval:
-    """Evaluation record: scaled value, box radius, certified relative tail."""
+    """Evaluation record: scaled value, box radius, certified relative tail.
+
+    Scalar fields for one point; for P points value and tail_bound have shape
+    (P,) and radius is the largest box radius.
+    """
 
     value: ScaledComplex
     radius: int
-    tail_bound: float
+    tail_bound: float | np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
 def _theta_quad(sg, order, R):
-    """1j pi order k'Omega k over k = _shell_box(R, d)[0], for the Siegel record sg; read-only."""
-    k = _shell_box(R, sg.Omega.shape[0])[0]
+    """1j pi order k'Omega k over k = _shell_box(R, d), for the Siegel record sg; read-only."""
+    k = _shell_box(R, sg.Omega.shape[0])
     q = 1j * np.pi * order * np.einsum("ki,ij,kj->k", k, sg.Omega, k)
     q.setflags(write=False)
     return q
+
+
+def _points(z, d):
+    """z of shape (d,) or (P, d) as a (P, d) complex array, and whether it is one point."""
+    z = np.asarray(z, dtype=complex)
+    w = z if z.ndim == 2 else np.atleast_1d(z)[None]
+    if w.ndim != 2 or w.shape[1] != d:
+        raise GaborError(f"z must have shape ({d},) or (P, {d})")
+    return w, z.ndim < 2
+
+
+def _quad(u, A, v):
+    # u'A v for each row of the real (P, d) arrays u and v, as (u'A) v; np.vecdot
+    # (which conjugates its first argument) sums each row on its own, so a row's
+    # bits do not depend on the other rows
+    return np.vecdot(v, np.vecdot(u[:, None, :], A.T))
 
 
 def _exact_exponent(k0, om, z, order):
@@ -325,66 +332,79 @@ def _exact_exponent(k0, om, z, order):
                    float(pi * order * part(om.real, z.real)))
 
 
-def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
-    """Evaluate theta_order(z, Omega) with a certified truncation.
+def _reduce(w, sg, order, tol):
+    """Reduce a (P, d) batch of points w by lattice translates, for sections of order n.
 
-    The argument is translated by a lattice vector m + Omega k to make the
-    imaginary part small before summation; the exact quasiperiodicity factor
-    is multiplied back into the returned ScaledComplex, so the reported value
-    is the series at the original z.  tail_bound is the certified bound on
-    the omitted terms relative to the kept partial sum.
+    With Y = Im Omega, c = Y^{-1} Im w, k0 = -round(c) and m0 = -round(Re(w + Omega k0)),
+    the point wr = w + m0 + Omega k0 has Re wr in [-1/2, 1/2]^d, and cr = c + k0, which
+    is Y^{-1} Im wr up to rounding, lies in [-1/2, 1/2]^d exactly (c - round(c) is
+    exact).  Every order-n section s (theta_n at w, and B a at w = i z for n = N)
+    satisfies s(w) = exp(e) s(wr) with e = pi i n k0'Omega k0 + 2 pi i n k0'w.
+    Returns (wr, e, cr).
+
+    An error in Im e is the phase error of exp(e), one in Re e the relative
+    error of its magnitude.  Each part of e sums terms whose moduli add up to
+    at most pi n (|k0|'|Omega||k0| + 2|k0|'|w|), with at most 2d + 5
+    roundings (two length-d dot products, pi, the products by n and by 2, the
+    final sum), so it is off by at most (d + 4) 2^-52 times that, however
+    much the terms cancel.  Where that exceeds tol, e is rounded once from its
+    exact value, which leaves half an ulp per part.  A point whose e is not
+    finite, or whose half ulp exceeds tol, raises ToleranceUnreachableError.
+    """
+    om = sg.Omega
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.linalg.solve(sg.im, w.imag[:, :, None])[:, :, 0]
+        k0 = -np.rint(c)
+        z1 = w + np.vecdot(k0[:, None, :], om)
+        wr = z1 - np.rint(z1.real)
+        e = 1j * np.pi * order * _quad(k0, om, k0) + 2j * np.pi * order * np.vecdot(k0, w)
+    if not np.isfinite(e).all():
+        raise ToleranceUnreachableError("lattice reduction overflows double precision")
+    ak = np.abs(k0)
+    size = math.pi * order * (_quad(ak, np.abs(om), ak) + 2 * np.vecdot(ak, np.abs(w)))
+    for i in ((w.shape[1] + 4) * 2.0 ** -52 * size > tol).nonzero()[0].tolist():
+        e[i] = _exact_exponent(k0[i], om, w[i], order)
+        if max(math.ulp(e[i].real), math.ulp(e[i].imag)) / 2 > tol:
+            raise ToleranceUnreachableError(
+                f"reduction factor exp(e), |e| = {abs(e[i]):.1e}: its phase and magnitude "
+                f"are not certified to tol={tol:.1e}"
+            )
+    return wr, e, c + k0
+
+
+def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
+    """Evaluate theta_order(z, Omega) at one point z (d,) or at P points (P, d), certified.
+
+    Each point is first translated by a lattice vector m + Omega k into the
+    centred cell (_reduce); the exact quasiperiodicity factor, certified to tol,
+    is multiplied back into the returned ScaledComplex, so the reported value is
+    the series at the original z.  tail_bound is the certified bound on the
+    omitted terms relative to the kept partial sum.  All points make one
+    certified_lattice_sum call, and each keeps the bits of its one-point call.
     """
     sg = siegel(params)
     if order < 1:
         raise GaborError("order must be a positive integer")
-    om, Y = sg.Omega, sg.im
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if z.shape != (params.d,):
-        raise GaborError(f"z must be a complex {params.d}-vector")
+    w, one = _points(z, params.d)
+    wr, e, c = _reduce(w, sg, order, tol)
 
-    # reduce: zr = z + m0 + Omega k0 with small Im(zr); overflow is checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        k0 = -np.round(np.linalg.solve(Y, z.imag))
-        z1 = z + om @ k0
-        m0 = -np.round(z1.real)
-        zr = z1 + m0
-        # theta(z) = exp(pi i n k0'Omega k0 + 2 pi i n k0'z) * theta(zr)
-        e = 1j * np.pi * order * (k0 @ om @ k0) + 2j * np.pi * order * (k0 @ z)
-        pref = ScaledComplex.from_exponent(e)
-    if not (pref.logmag < math.inf and np.isfinite(pref.phase)):
-        raise ToleranceUnreachableError("lattice reduction overflows double precision")
-    # an error in Im e is the phase error of exp(e), one in Re e the relative
-    # error of its magnitude.  Each part of e sums terms whose moduli add up to
-    # at most pi n (|k0|'|Omega||k0| + 2|k0|'|z|), with at most 2d + 5
-    # roundings (two length-d dot products, pi, the products by n and by 2, the
-    # final sum), so it is off by at most (d + 4) 2^-52 times that, however
-    # much the terms cancel.  Where that exceeds tol, e is rounded once from its
-    # exact value, which leaves half an ulp per part
-    ak = np.abs(k0)
-    size = math.pi * order * float(ak @ np.abs(om) @ ak + 2 * ak @ np.abs(z))
-    if (params.d + 4) * 2.0 ** -52 * size > tol:
-        e = _exact_exponent(k0, om, z, order)
-        if max(math.ulp(e.real), math.ulp(e.imag)) / 2 > tol:
-            raise ToleranceUnreachableError(
-                f"reduction factor exp(e), |e| = {abs(e):.1e}: its phase and magnitude "
-                f"are not certified to tol={tol:.1e}"
-            )
-        pref = ScaledComplex.from_exponent(e)
+    def exponent_fn(k, rows):  # k is a shell box, whose last row is (R, ..., R)
+        return (_theta_quad(sg, order, int(k[-1, 0]))
+                + 2j * np.pi * order * np.vecdot(k, wr[rows, None, :]))
 
-    chat = np.linalg.solve(Y, zr.imag)
-    log_scale = math.pi * order * float(chat @ Y @ chat)
-    offset = max(0.5, float(np.abs(chat).max()))
-
-    def exponent_fn(k):  # k is a shell box, whose last row is (R, ..., R)
-        return _theta_quad(sg, order, int(k[-1, 0])) + 2j * np.pi * order * (k @ zr)
-
+    # a term is at most exp(pi n c'Y c - pi n lambda_min(Y) |k + c|^2), with
+    # c'Y c = c' Im wr and |c|_inf <= 1/2, the default offset
     s, radius, bound = certified_lattice_sum(
-        exponent_fn, math.pi * order * sg.im_min, params.d, tol, offset=offset,
-        log_scale=log_scale, min_radius=min_radius, r_cap=r_cap,
+        exponent_fn, math.pi * order * sg.im_min, params.d, tol,
+        log_scale=math.pi * order * np.vecdot(c, wr.imag), min_radius=min_radius, r_cap=r_cap,
     )
-    if not pref.logmag + s.logmag < math.inf:
+    value = ScaledComplex.from_exponent(e) * s
+    if not value.logmag.max(initial=-math.inf) < math.inf:
         raise ToleranceUnreachableError("theta value overflows double precision")
-    return ThetaEval(value=pref * s, radius=radius, tail_bound=bound)
+    if one:
+        value = ScaledComplex(float(value.logmag[0]), complex(value.phase[0]))
+        bound = float(bound[0])
+    return ThetaEval(value=value, radius=radius, tail_bound=bound)
 
 
 # ---------------------------------------------------------------------------

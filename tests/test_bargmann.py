@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,7 +136,8 @@ def test_theta_form_cross_check_agrees():
             got = bargmann_basis(n, z, p, tol=SERIES_TOL).raw
             pref = ScaledComplex.from_exponent(1j * np.pi * (n @ om @ n) / p.N - 2 * np.pi * (z @ n))
             other = pref * theta_eval(om @ n / p.N + 1j * z, p, order=p.N, tol=SERIES_TOL).value
-            assert (got + (-other)).magnitude() <= 1e-9 * max(got.magnitude(), other.magnitude())
+            diff = abs(got.to_complex() - other.to_complex())
+            assert diff <= 1e-9 * max(got.magnitude(), other.magnitude())
 
 
 def test_combination_is_linear_in_coefficients():
@@ -199,16 +202,57 @@ def test_zero_coefficients_give_exact_zero():
     assert out.weighted_mag == 0.0
 
 
-@pytest.mark.parametrize("z", [1e6 + 0.1j, 1e10 + 0.1j, 1e19 + 0.1j, 1e300 + 0j, complex("nan")],
-                         ids=["1e6", "1e10", "1e19", "1e300", "nan"])
+@pytest.mark.parametrize("z", [50 + 0.1j, 1e6 + 0.1j, 1e10 + 0.1j, 1e19 + 0.1j, 1e300 + 0j,
+                               complex("nan")],
+                         ids=["50", "1e6", "1e10", "1e19", "1e300", "nan"])
 def test_section_far_from_the_cell_is_refused(z):
-    # z is not reduced; at Re z = 1e6 the exponents reach ~9.4e12, so rounding
-    # alone is ~2e-3, and further out they overflow or do not fit an int
+    # z is reduced at order N as theta_eval reduces i z; at Re z = 50 the factor
+    # exponent is 3 pi 50^2 = 2.4e4, whose half ulp 1.8e-12 exceeds tol = 1e-12,
+    # further out its rounding grows, and then it overflows.  theta_eval refuses
+    # the same points
     p, a = _p(0.3 + 1j, N=3), np.array([1.0, 0.5j, -0.2])
-    with pytest.raises(ToleranceUnreachableError):
-        bargmann(a, np.array([z]), p)
-    with pytest.raises(ToleranceUnreachableError):
-        bargmann(a, np.array([[0.4 + 0.1j], [z]]), p)
+    for call in (lambda: bargmann(a, np.array([z]), p),
+                 lambda: bargmann(a, np.array([[0.4 + 0.1j], [z]]), p),
+                 lambda: theta_eval(np.array([1j * z]), p, order=p.N)):
+        with pytest.raises(ToleranceUnreachableError):
+            call()
+
+
+def _brute_section_scaled(a, z, p, R=30):
+    # log|B a(z)| and its phase from the box of radius R around m* = -N Y^{-1} Re z
+    # (d = 1).  Each exponent pi (i m^2 Omega/N - 2 m z) is formed in rationals,
+    # shifted by the largest real part and reduced mod 2 pi exactly, so a sum
+    # near e^{15000} or with phases near 1e5 keeps its digits
+    from fractions import Fraction
+
+    pi = Fraction(314159265358979323846264338327950288419716939937511, 10 ** 50)
+    N, om, z = p.N, complex(p.Omega[0, 0]), complex(z[0])
+    X, Y = Fraction(om.real), Fraction(om.imag)
+    centre = round(-N * z.real / om.imag)
+    ms = range(centre - R, centre + R + 1)
+    re = {m: -Y * m * m / N - 2 * m * Fraction(z.real) for m in ms}
+    im = {m: X * m * m / N - 2 * m * Fraction(z.imag) for m in ms}
+    top = max(re.values())
+    s = sum(a[m % N] * math.exp(math.pi * float(re[m] - top))
+            * complex(np.exp(1j * math.pi * float(im[m] % 2))) for m in ms)
+    weight = float(pi * (top - N * Fraction(z.real) ** 2 / Y))  # log of e^{pi top - N phi/2}
+    return float(pi * top) + math.log(abs(s)), s / abs(s), math.exp(weight) * abs(s)
+
+
+@pytest.mark.parametrize("z", [0.21 + 3e3j, -0.35 + 1e4j, 40 + 0.3j, -38.7 - 0.45j],
+                         ids=["im3e3", "im1e4", "re40", "re-39"])
+def test_section_far_from_the_cell_matches_a_brute_force_sum(z):
+    # points the sections refused while they were summed unreduced; reduced at
+    # order N, as theta_eval(i z, order=N) reduces them, they are certified at
+    # tol = 1e-12, and agree with the brute-force sum to tol plus a few ulps of
+    # log|B| (about 1.5e4 at Re z = 40)
+    p, a, tol = _p(0.3 + 1j, N=3), np.array([0.3 + 0.1j, -1.0, 0.5j]), 1e-12
+    got = bargmann(a, np.array([z]), p, tol=tol)
+    logmag, phase, weighted = _brute_section_scaled(a, np.array([z]), p)
+    assert abs(got.raw.logmag - logmag) <= tol + 4 * math.ulp(logmag)
+    assert abs(got.raw.phase - phase) <= 2 * tol
+    assert got.weighted_mag == pytest.approx(weighted, rel=1e-12)
+    theta_eval(np.array([1j * z]), p, order=p.N, tol=tol)
 
 
 def test_section_in_the_cell_still_evaluates():

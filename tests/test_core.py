@@ -5,24 +5,16 @@ import pytest
 
 from torusgabor.bargmann import bargmann
 from torusgabor.core import (
-    ComplexPoint,
     GaborError,
     GaborParams,
     NonSymmetricError,
     NotPositiveDefiniteError,
-    TFPoint,
     complex_distance_mod_lattice,
-    complex_to_tf,
     dual_lattice_member,
     exact_sum,
-    from_complex,
     lattice_coefficients,
     params_from_json,
     params_to_json,
-    reduce_complex,
-    reduce_tf,
-    tf_to_complex,
-    to_complex,
     validate,
 )
 from torusgabor.theta import theta_eval
@@ -72,44 +64,24 @@ def test_params_shape_helpers():
     assert np.allclose(p.re, [[0.2, 0.1], [0.1, 0.0]])
 
 
-def test_coordinate_map_formula():
-    p = _p1(0.3 + 1j)
-    x = np.array([1.7])
-    xi = np.array([0.45])
-    z = tf_to_complex(x, xi, p)
-    expect = -1j * ((0.3 + 1j) * 1.7 / 4 + 0.45)
-    assert abs(z[0] - expect) < TOL
-
-
-def test_coordinate_map_round_trip():
-    rng = np.random.default_rng(5)
-    for p in (_p1(), _p1(0.3 + 1j, N=3), _p2()):
-        for _ in range(20):
-            x = rng.uniform(0, p.N, p.d)
-            xi = rng.uniform(0, 1, p.d)
-            cp = to_complex(TFPoint(x=x, xi=xi), p)
-            back = from_complex(cp, p)
-            assert np.abs(back.x - x).max() < 1e-10
-            assert np.abs(back.xi - xi).max() < 1e-10
-
-
-def test_complex_to_tf_is_unreduced():
-    p = _p1()
-    z = tf_to_complex(np.array([5.0]), np.array([1.25]), p)
-    x, xi = complex_to_tf(z, p)
-    assert abs(x[0] - 5.0) < TOL and abs(xi[0] - 1.25) < TOL
-
-
 def test_lattice_coefficients_recover_generators():
+    # one point at a time, then all of them as one (P, d) batch with the same bits
     rng = np.random.default_rng(8)
     for p in (_p1(0.3 + 1j), _p2()):
-        for _ in range(20):
-            a = rng.standard_normal(p.d)
-            b = rng.standard_normal(p.d)
-            z = -1j * (p.Omega @ a) + 1j * b
+        a = rng.standard_normal((20, p.d))
+        b = rng.standard_normal((20, p.d))
+        zs = -1j * (a @ p.Omega.T) + 1j * b
+        for z, aj, bj in zip(zs, a, b):
             ar, br = lattice_coefficients(z, p)
-            assert np.abs(ar - a).max() < 1e-10
-            assert np.abs(br - b).max() < 1e-10
+            assert ar.shape == br.shape == (p.d,)
+            assert np.abs(ar - aj).max() < 1e-10
+            assert np.abs(br - bj).max() < 1e-10
+        batch = lattice_coefficients(zs, p)
+        single = [lattice_coefficients(z, p) for z in zs]
+        for got, want in zip(batch, zip(*single)):
+            assert np.array_equal(got, np.array(want))
+    with pytest.raises(GaborError):
+        lattice_coefficients(np.zeros((2, 3, 2), complex), _p2())
 
 
 def test_dual_lattice_membership_and_scale():
@@ -132,19 +104,6 @@ def test_near_membership_tolerance_boundary():
     assert not dual_lattice_member(z + 1e-7, p, tol=1e-9).member
 
 
-def test_reduce_complex_lands_in_fundamental_box():
-    rng = np.random.default_rng(2)
-    for p in (_p1(), _p2()):
-        for _ in range(20):
-            z = rng.standard_normal(p.d) * 3 + 1j * rng.standard_normal(p.d) * 3
-            zr = reduce_complex(z, p)
-            a, b = lattice_coefficients(zr, p)
-            assert np.all(a >= -1e-12) and np.all(a < 1 + 1e-12)
-            assert np.all(b >= -1e-12) and np.all(b < 1 + 1e-12)
-            # the reduction moved z by a lattice vector
-            assert dual_lattice_member(z - zr, p, tol=1e-8).member
-
-
 def test_distance_mod_lattice():
     p = _p1(0.3 + 1j)
     z = np.array([0.37 - 0.21j])
@@ -153,11 +112,14 @@ def test_distance_mod_lattice():
     assert complex_distance_mod_lattice(z, z + 0.05, p) == pytest.approx(0.05, rel=1e-6)
 
 
-def test_reduce_tf_wraps_both_coordinates():
-    p = _p1()
-    x, xi = reduce_tf(np.array([9.5]), np.array([2.75]), p)
-    assert x[0] == pytest.approx(1.5)
-    assert xi[0] == pytest.approx(0.75)
+def test_single_point_lattice_tests_refuse_a_batch():
+    # only lattice_coefficients takes (P, d); the one-point answers would mix the rows
+    p = _p2()
+    zs = np.zeros((3, 2), complex)
+    with pytest.raises(GaborError):
+        dual_lattice_member(zs, p)
+    with pytest.raises(GaborError):
+        complex_distance_mod_lattice(zs, zs + 0.1, p)
 
 
 def test_params_json_round_trip():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from torusgabor import core
 from torusgabor import theta as theta_mod
-from torusgabor.core import GaborParams, complex_distance_mod_lattice
+from torusgabor.core import GaborError, GaborParams, complex_distance_mod_lattice
 from torusgabor.theta import (
     ContourNearZeroError,
     ScaledComplex,
@@ -66,15 +66,6 @@ def test_scaled_multiplication_far_beyond_float_range():
     assert d.logmag == pytest.approx(400.0 + math.log(2.0))
 
 
-def test_scaled_addition_with_huge_disparity():
-    big = ScaledComplex.from_exponent(0.0)
-    tiny = ScaledComplex.from_exponent(-800.0)
-    s = big + tiny
-    assert s.to_complex() == pytest.approx(1.0)
-    t = ScaledComplex.from_complex(1.0) + ScaledComplex.from_complex(-1.0)
-    assert t.logmag == float("-inf")
-
-
 def test_scaled_magnitude_with_log_shift():
     s = ScaledComplex.from_exponent(1000.0 + 0.3j)
     assert s.magnitude(-1000.0) == pytest.approx(1.0)
@@ -83,7 +74,7 @@ def test_scaled_magnitude_with_log_shift():
 def test_scaled_conjugate_and_negation():
     s = ScaledComplex.from_complex(3 + 4j)
     assert abs(s.conjugate().to_complex() - (3 - 4j)) < 1e-14
-    assert abs((-s).to_complex() + (3 + 4j)) < 1e-14
+    assert abs((-1 * s).to_complex() + (3 + 4j)) < 1e-14
 
 
 def test_sum_scaled_exponents_matches_direct():
@@ -149,13 +140,19 @@ def test_tail_radius_is_the_smallest_certified_radius(a, d, log_bound, offset, r
         assert bound < tail(R - 1)
 
 
+def _one_point(fn):
+    # the exponents of one point, as the (len(rows), K) rows certified_lattice_sum asks for
+    return lambda k, rows: np.broadcast_to(fn(k), (len(rows), len(k)))
+
+
 def test_certified_sum_gaussian_value():
     def fn(k):
         return -np.pi * (k ** 2).sum(axis=1).astype(complex)
 
-    s, radius, bound = certified_lattice_sum(fn, np.pi, 1, 1e-14)
-    assert abs(s.to_complex() - GAUSS_SUM_AT_I) < 1e-13
-    assert bound <= 1e-14
+    s, radius, bound = certified_lattice_sum(_one_point(fn), np.pi, 1, 1e-14)
+    assert s.logmag.shape == bound.shape == (1,)
+    assert abs(s.to_complex()[0] - GAUSS_SUM_AT_I) < 1e-13
+    assert bound[0] <= 1e-14
     assert radius >= 2
 
 
@@ -164,7 +161,7 @@ def test_certified_sum_radius_cap():
         return -1e-4 * (k ** 2).sum(axis=1).astype(complex)
 
     with pytest.raises(ToleranceUnreachableError):
-        certified_lattice_sum(fn, 1e-4, 1, 1e-12, r_cap=5)
+        certified_lattice_sum(_one_point(fn), 1e-4, 1, 1e-12, r_cap=5)
 
 
 def test_certified_sum_min_radius_honesty():
@@ -172,35 +169,34 @@ def test_certified_sum_min_radius_honesty():
     def fn(k):
         return (-0.9 * (k ** 2).sum(axis=1) + 0.3j * k[:, 0]).astype(complex)
 
-    s1, r1, _ = certified_lattice_sum(fn, 0.9, 1, 1e-13)
-    s2, r2, _ = certified_lattice_sum(fn, 0.9, 1, 1e-13, min_radius=r1 + 4)
+    s1, r1, _ = certified_lattice_sum(_one_point(fn), 0.9, 1, 1e-13)
+    s2, r2, _ = certified_lattice_sum(_one_point(fn), 0.9, 1, 1e-13, min_radius=r1 + 4)
     assert r2 >= r1 + 4
-    assert abs(s1.to_complex() - s2.to_complex()) <= 1e-12 * abs(s2.to_complex())
+    assert abs(s1.to_complex()[0] - s2.to_complex()[0]) <= 1e-12 * abs(s2.to_complex()[0])
 
 
 def _theta_i_exponents(ws):
-    # theta_3(w | i) = sum_k exp(-pi k^2 + 2 pi i k w): one row per w in ws[rows],
-    # or one 1-d sum for a scalar w; it vanishes at w = (1 + i)/2
-    def fn(k, rows=...):
-        return -np.pi * k[:, 0] ** 2 + 2j * np.pi * np.multiply.outer(np.asarray(ws)[rows], k[:, 0])
+    # theta_3(w | i) = sum_k exp(-pi k^2 + 2 pi i k w): one row per w in ws[rows];
+    # it vanishes at w = (1 + i)/2
+    def fn(k, rows):
+        return -np.pi * k[:, 0] ** 2 + 2j * np.pi * np.multiply.outer(ws[rows], k[:, 0])
     return fn
 
 
 def test_certified_sum_batch_is_the_single_calls():
     # the third point sits 1e-6 from the zero, so only its box grows; every
-    # other point keeps the radius and the bound of its own single call
+    # point keeps the bits, the radius and the bound of its own single call
     ws = np.array([0.1 + 0.2j, 0.37 - 0.3j, 0.5 + 0.5j + 1e-6, 0.05 + 0.0j])
     log_scale = np.pi * ws.imag ** 2
     s, radius, bound = certified_lattice_sum(_theta_i_exponents(ws), np.pi, 1, 1e-12,
                                              log_scale=log_scale)
     radii = []
-    for i, w in enumerate(ws):
-        s1, r1, b1 = certified_lattice_sum(_theta_i_exponents(w), np.pi, 1, 1e-12,
+    for i in range(len(ws)):
+        s1, r1, b1 = certified_lattice_sum(_theta_i_exponents(ws[i:i + 1]), np.pi, 1, 1e-12,
                                            log_scale=log_scale[i])
         radii.append(r1)
-        assert bound[i] == b1 <= 1e-12
-        v, v1 = complex(s.phase[i]) * np.exp(s.logmag[i]), s1.to_complex()
-        assert abs(v - v1) <= 1e-14 * abs(v1)
+        assert bound[i] == b1[0] <= 1e-12
+        assert s.logmag[i] == s1.logmag[0] and s.phase[i] == s1.phase[0]
     assert radius == max(radii)
     assert radii[2] > radii[0] == radii[1] == radii[3]
 
@@ -233,12 +229,12 @@ def test_certified_sum_evaluates_only_open_points_in_blocks(monkeypatch):
 def test_certified_sum_near_a_zero_is_relative_to_the_value():
     # |theta| ~ 1e-6 at the third point; its tail is certified against that
     w = 0.5 + 0.5j + 1e-6
-    s, _, bound = certified_lattice_sum(_theta_i_exponents(w), np.pi, 1, 1e-12,
+    s, _, bound = certified_lattice_sum(_theta_i_exponents(np.array([w])), np.pi, 1, 1e-12,
                                         log_scale=np.pi * 0.25)
     k = np.arange(-40, 41)
     direct = np.exp(-np.pi * k ** 2 + 2j * np.pi * k * w).sum()
-    assert bound <= 1e-12
-    assert abs(s.to_complex() - direct) <= 1e-8 * abs(direct)
+    assert bound[0] <= 1e-12
+    assert abs(s.to_complex()[0] - direct) <= 1e-8 * abs(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +305,77 @@ def test_theta_order_identity():
         assert abs(a.phase - b.phase) < 1e-10
 
 
+def _fixed_box_theta(w, p, order, R=12):
+    # theta_order(w) summed over the box of radius R around -Y^{-1} Im w.  Each
+    # exponent pi i n (k'Omega k + 2 k'w) is formed in rationals, and its phase
+    # reduced mod 2 pi exactly, so Re w = 1e3 costs no digits; returns the sum
+    # and the sum of the moduli of its terms
+    from fractions import Fraction
+
+    om, w = p.Omega, np.asarray(w)
+    centre = np.rint(-np.linalg.solve(om.imag, w.imag)).astype(int)
+    total, scale = 0j, 0.0
+    for k in np.indices((2 * R + 1,) * p.d).reshape(p.d, -1).T - R + centre:
+        k = [int(v) for v in k]
+
+        def form(A, x):
+            idx = range(p.d)
+            return (sum(Fraction(float(A[i, j])) * k[i] * k[j] for i in idx for j in idx)
+                    + 2 * sum(Fraction(float(x[i])) * k[i] for i in idx))
+
+        mag = math.exp(-math.pi * order * float(form(om.imag, w.imag)))
+        total += mag * complex(np.exp(1j * math.pi * float(order * form(om.real, w.real) % 2)))
+        scale += mag
+    return total, scale
+
+
+@pytest.mark.parametrize("p,order,w,tol", [
+    (_p(0.3 + 1.1j), 1, [1000.3 + 2.7j], 1e-12),
+    (_p(0.3 + 1.1j), 3, [-999.85 + 5.9j], 1e-10),
+    (P2, 2, [1000.3 + 2.1j, -999.6 - 1.7j], 1e-10),
+    (P2, 1, [0.2 + 6.3j, 1000.45 + 0.4j], 1e-11),
+], ids=["d1-order1", "d1-order3", "d2-order2", "d2-order1"])
+def test_theta_far_from_the_cell_matches_a_fixed_box_sum(p, order, w, tol):
+    # the reduction moves each point by m0 + Omega k0 with k0 != 0, so its
+    # factor exp(e) has |e| up to about 1e5: certified at tol, and the value
+    # must agree with the plain sum to that tol
+    ev = theta_eval(np.array(w), p, order=order, tol=tol)
+    want, scale = _fixed_box_theta(w, p, order)
+    assert ev.tail_bound <= tol
+    assert abs(ev.value.to_complex() - want) <= 10 * tol * scale
+
+
+def test_theta_eval_batch_is_the_single_calls():
+    # cell points, their lattice translates, far points whose factor is rounded
+    # once from its exact value, and two points at and 1e-7 from a zero of
+    # theta_1, whose boxes grow to different radii (for d = 2, with a diagonal
+    # Omega, theta_1 is a product of two d = 1 series): each value, phase and
+    # tail bound of a batch is that of its own one-point call, and the radius is
+    # the largest
+    rng = np.random.default_rng(17)
+    diag = GaborParams(d=2, N=1, Omega=np.diag([0.3 + 1j, 0.2 + 1.1j]))
+    cases = [(_p(0.3 + 1.1j), 3, [[300.3 + 1.4j], [-300.2 + 1.4j]]),
+             (_p(0.3 + 1j), 1, [[0.65 + 0.5j + 1e-7], [0.65 + 0.5j]]),
+             (diag, 1, [[0.65 + 0.5j + 1e-7, 0.1 + 0.2j], [0.65 + 0.5j, 0.1 + 0.2j]]),
+             (P2, 2, [[300.3 + 2.1j, -299.6 - 1.7j]])]
+    for p, order, extra in cases:
+        z = rng.uniform(-1, 1, (20, p.d)) + 1j * rng.uniform(-1, 1, (20, p.d))
+        moved = z + rng.integers(-2, 3, (20, p.d)) + rng.integers(-2, 3, (20, p.d)) @ p.Omega.T
+        W = np.concatenate([z, moved, np.array(extra)])
+        batch = theta_eval(W, p, order=order)
+        singles = [theta_eval(w, p, order=order) for w in W]
+        one = singles[0]
+        assert (type(one.value.logmag), type(one.value.phase), type(one.tail_bound),
+                type(one.radius)) == (float, complex, float, int)
+        assert batch.value.logmag.shape == batch.tail_bound.shape == (len(W),)
+        for got, field in ((batch.value.logmag, lambda ev: ev.value.logmag),
+                           (batch.value.phase, lambda ev: ev.value.phase),
+                           (batch.tail_bound, lambda ev: ev.tail_bound)):
+            assert got.tobytes() == np.array([field(ev) for ev in singles]).tobytes()
+        assert batch.radius == max(ev.radius for ev in singles)
+        assert len({ev.radius for ev in singles}) == (3 if order == 1 else 1)
+
+
 def test_theta_truncation_honesty():
     # evaluating with a larger forced box must reproduce the certified value
     p = _p(0.3 + 1j)
@@ -326,6 +393,9 @@ def test_theta_rejects_bad_order_and_shape():
         theta_eval(np.array([0j]), p, order=0)
     with pytest.raises(Exception):
         theta_eval(np.array([0j, 0j]), p)
+    for bad in (np.zeros((2, 2), complex), np.zeros((2, 1, 1), complex)):
+        with pytest.raises(GaborError, match="shape"):
+            theta_eval(bad, p)
 
 
 def test_theta_large_argument_overflow_safe():
@@ -512,7 +582,7 @@ def test_theta_eval_caches_are_invisible():
 def test_cached_arrays_are_read_only():
     ev = theta_eval(np.array([0.2 + 0.3j, -0.1j]), P2, order=2)
     sg = core.siegel(P2)
-    arrays = [*theta_mod._shell_box(ev.radius, 2), theta_mod._theta_quad(sg, 2, ev.radius),
+    arrays = [theta_mod._shell_box(ev.radius, 2), theta_mod._theta_quad(sg, 2, ev.radius),
               sg.Omega, sg.im, sg.im_inv]
     for a in arrays:
         with pytest.raises(ValueError):
