@@ -239,7 +239,9 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
 
         rho(x, xi) = sum_{j,k} (-1)^{N j.k} e^{-(pi N / 2) Q(j, k)} e^{2 pi i (j.x + N k.xi)},
 
-    Q as in localization._heisenberg_kernel, truncated at rel_tol.  On the
+    Q as in localization._heisenberg_kernel, truncated at rel_tol: the (j, k)
+    are the integer points of that kernel's ellipsoid, enumerated directly
+    (core.lattice_ellipsoid) and cut by the same exact test.  On the
     trapezoid grid of oversample * N nodes per axis rho has period oversample,
     so one cell (an inverse FFT of the folded coefficients) is tiled N^{2d}
     times.  Its exact integral over T_N is N^d; the integral reported is the

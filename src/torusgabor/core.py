@@ -12,9 +12,11 @@ so the integer time-frequency sample (k, l) lands on z = -i(Omega k/N + l/N).
 The transforms live on the real side and the frame criteria on the complex
 side; this module owns the lattice coefficients of complex points (one or a
 batch), the integer-lattice membership test the frame predicates are built
-on, and exact_sum, the correctly rounded sum behind every grid total a report
-prints.  The reduction of a point into the cell, with the factor the theta
-series and the sections pick up on the way, lives in theta (theta._reduce).
+on, the integer points of an ellipsoid (lattice_ellipsoid, behind the
+Heisenberg series and the nearest lattice translate), and exact_sum, the
+correctly rounded sum behind every grid total a report prints.  The
+reduction of a point into the cell, with the factor the theta series and the
+sections pick up on the way, lives in theta (theta._reduce).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -213,11 +216,82 @@ def dual_lattice_member(z, params, scale=1.0, tol=1e-9):
 
 
 def complex_distance_mod_lattice(z1, z2, params):
-    """Euclidean distance |z1 - z2| minimized over Lambda translates."""
+    """Euclidean distance |z1 - z2| minimized over Lambda translates.
+
+    With z1 - z2 = -i Omega a + i b, the translate by -i Omega m + i k leaves
+    v(u, w) = -i Omega u + i w at (u, w) = (a - m, b - k), and
+    |v|^2 = u' Y^2 u + |w - X u|^2 is a quadratic form G in (u, w).  Rounding a
+    and b gives one candidate, which on a skewed lattice need not be the
+    nearest; every translate at most as far lies in the ellipsoid of G about
+    the rounding residual, and lattice_ellipsoid enumerates it.
+    """
     a, b = _point_coefficients(z1 - z2, params)
-    ra = a - np.round(a)
-    rb = b - np.round(b)
-    return float(np.linalg.norm(-1j * (params.Omega @ ra) + 1j * rb))
+    d = params.d
+    res = np.concatenate([a - np.round(a), b - np.round(b)])
+    A = np.block([[params.im, np.zeros((d, d))], [-params.re, np.eye(d)]])
+
+    def dist(n):
+        u = res - n
+        return np.linalg.norm(-1j * (u[:, :d] @ params.Omega.T) + 1j * u[:, d:], axis=1)
+
+    near = dist(np.zeros((1, 2 * d)))[0]
+    if np.isfinite(near):  # a non-finite z has no nearer translate to look for
+        for n in lattice_ellipsoid(A.T @ A, near ** 2, 1 << 10, center=res):
+            near = min(near, dist(n).min())
+    return float(near)
+
+
+def lattice_ellipsoid(form, bound, rows, radius=math.inf, center=None):
+    """Blocks of integer points, in C order, holding all nu with (nu - c)' form (nu - c) <= bound.
+
+    form is symmetric positive definite, n x n; c is center, 0 by default.  With
+    nu_0..nu_{k-1} fixed, the least value of the form over real nu_{k+1}.. is
+    y' S_k y with y = nu[:k+1] - center[:k+1] and S_k = inv(inv(form)[:k+1, :k+1]),
+    a quadratic in nu_k whose bound interval is found in closed form.  Each
+    interval is widened by one integer on each side, far more than the
+    rounding of its ends, and clipped to [-radius, radius]; so the points are
+    a superset of the ellipsoid, and a caller applies its own exact test.
+    A block groups consecutive rows of the previous coordinate's blocks and
+    holds at most rows points (more only if one interval is longer); the
+    coordinates are int32.
+    """
+    n = len(form)
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    inv = np.linalg.inv(form)
+    blocks = iter([np.zeros((1, 0), dtype=np.int32)])
+    low = np.zeros((0, 0))
+    for k in range(n):
+        S = np.linalg.inv(inv[:k + 1, :k + 1])
+        blocks = _extend_prefixes(blocks, S, low, center[:k + 1], bound, rows, radius)
+        low = S
+    return blocks
+
+
+def _extend_prefixes(blocks, S, low, center, bound, rows, radius):
+    # append coordinate k to every prefix nu[:k] of the blocks; low is S_{k-1},
+    # so y' low y is the least the form can be on the prefix
+    k = len(S) - 1
+    for prefix in blocks:
+        y = prefix - center[:k]
+        mid = center[k] - (y @ S[k, :k]) / S[k, k]
+        half = np.sqrt(np.maximum(bound - ((y @ low) * y).sum(axis=1), 0.0) / S[k, k])
+        lo = np.maximum(np.ceil(mid - half) - 1, -radius).astype(np.int64)
+        hi = np.minimum(np.floor(mid + half) + 1, radius).astype(np.int64)
+        count = np.maximum(hi - lo + 1, 0)
+        ends = np.cumsum(count)
+        start = 0
+        while start < len(prefix):
+            done = ends[start] - count[start]
+            stop = max(int(np.searchsorted(ends, done + rows, side="right")), start + 1)
+            c = count[start:stop]
+            out = np.empty((int(ends[stop - 1] - done), k + 1), dtype=np.int32)
+            out[:, :k] = np.repeat(prefix[start:stop], c, axis=0)
+            # lo of each prefix, counted from that prefix's first row in out
+            first = ends[start:stop] - c - done
+            out[:, k] = np.arange(len(out)) + np.repeat(lo[start:stop] - first, c)
+            if len(out):
+                yield out
+            start = stop
 
 
 def params_to_json(params):

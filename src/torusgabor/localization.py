@@ -17,9 +17,12 @@ midpoint rule of that integral; it rejects non-finite samples and doubles L
 until the whole matrix settles in relative Frobenius norm.  That is the only
 grid-doubling loop of the package: every other series is a certified
 lattice sum (theta.certified_lattice_sum) or a truncated Heisenberg series.
-For a == 1 the series is the identity up to roundoff.  The Gram matrix of the Bargmann sections is that matrix
-times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the Bergman density
-is the trace part of the series (bargmann.bergman_density).
+The truncated series runs over the integer points of the ellipsoid where
+gamma_Omega is not negligible (_heisenberg_kernel); a restriction builds
+that kernel once and every doubling level reuses it.  For a == 1 the series
+is the identity up to roundoff.  The Gram matrix of the Bargmann sections is
+that matrix times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the
+Bergman density is the trace part of the series (bargmann.bergman_density).
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -33,7 +36,7 @@ import math
 import numpy as np
 
 from . import theta, transforms
-from .core import GaborError, QuadratureUnderResolvedError, exact_sum, validate
+from .core import GaborError, QuadratureUnderResolvedError, exact_sum, lattice_ellipsoid, validate
 
 
 class ParseError(GaborError):
@@ -386,9 +389,13 @@ def _heisenberg_kernel(params, scale, bound):
     e^{-scale lambda_min(H) |nu|^2} at bound; inside it a term with
     scale Q > -log(bound) + 2d log(2R + 1) is dropped, and each such term is
     at most bound / (2R + 1)^{2d}.  So a series with |c_nu| <= 1 loses at most
-    2 bound.  The box runs in the C order of theta.lattice_box, in blocks
-    whose nu and the few arrays a caller derives from it hold about _CHUNK
-    numbers.
+    2 bound.  Only the integer points of that ellipsoid are enumerated
+    (core.lattice_ellipsoid, a superset clipped to the box), and the test
+    scale * ((nu @ H) * nu).sum(axis=1) <= cut is applied to them exactly as
+    to the whole box: the kept nu, their C order and the bits of Q are those
+    of a walk over the box.  The blocks hold at most _CHUNK / 8d candidates,
+    so nu (int32) and the few arrays a caller derives from it hold about
+    _CHUNK numbers.
     """
     d = params.d
     X, Y = params.re, params.im
@@ -398,12 +405,8 @@ def _heisenberg_kernel(params, scale, bound):
     R = theta.tail_radius(scale * float(np.linalg.eigvalsh(H)[0]), 2 * d, bound,
                           offset=0.0, r_cap=1000)
     cut = -math.log(bound) + 2 * d * math.log(2 * R + 1)
-    box = (2 * R + 1,) * (2 * d)
     step = max(1, transforms._CHUNK // (8 * d))
-    for start in range(0, math.prod(box), step):
-        flat = np.arange(start, min(start + step, math.prod(box)))
-        nu = np.stack(np.unravel_index(flat, box), axis=-1)
-        nu -= R
+    for nu in lattice_ellipsoid(H, cut / scale, step, radius=R):
         Q = ((nu @ H) * nu).sum(axis=1)
         keep = scale * Q <= cut
         yield nu[keep], Q[keep]
@@ -423,36 +426,44 @@ def _midpoint_samples(symbol, m):
         yield np.asarray(symbol.on_grid([first] + rest)).reshape(-1)
 
 
-def _level_matrix(symbol, params, L):
-    # sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L the DFT of the samples at
-    # L midpoint nodes per axis: the Fourier series of the midpoint-rule matrix
+def _level_matrix(symbol, params, L, kernel):
+    """The midpoint-rule matrix at L nodes per axis, summed as its Heisenberg series.
+
+    sum_nu a_L(nu) gamma_Omega(nu) W_N(nu), a_L the DFT of the samples at the
+    L midpoint nodes per axis.  kernel holds, per block of _heisenberg_kernel,
+    the parts of the terms that do not depend on L, as restriction_matrix
+    builds them once: nu, -(pi/2N) Q, the W_N phase (p.q mod 2N) / N, sum(nu)
+    and the raveled index of nu mod N into B.  A level only gathers a_L(nu),
+    reduces the midpoint phase e^{-pi i sum(nu) / L} exactly and takes one
+    exp per term.
+    """
     N, d = params.N, params.d
-    a = np.concatenate([v.real if symbol.is_real else v for v in _midpoint_samples(symbol, L)])
-    a = a.reshape((L,) * (2 * d))
-    if not np.all(np.isfinite(a)):
-        raise GaborError("symbol samples must be finite at every midpoint node")
-    scale = math.pi / (2 * N)
+    rows = (L,) * (2 * d - 1)
+    # real samples keep the last axis up to L // 2, the rest is F(-nu) = conj F(nu)
+    F = np.empty(rows + (L // 2 + 1 if symbol.is_real else L,), dtype=complex)
     B = np.zeros((N,) * (2 * d), dtype=complex)
     # an overflow leaves M non-finite, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        # one axis at a time, so at most two transforms are alive; real
-        # samples keep the last axis up to L // 2, the rest is F(-nu) = conj F(nu)
-        F = np.fft.rfft(a) if symbol.is_real else np.fft.fft(a)
-        del a
+        # the last axis is transformed block by block as the samples come, and
+        # the others in place, so F is the only grid-sized array
+        r0 = 0
+        for v in _midpoint_samples(symbol, L):
+            if not np.all(np.isfinite(v)):
+                raise GaborError("symbol samples must be finite at every midpoint node")
+            v = v.reshape((-1,) + rows[1:] + (L,))
+            F[r0:r0 + len(v)] = np.fft.rfft(v.real) if symbol.is_real else np.fft.fft(v)
+            r0 += len(v)
         for axis in range(2 * d - 1):
-            F = np.fft.fft(F, axis=axis)
-        for nu, Q in _heisenberg_kernel(params, scale, _SERIES_BOUND):
-            idx = nu % L
-            flip = idx[:, -1] >= F.shape[-1]
-            idx[flip] = -nu[flip] % L
-            ahat = F[tuple(idx.T)]
+            np.fft.fft(F, axis=axis, out=F)
+        for nu, gauss, pq, nusum, fold in kernel:
+            flip = nu[:, -1] % L >= F.shape[-1]
+            idx = np.where(flip[:, None], -nu, nu) % L
+            ahat = F.reshape(-1)[np.ravel_multi_index(idx.T, F.shape)]
             np.conjugate(ahat, out=ahat, where=flip)
             # e^{pi i p.q / N} of W_N and e^{-pi i sum(nu) / L} of the midpoint
             # nodes, with both integers reduced exactly
-            pq = (nu[:, :d] * nu[:, d:]).sum(axis=1) % (2 * N)
-            shift = nu.sum(axis=1) % (2 * L)
-            ahat *= np.exp(-scale * Q + 1j * np.pi * (pq / N - shift / L))
-            np.add.at(B, tuple((nu % N).T), ahat)
+            ahat *= np.exp(gauss + 1j * np.pi * (pq - nusum % (2 * L) / L))
+            np.add.at(B.reshape(-1), fold, ahat)
         # M[m, m + s] = sum_r B[r, s] e^{2 pi i r.m / N}
         C = np.fft.ifftn(B, axes=tuple(range(d))) * (N ** d / L ** (2 * d))
     m = np.indices(params.shape).reshape(d, -1).T
@@ -476,25 +487,34 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings
 
     Level k samples the symbol at L = oversample * N midpoint nodes per axis
     (oversample doubling with k) and sums its Heisenberg series (module
-    docstring).  A level is accepted once ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the
-    norm floored at 1e-300); report.change is that relative change at the
-    accepted level and trace_history holds (oversample, trace) per level.
-    Raises QuadratureUnderResolvedError when the change still exceeds rel_tol
-    after max_doublings doublings.  Real symbols yield a matrix that is
-    Hermitian up to FFT roundoff; it is symmetrized, and
-    NonHermitianBeyondToleranceError flags anything larger.
+    docstring) over one _heisenberg_kernel, built once per call with the
+    parts of each term that do not depend on L.  A level is accepted once
+    ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the norm floored at 1e-300);
+    report.change is that relative change at the accepted level and
+    trace_history holds (oversample, trace) per level.  Raises
+    QuadratureUnderResolvedError when the change still exceeds rel_tol after
+    max_doublings doublings.  Real symbols yield a matrix that is Hermitian
+    up to FFT roundoff; it is symmetrized, and NonHermitianBeyondToleranceError
+    flags anything larger.
     """
     validate(params)
     if symbol.d != params.d:
         raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
     if oversample < 1:
         raise GaborError(f"oversample must be >= 1, got {oversample}")
+    N, d = params.N, params.d
+    scale = math.pi / (2 * N)
+    # the terms' parts that do not depend on L (_level_matrix), int32 where integer
+    kernel = [(nu, -scale * Q, np.einsum("ij,ij->i", nu[:, :d], nu[:, d:]) % (2 * N) / N,
+               np.einsum("ij->i", nu),
+               np.ravel_multi_index(tuple((nu % N).T), (N,) * (2 * d)).astype(np.int32))
+              for nu, Q in _heisenberg_kernel(params, scale, _SERIES_BOUND)]
     history = []
     prev = None
     change = None
     ov = oversample
     for _ in range(max_doublings + 1):
-        M = _level_matrix(symbol, params, ov * params.N)
+        M = _level_matrix(symbol, params, ov * N, kernel)
         history.append((ov, complex(np.trace(M))))
         if prev is not None:
             change = float(np.linalg.norm(M - prev) / max(np.linalg.norm(M), 1e-300))

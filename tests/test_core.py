@@ -112,6 +112,26 @@ def test_distance_mod_lattice():
     assert complex_distance_mod_lattice(z, z + 0.05, p) == pytest.approx(0.05, rel=1e-6)
 
 
+@pytest.mark.parametrize("omega", [0.3 + 1j, 0.9 + 0.3j, 2.4 + 0.5j])
+def test_distance_mod_lattice_is_the_nearest_translate(omega):
+    # brute force: the 17 x 17 translates about the rounded coefficients; on a
+    # skewed lattice rounding each coefficient alone is not the nearest
+    p = _p1(omega)
+    rng = np.random.default_rng(47)
+    z = rng.uniform(-3, 3, 2000) + 1j * rng.uniform(-3, 3, 2000)
+    a, b = lattice_coefficients(z[:, None], p)
+    k = np.arange(-8, 9)
+    ms = np.round(a) + k
+    ks = np.round(b) + k
+    translates = -1j * omega * ms[:, :, None] + 1j * ks[:, None, :]
+    brute = np.abs(z[:, None, None] - translates).min(axis=(1, 2))
+    got = np.array([complex_distance_mod_lattice(zi, 0.0, p) for zi in z])
+    assert np.abs(got - brute).max() <= 1e-12
+    # the rounded translate misses 228, 461 and 1,312 of these 2,000 points
+    rounded = np.abs(z - translates[:, 8, 8])
+    assert np.count_nonzero(rounded > brute + 1e-9) > 200
+
+
 def test_single_point_lattice_tests_refuse_a_batch():
     # only lattice_coefficients takes (P, d); the one-point answers would mix the rows
     p = _p2()

@@ -1,10 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from torusgabor import transforms
+from torusgabor import localization, theta, transforms
 from torusgabor.core import GaborError, GaborParams, QuadratureUnderResolvedError
 from torusgabor.localization import (
     BoxIndicator,
@@ -573,3 +574,124 @@ def test_density_flattens_at_the_rate_of_the_shortest_vector(omega, last_tol):
         assert all(b < 0.6 * a for a, b in zip(errors, errors[1:]))
     else:
         assert max(errors) <= last_tol
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg kernel
+
+# OM2 is the benchmark's OMEGA_2D; this is its OMEGA_GRAM_2D
+OMEGA_GRAM_2D = np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])
+
+
+def _box_kernel(params, scale, bound):
+    # the reference: the whole box [-R, R]^{2d} in C order, in blocks, under
+    # the kernel's exact test scale * Q <= cut
+    d = params.d
+    X, Y = params.re, params.im
+    Yinv = np.linalg.inv(Y)
+    H = np.block([[Yinv, -Yinv @ X], [-X @ Yinv, X @ Yinv @ X + Y]])
+    R = theta.tail_radius(scale * float(np.linalg.eigvalsh(H)[0]), 2 * d, bound,
+                          offset=0.0, r_cap=1000)
+    cut = -math.log(bound) + 2 * d * math.log(2 * R + 1)
+    box = (2 * R + 1,) * (2 * d)
+    size = math.prod(box)
+    for start in range(0, size, 1 << 18):
+        flat = np.arange(start, min(start + (1 << 18), size))
+        nu = np.stack(np.unravel_index(flat, box), axis=-1)
+        nu -= R
+        Q = ((nu @ H) * nu).sum(axis=1)
+        keep = scale * Q <= cut
+        yield nu[keep], Q[keep]
+
+
+def _joined(blocks):
+    nus, Qs = zip(*blocks)
+    return np.concatenate(nus), np.concatenate(Qs)
+
+
+KERNEL_CASES = [
+    (1, 2, 1j), (1, 48, 1j), (1, 256, 1j), (1, 48, 0.1j), (1, 20, 2.4 + 0.5j),
+    (2, 3, OM2), (2, 4, OMEGA_GRAM_2D), (3, 2, 1j * np.eye(3)),
+]
+
+
+@pytest.mark.parametrize("at", ["restriction", "density"])
+@pytest.mark.parametrize("d,N,omega", KERNEL_CASES,
+                         ids=[f"d{d}-N{N}-{i}" for i, (d, N, _) in enumerate(KERNEL_CASES)])
+def test_kernel_enumerates_the_box_walk(d, N, omega, at):
+    # the ellipsoid enumeration keeps the nu of the box walk, in its order,
+    # with the bits of its Q, at both scales the package uses
+    p = GaborParams(d=d, N=N, Omega=np.atleast_2d(omega))
+    scale, bound = (np.pi / (2 * N), 1e-16) if at == "restriction" else (np.pi * N / 2, 1e-13)
+    nu, Q = _joined(localization._heisenberg_kernel(p, scale, bound))
+    ref_nu, ref_Q = _joined(_box_kernel(p, scale, bound))
+    assert nu.dtype == np.int32
+    assert np.array_equal(nu, ref_nu)
+    assert np.array_equal(Q.view(np.uint64), ref_Q.view(np.uint64))
+    if (d, N, omega, at) == (1, 48, 0.1j, "restriction"):
+        assert len(nu) == 4541   # of the 233^2 = 54,289 nu in the box
+
+
+def test_restriction_builds_the_kernel_once(monkeypatch):
+    calls = []
+    build = localization._heisenberg_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(localization, "_heisenberg_kernel", counted)
+    p = _p(6, 0.3 + 1j)
+    box = parse_symbol("step(0.5 - x1)*step(0.5 - xi1)")
+    levels = set()
+    for sym, tol in ((Constant(1.0), 1e-8), (parse_symbol("sin(pi*x1)^2*xi1"), 1e-3), (box, 1e-3)):
+        calls.clear()
+        rep = restriction_matrix(sym, p, oversample=2, rel_tol=tol, max_doublings=4)
+        levels.add(len(rep.trace_history))
+        assert len(calls) == 1
+    assert levels == {2, 3, 4}
+    calls.clear()
+    with pytest.raises(QuadratureUnderResolvedError):
+        restriction_matrix(box, p, oversample=2, rel_tol=1e-12, max_doublings=2)
+    assert len(calls) == 1
+
+
+# measured peak 5.52 MB (numpy 2.4, Linux x86-64): 4.42 MB of kept int32 nu and
+# float Q plus one block of candidates; int64 nu would add 2.9 MB
+KERNEL_PEAK_BYTES = 6_500_000
+
+
+def test_kernel_memory_is_the_kept_terms():
+    # d = 2, N = 6: 184,015 kept of 27^4 = 531,441 in the box
+    p = GaborParams(d=2, N=6, Omega=OM2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        blocks = list(localization._heisenberg_kernel(p, np.pi / 12, 1e-16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(len(nu) for nu, _ in blocks)
+    assert kept == 184015
+    assert peak <= KERNEL_PEAK_BYTES
+
+
+@pytest.mark.parametrize("sym", [
+    parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2),
+    TrigPoly(2, {(1, 0, 1, 1): 1.0, (0, 1, -1, 2): 0.5 - 1j}),
+], ids=["real", "complex"])
+def test_level_holds_one_transform(sym):
+    # the second level (L = 32) transforms its samples block by block and in
+    # place: 10.6 MB (real) and 21.7 MB (complex) measured against F of 8.9 and
+    # 16.8 MB; a second grid-sized array reads 2 F
+    p = GaborParams(d=2, N=2, Omega=OM2)
+    L = 32
+    F = L ** 3 * (L // 2 + 1 if sym.is_real else L) * 16
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        restriction_matrix(sym, p, oversample=L // 4, rel_tol=1.0, max_doublings=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * F
