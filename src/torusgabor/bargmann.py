@@ -20,9 +20,9 @@ Since the factor in
 V_h eps_n(x, xi) = e^{pi i x'Omega x/N} B eps_n(i (Omega x/N + xi)) does not
 depend on n and has modulus e^{-N phi/2}, the coherent-state resolution of
 the identity makes the Gram matrix sqrt(det Im Omega / (2N)^d) times the
-a == 1 localization matrix (localization.restriction_matrix), whose
-Heisenberg series is the identity up to roundoff; the tests check it
-against sums of the sections themselves.
+a == 1 localization matrix (localization.restriction_matrix), which the
+constant symbol's one Fourier term makes the identity up to roundoff; the
+tests check it against sums of the sections themselves.
 """
 
 from __future__ import annotations
@@ -148,26 +148,17 @@ class GramReport:
     grid_history: list
 
 
-# first quadrature level and relative Frobenius change at which gram stops
-_GRAM_OVERSAMPLE = 8
-_GRAM_REL_STAB = 1e-6
-
-
-def gram(params, max_doublings=3):
+def gram(params):
     """Gram matrix G_{mn} of the weighted basis sections over a fundamental domain.
 
     By the identity of the module docstring, G is
-    sqrt(det Im Omega / (2N)^d) times restriction_matrix(Constant(1.0, d))
-    with rel_tol = _GRAM_REL_STAB: _GRAM_OVERSAMPLE * N midpoint nodes per
-    axis, doubled until the matrix changes by at most that much in relative
-    Frobenius norm.  grid_history holds (oversample * N, trace) for each
-    (oversample, trace) of that report's trace_history, i.e. points per axis
-    at every level.
+    sqrt(det Im Omega / (2N)^d) times restriction_matrix(Constant(1.0, d)).
+    A constant symbol has the one Fourier term nu = 0, so that matrix is the
+    identity by construction, up to the roundoff of one inverse FFT, with no
+    quadrature; grid_history is always empty.
     """
     validate(params)
-    rep = localization.restriction_matrix(
-        localization.Constant(1.0, params.d), params, oversample=_GRAM_OVERSAMPLE,
-        rel_tol=_GRAM_REL_STAB, max_doublings=max_doublings)
+    rep = localization.restriction_matrix(localization.Constant(1.0, params.d), params)
     G = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d) * rep.matrix
     evals = np.linalg.eigvalsh(G)
     diag = np.real(np.diag(G))
@@ -177,7 +168,7 @@ def gram(params, max_doublings=3):
         rank=int((evals > 1e-8 * evals.max()).sum()),
         onb_constant=float(diag.mean()),
         offdiag_residual=float(np.abs(off).max() / diag.mean()),
-        grid_history=[(ov * params.N, tr) for ov, tr in rep.trace_history],
+        grid_history=[],
     )
 
 

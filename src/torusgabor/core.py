@@ -176,11 +176,17 @@ def lattice_coefficients(z, params):
 
 
 def _point_coefficients(z, params):
-    # lattice_coefficients of a single point: a (P, d) batch is refused here
+    # lattice_coefficients of a single finite point: a (P, d) batch, a
+    # non-finite z and coefficients that overflow are refused here
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape != (params.d,):
         raise GaborError(f"expected a complex {params.d}-vector, got shape {z.shape}")
-    return lattice_coefficients(z, params)
+    if not np.all(np.isfinite(z)):
+        raise GaborError(f"the point must be finite, got {z.tolist()}")
+    a, b = lattice_coefficients(z, params)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise GaborError(f"the lattice coefficients of {z.tolist()} overflow")
+    return a, b
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -204,8 +210,11 @@ def dual_lattice_member(z, params, scale=1.0, tol=1e-9):
     shows up in sampling arguments.
     """
     a, b = _point_coefficients(z, params)
-    ca, cb = a / scale, b / scale
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        ca, cb = a / scale, b / scale
     wa, wb = np.round(ca), np.round(cb)
+    if not np.all(np.abs(np.concatenate([wa, wb])) < 2.0 ** 63):
+        raise GaborError(f"the integer witnesses of {np.asarray(z).tolist()} exceed 64 bits")
     residual = float(max(np.abs(ca - wa).max(), np.abs(cb - wb).max()))
     return LatticeMembership(
         member=residual <= tol,
@@ -235,9 +244,8 @@ def complex_distance_mod_lattice(z1, z2, params):
         return np.linalg.norm(-1j * (u[:, :d] @ params.Omega.T) + 1j * u[:, d:], axis=1)
 
     near = dist(np.zeros((1, 2 * d)))[0]
-    if np.isfinite(near):  # a non-finite z has no nearer translate to look for
-        for n in lattice_ellipsoid(A.T @ A, near ** 2, 1 << 10, center=res):
-            near = min(near, dist(n).min())
+    for n in lattice_ellipsoid(A.T @ A, near ** 2, 1 << 10, center=res):
+        near = min(near, dist(n).min())
     return float(near)
 
 

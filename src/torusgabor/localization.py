@@ -11,18 +11,23 @@ symbol e^{2 pi i nu.(x, xi)}, nu = (p, q) in Z^{2d}, gives
     M = gamma_Omega(nu) W_N(nu),   gamma_Omega(p, q) = e^{-(pi/2N) (p - Omega q)^H Y^{-1} (p - Omega q)},
 
 with Y = Im Omega and W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q)/N}.
-restriction_matrix sums M = sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L
-the DFT of the symbol at L midpoint nodes per axis, which is exactly the
-midpoint rule of that integral; it rejects non-finite samples and doubles L
+restriction_matrix takes one of two routes, chosen from the symbol itself.
+A symbol with Fourier terms (Symbol.fourier_terms: TrigPoly, Constant and
+the trigonometric polynomials among Expr) gets
+M = sum_nu c_nu gamma_Omega(nu) W_N(nu) over its own terms: no sampling, no
+FFT of samples, no doubling, and only roundoff as error.  Every other symbol
+goes through the midpoint rule of that integral,
+M = sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L the DFT of the symbol
+at L midpoint nodes per axis; it rejects non-finite samples and doubles L
 until the whole matrix settles in relative Frobenius norm.  That is the only
 grid-doubling loop of the package: every other series is a certified
 lattice sum (theta.certified_lattice_sum) or a truncated Heisenberg series.
 The truncated series runs over the integer points of the ellipsoid where
-gamma_Omega is not negligible (_heisenberg_kernel); a restriction builds
-that kernel once and every doubling level reuses it.  For a == 1 the series
-is the identity up to roundoff.  The Gram matrix of the Bargmann sections is
-that matrix times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the
-Bergman density is the trace part of the series (bargmann.bergman_density).
+gamma_Omega is not negligible (_heisenberg_kernel); a quadrature builds
+that kernel once and every doubling level reuses it.  For a == 1 the
+series is the identity up to roundoff.  The Gram matrix of the Bargmann sections is that
+matrix times sqrt(det Im Omega / (2N)^d) (bargmann.gram), and the Bergman
+density is the trace part of the series (bargmann.bergman_density).
 
 Symbols come from small builtins (Constant, BoxIndicator, TrigPoly) or from
 a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
@@ -30,8 +35,11 @@ a tiny expression language, e.g. "sin(pi*x1)^2 * sin(pi*xi1)^2".
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -87,6 +95,16 @@ class Symbol:
         pts = pts.reshape(-1, len(axes))
         return np.asarray(self(pts[:, :self.d], pts[:, self.d:])).reshape(shape)
 
+    def fourier_terms(self):
+        """The symbol's Fourier terms {nu: c_nu}, or None.
+
+        a(x, xi) = sum_nu c_nu e^{2 pi i nu.(x, xi)} exactly, with nu a 2d-tuple
+        of integers, each at most _MAX_FREQUENCY in size.  A symbol with terms
+        gets its restriction matrix from them (restriction_matrix); None, the
+        default, leaves it to the quadrature.
+        """
+        return None
+
 
 def _grid_shape(axes):
     return np.broadcast_shapes(*(np.shape(ax) for ax in axes))
@@ -107,6 +125,9 @@ class Constant(Symbol):
 
     def on_grid(self, axes):
         return np.full(_grid_shape(axes), self.value)
+
+    def fourier_terms(self):
+        return {(0,) * (2 * self.d): self.value}
 
 
 class BoxIndicator(Symbol):
@@ -155,6 +176,11 @@ class TrigPoly(Symbol):
         for nu, c in self.terms.items():
             acc += c * np.exp(2j * np.pi * (pts @ np.asarray(nu, float)))
         return acc.real if self.is_real else acc
+
+    def fourier_terms(self):
+        if any(abs(v) > _MAX_FREQUENCY for nu in self.terms for v in nu):
+            return None
+        return dict(self.terms)
 
     def shifted(self, by):
         """Translate by a phase-space vector: a(. - by)."""
@@ -330,8 +356,158 @@ def _eval_node(node, var):
     return lhs ** rhs
 
 
+# the recogniser's limits: past them a symbol keeps the quadrature route
+_MAX_TERMS = 4096
+_MAX_FREQUENCY = 1024     # largest |nu_i| of a Fourier term
+_MAX_PAIRS = 1 << 20      # largest product, in term pairs, the recogniser forms
+
+
+class _NotTrig(Exception):
+    """The syntax tree is not a trigonometric polynomial of the recognised forms."""
+
+
+def _has_var(node):
+    if node[0] == "var":
+        return True
+    return any(_has_var(child) for child in node[1:] if isinstance(child, tuple))
+
+
+def _constant(node):
+    # a subtree without variables, evaluated as the sampler evaluates it
+    value = float(_eval_node(node, None))
+    if not math.isfinite(value):
+        raise _NotTrig
+    return value
+
+
+def _collect(terms):
+    # sum the coefficients of equal half-frequencies, in order, and drop exact zeros
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    out = {k: c for k, c in out.items() if c != 0}
+    if (len(out) > _MAX_TERMS or not all(cmath.isfinite(c) for c in out.values())
+            or any(abs(v) > 2 * _MAX_FREQUENCY for k in out for v in k)):
+        raise _NotTrig
+    return out
+
+
+def _product(a, b):
+    if len(a) * len(b) > _MAX_PAIRS:
+        raise _NotTrig
+    return _collect((tuple(map(operator.add, ka, kb)), ca * cb)
+                    for ka, ca in a.items() for kb, cb in b.items())
+
+
+def _affine(node, n):
+    # (c0, c) with the subtree equal to c0 + sum_j c_j v_j
+    if not _has_var(node):
+        return _constant(node), np.zeros(n)
+    kind = node[0]
+    if kind == "var":
+        c = np.zeros(n)
+        c[node[1] * (n // 2) + node[2]] = 1.0
+        return 0.0, c
+    if kind == "neg":
+        c0, c = _affine(node[1], n)
+        return -c0, -c
+    if kind == "binop":
+        op, lhs, rhs = node[1:]
+        if op in "+-":
+            (a0, a), (b0, b) = _affine(lhs, n), _affine(rhs, n)
+            return (a0 + b0, a + b) if op == "+" else (a0 - b0, a - b)
+        if op == "*" and not _has_var(lhs):
+            lhs, rhs = rhs, lhs
+        if op == "*" and not _has_var(rhs):
+            value = _constant(rhs)
+            c0, c = _affine(lhs, n)
+            return c0 * value, c * value
+        if op == "/" and not _has_var(rhs):
+            value = _constant(rhs)
+            if value != 0.0:
+                c0, c = _affine(lhs, n)
+                return c0 / value, c / value
+    raise _NotTrig
+
+
+def _half_poly(node, n):
+    """{k: c_k} with the subtree equal to sum_k c_k e^{i pi k.v}, k in Z^n."""
+    if not _has_var(node):
+        value = _constant(node)
+        return {(0,) * n: complex(value)} if value else {}
+    kind = node[0]
+    if kind == "neg":
+        return {k: -c for k, c in _half_poly(node[1], n).items()}
+    if kind == "call" and node[1] in ("sin", "cos"):
+        c0, c = _affine(node[2], n)
+        k = np.round(c / math.pi)
+        if not (np.all(np.abs(k) <= 2 * _MAX_FREQUENCY) and np.all(k * math.pi == c)):
+            raise _NotTrig
+        k = tuple(int(v) for v in k)
+        # sin t = (e^{it} - e^{-it}) / 2i and cos t = (e^{it} + e^{-it}) / 2
+        up = cmath.exp(1j * c0) / 2
+        down = up.conjugate()
+        pair = (-1j * up, 1j * down) if node[1] == "sin" else (up, down)
+        return _collect([(k, pair[0]), (tuple(-v for v in k), pair[1])])
+    if kind == "binop":
+        op, lhs, rhs = node[1:]
+        if op in "+-":
+            a, b = _half_poly(lhs, n), _half_poly(rhs, n)
+            sign = 1 if op == "+" else -1
+            return _collect(itertools.chain(a.items(), ((k, sign * c) for k, c in b.items())))
+        if op == "*":
+            return _product(_half_poly(lhs, n), _half_poly(rhs, n))
+        if op == "/" and not _has_var(rhs):
+            value = _constant(rhs)
+            if value != 0.0:
+                return _collect((k, c / value) for k, c in _half_poly(lhs, n).items())
+        if op == "^" and not _has_var(rhs):
+            # a non-constant base to the power e has a half-frequency of at least e
+            e = _constant(rhs)
+            if e == int(e) and 0 <= e <= 2 * _MAX_FREQUENCY:
+                base = _half_poly(lhs, n)
+                if e == 0:
+                    return {(0,) * n: 1 + 0j}
+                out = base
+                for bit in bin(int(e))[3:]:
+                    out = _product(out, out)
+                    if bit == "1":
+                        out = _product(out, base)
+                return out
+    raise _NotTrig
+
+
+def _fourier_terms(node, d):
+    """{nu: c_nu} of a syntax tree that is a trigonometric polynomial, or None.
+
+    The tree is expanded in half-frequencies, sum_k c_k e^{i pi k.v} over
+    k in Z^{2d}, from numbers and pi, unary minus, + - *, division by a
+    nonzero constant, powers with a constant integer exponent in
+    [0, 2 _MAX_FREQUENCY], and sin and cos of c0 + sum_j c_j v_j where each
+    c_j == k_j * math.pi holds exactly for an integer k_j.  A subtree without
+    variables is a constant, evaluated as the sampler evaluates it.  Any
+    other node, an odd k left at the end (the symbol is then not 1-periodic),
+    a non-finite constant or coefficient, more than _MAX_TERMS terms, a
+    product of more than _MAX_PAIRS term pairs or a frequency beyond
+    _MAX_FREQUENCY gives None.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            terms = _half_poly(node, 2 * d)
+    except _NotTrig:
+        return None
+    if any(v % 2 for k in terms for v in k):
+        return None
+    return {tuple(v // 2 for v in k): c for k, c in terms.items()}
+
+
 class Expr(Symbol):
-    """Symbol defined by expression text over x1..xd, xi1..xid."""
+    """Symbol defined by expression text over x1..xd, xi1..xid.
+
+    A trigonometric polynomial of the forms _fourier_terms recognises has
+    Fourier terms, found once here from the syntax tree; sampling
+    (__call__, on_grid) always evaluates the tree itself.
+    """
 
     def __init__(self, text, d=1):
         self.text = text
@@ -339,6 +515,10 @@ class Expr(Symbol):
         self.node = _Parser(text, d).parse()
         self.is_real = True  # the grammar has no complex literals
         self.description = text
+        self._terms = _fourier_terms(self.node, d)
+
+    def fourier_terms(self):
+        return None if self._terms is None else dict(self._terms)
 
     def __call__(self, x, xi):
         x, xi = np.asarray(x, float), np.asarray(xi, float)
@@ -366,18 +546,29 @@ def parse_symbol(text, d=1):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RestrictionReport:
-    """Localization matrix plus the quadrature trail that produced it."""
+    """Localization matrix plus the quadrature trail that produced it.
+
+    A matrix summed from the symbol's own Fourier terms has no quadrature:
+    oversample and change are None and trace_history is empty.
+    """
 
     matrix: np.ndarray
     trace: complex
-    oversample: int
+    oversample: int | None
     trace_history: list
-    change: float
+    change: float | None
     symbol_description: str
 
 
-# truncation bound of a restriction matrix's series, relative to max |a|
+# truncation bound of the quadrature's Heisenberg series, relative to max |a|
 _SERIES_BOUND = 1e-16
+
+
+def _heisenberg_form(params):
+    # H of Q(nu) = nu' H nu (_heisenberg_kernel)
+    X, Y = params.re, params.im
+    Yinv = np.linalg.inv(Y)
+    return np.block([[Yinv, -Yinv @ X], [-X @ Yinv, X @ Yinv @ X + Y]])
 
 
 def _heisenberg_kernel(params, scale, bound):
@@ -398,9 +589,7 @@ def _heisenberg_kernel(params, scale, bound):
     _CHUNK numbers.
     """
     d = params.d
-    X, Y = params.re, params.im
-    Yinv = np.linalg.inv(Y)
-    H = np.block([[Yinv, -Yinv @ X], [-X @ Yinv, X @ Yinv @ X + Y]])
+    H = _heisenberg_form(params)
     # R grows like sqrt(N / lambda_min(H)): 171 at N = 1024, Omega = i, bound 1e-16
     R = theta.tail_radius(scale * float(np.linalg.eigvalsh(H)[0]), 2 * d, bound,
                           offset=0.0, r_cap=1000)
@@ -426,23 +615,68 @@ def _midpoint_samples(symbol, m):
         yield np.asarray(symbol.on_grid([first] + rest)).reshape(-1)
 
 
+def _folded_matrix(params, terms, factor):
+    """The matrix factor * sum_nu t_nu e^{-pi i p.q / N} W_N(nu), from blocks of terms.
+
+    terms yields blocks (fold, t): t_nu, which holds the phase e^{pi i p.q / N}
+    of W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q) / N}, and fold, the
+    raveled index of nu mod N into B[r, s] = sum_{nu = (r, s) mod N} t_nu.
+    Then M[m, m + s] = factor sum_r B[r, s] e^{2 pi i r.m / N}, one inverse
+    FFT of B.  A non-finite M is a GaborError.
+    """
+    N, d = params.N, params.d
+    B = np.zeros((N,) * (2 * d), dtype=complex)
+    # an overflow leaves M non-finite, which is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fold, t in terms:
+            np.add.at(B.reshape(-1), fold, t)
+        C = np.fft.ifftn(B, axes=tuple(range(d))) * factor
+    m = np.indices(params.shape).reshape(d, -1).T
+    cols = np.ravel_multi_index(np.moveaxis((m[:, None] + m[None, :]) % N, -1, 0), params.shape)
+    M = np.empty((params.dim_sn, params.dim_sn), dtype=complex)
+    M[np.arange(params.dim_sn)[:, None], cols] = C.reshape(params.dim_sn, -1)
+    if not np.all(np.isfinite(M)):
+        raise GaborError("the symbol's Fourier sum overflowed: samples are too large")
+    return M
+
+
+def _series_matrix(terms, params):
+    """sum_nu c_nu gamma_Omega(nu) W_N(nu) over the symbol's own terms {nu: c_nu}.
+
+    Exact up to roundoff: no sampling and no truncation.  Every entry of M
+    is at most sum |c_nu|; the sum must leave room for the sums spectrum
+    forms (M + M^H and the trace), else it is a GaborError.
+    """
+    N, d = params.N, params.d
+    nu = np.array(list(terms), dtype=np.int64).reshape(-1, 2 * d)
+    c = np.array(list(terms.values()), dtype=complex)
+    with np.errstate(over="ignore"):
+        total = float(np.abs(c).sum())
+    if not 2.0 * params.dim_sn * total <= np.finfo(float).max:
+        raise GaborError(f"the symbol's Fourier sum overflowed: its coefficients add up "
+                         f"to {total:.3e} in modulus")
+    Q = ((nu @ _heisenberg_form(params)) * nu).sum(axis=1)
+    pq = np.einsum("ij,ij->i", nu[:, :d], nu[:, d:]) % (2 * N) / N
+    t = c * np.exp(-math.pi / (2 * N) * Q + 1j * math.pi * pq)
+    fold = np.ravel_multi_index(tuple((nu % N).T), (N,) * (2 * d))
+    return _folded_matrix(params, [(fold, t)], N ** d)
+
+
 def _level_matrix(symbol, params, L, kernel):
     """The midpoint-rule matrix at L nodes per axis, summed as its Heisenberg series.
 
     sum_nu a_L(nu) gamma_Omega(nu) W_N(nu), a_L the DFT of the samples at the
     L midpoint nodes per axis.  kernel holds, per block of _heisenberg_kernel,
-    the parts of the terms that do not depend on L, as restriction_matrix
+    the parts of the terms that do not depend on L, as _quadrature_matrix
     builds them once: nu, -(pi/2N) Q, the W_N phase (p.q mod 2N) / N, sum(nu)
     and the raveled index of nu mod N into B.  A level only gathers a_L(nu),
     reduces the midpoint phase e^{-pi i sum(nu) / L} exactly and takes one
     exp per term.
     """
-    N, d = params.N, params.d
+    d = params.d
     rows = (L,) * (2 * d - 1)
     # real samples keep the last axis up to L // 2, the rest is F(-nu) = conj F(nu)
     F = np.empty(rows + (L // 2 + 1 if symbol.is_real else L,), dtype=complex)
-    B = np.zeros((N,) * (2 * d), dtype=complex)
-    # an overflow leaves M non-finite, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
         # the last axis is transformed block by block as the samples come, and
         # the others in place, so F is the only grid-sized array
@@ -455,6 +689,8 @@ def _level_matrix(symbol, params, L, kernel):
             r0 += len(v)
         for axis in range(2 * d - 1):
             np.fft.fft(F, axis=axis, out=F)
+
+    def terms():
         for nu, gauss, pq, nusum, fold in kernel:
             flip = nu[:, -1] % L >= F.shape[-1]
             idx = np.where(flip[:, None], -nu, nu) % L
@@ -463,45 +699,23 @@ def _level_matrix(symbol, params, L, kernel):
             # e^{pi i p.q / N} of W_N and e^{-pi i sum(nu) / L} of the midpoint
             # nodes, with both integers reduced exactly
             ahat *= np.exp(gauss + 1j * np.pi * (pq - nusum % (2 * L) / L))
-            np.add.at(B.reshape(-1), fold, ahat)
-        # M[m, m + s] = sum_r B[r, s] e^{2 pi i r.m / N}
-        C = np.fft.ifftn(B, axes=tuple(range(d))) * (N ** d / L ** (2 * d))
-    m = np.indices(params.shape).reshape(d, -1).T
-    cols = np.ravel_multi_index(np.moveaxis((m[:, None] + m[None, :]) % N, -1, 0), params.shape)
-    M = np.empty((params.dim_sn, params.dim_sn), dtype=complex)
-    M[np.arange(params.dim_sn)[:, None], cols] = C.reshape(params.dim_sn, -1)
-    if not np.all(np.isfinite(M)):
-        raise GaborError("the symbol's Fourier sum overflowed: samples are too large")
-    return M
+            yield fold, ahat
+
+    return _folded_matrix(params, terms(), params.N ** d / L ** (2 * d))
 
 
-# largest entry of M - M^H, relative to max(1, max |M|), that a real symbol's
-# restriction matrix may show before symmetrization, and below which spectrum
-# treats its input as Hermitian
-_RESTRICTION_HERMITIAN_TOL = 1e-8
-_SPECTRUM_HERMITIAN_TOL = 1e-10
-
-
-def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3):
-    """Localization matrix of the symbol, grid-doubled until the matrix settles.
+def _quadrature_matrix(symbol, params, oversample, rel_tol, max_doublings):
+    """The midpoint-rule matrix, grid-doubled until it settles: (M, oversample, history, change).
 
     Level k samples the symbol at L = oversample * N midpoint nodes per axis
-    (oversample doubling with k) and sums its Heisenberg series (module
-    docstring) over one _heisenberg_kernel, built once per call with the
-    parts of each term that do not depend on L.  A level is accepted once
+    (oversample doubling with k) and sums its Heisenberg series over one
+    _heisenberg_kernel, built once per call with the parts of each term that
+    do not depend on L.  A level is accepted once
     ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the norm floored at 1e-300);
-    report.change is that relative change at the accepted level and
-    trace_history holds (oversample, trace) per level.  Raises
-    QuadratureUnderResolvedError when the change still exceeds rel_tol after
-    max_doublings doublings.  Real symbols yield a matrix that is Hermitian
-    up to FFT roundoff; it is symmetrized, and NonHermitianBeyondToleranceError
-    flags anything larger.
+    change is that relative change at the accepted level and history holds
+    (oversample, trace) per level.  Raises QuadratureUnderResolvedError when
+    the change still exceeds rel_tol after max_doublings doublings.
     """
-    validate(params)
-    if symbol.d != params.d:
-        raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
-    if oversample < 1:
-        raise GaborError(f"oversample must be >= 1, got {oversample}")
     N, d = params.N, params.d
     scale = math.pi / (2 * N)
     # the terms' parts that do not depend on L (_level_matrix), int32 where integer
@@ -519,15 +733,49 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings
         if prev is not None:
             change = float(np.linalg.norm(M - prev) / max(np.linalg.norm(M), 1e-300))
             if change <= rel_tol:
-                break
+                return M, ov, history, change
         prev = M
         ov *= 2
+    measured = "not measured" if change is None else f"{change:.3e}"
+    raise QuadratureUnderResolvedError(
+        f"relative matrix change (Frobenius) {measured} at oversample {ov // 2} "
+        f"after {max_doublings} doublings; rel_tol = {rel_tol:.1e}"
+    )
+
+
+# largest entry of M - M^H, relative to max(1, max |M|), that a real symbol's
+# restriction matrix may show before symmetrization, and below which spectrum
+# treats its input as Hermitian
+_RESTRICTION_HERMITIAN_TOL = 1e-8
+_SPECTRUM_HERMITIAN_TOL = 1e-10
+
+
+def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3):
+    """Localization matrix of the symbol, from its Fourier terms or by quadrature.
+
+    A symbol with Fourier terms (Symbol.fourier_terms: TrigPoly, Constant
+    and the trigonometric polynomials among Expr) gets
+    M = sum_nu c_nu gamma_Omega(nu) W_N(nu) over its own terms, exact up to
+    roundoff (_series_matrix); oversample, rel_tol and max_doublings do not
+    enter, report.oversample and report.change are None and trace_history
+    is empty.  Every other symbol goes through the midpoint rule, doubled
+    until the whole matrix settles (_quadrature_matrix): report.change is
+    the relative Frobenius change at the accepted oversample and
+    trace_history holds (oversample, trace) per level.  Real symbols yield a
+    matrix that is Hermitian up to roundoff; it is symmetrized, and
+    NonHermitianBeyondToleranceError flags anything larger.
+    """
+    validate(params)
+    if symbol.d != params.d:
+        raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
+    if oversample < 1:
+        raise GaborError(f"oversample must be >= 1, got {oversample}")
+    terms = symbol.fourier_terms()
+    if terms is not None:
+        M, ov, history, change = _series_matrix(terms, params), None, [], None
     else:
-        measured = "not measured" if change is None else f"{change:.3e}"
-        raise QuadratureUnderResolvedError(
-            f"relative matrix change (Frobenius) {measured} at oversample {ov // 2} "
-            f"after {max_doublings} doublings; rel_tol = {rel_tol:.1e}"
-        )
+        M, ov, history, change = _quadrature_matrix(symbol, params, oversample, rel_tol,
+                                                    max_doublings)
     if symbol.is_real:
         asym = float(np.abs(M - M.conj().T).max())
         scale = max(1.0, float(np.abs(M).max()))

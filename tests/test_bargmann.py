@@ -13,7 +13,7 @@ from torusgabor.bargmann import (
     weight_phi,
 )
 from torusgabor import transforms
-from torusgabor.core import GaborParams, QuadratureUnderResolvedError
+from torusgabor.core import GaborParams
 from torusgabor.theta import ScaledComplex, ToleranceUnreachableError, theta_eval
 
 SERIES_TOL = 1e-12
@@ -337,17 +337,17 @@ def test_table_is_the_sections_times_one_phase():
             assert abs(c) == pytest.approx(np.exp(-0.5 * p.N * weight_phi(z, p)), rel=1e-12)
 
 
-def test_gram_unconverged_quadrature_raises():
-    with pytest.raises(QuadratureUnderResolvedError):
-        gram(_p(1j, N=2), max_doublings=0)
-
-
-def test_gram_history_is_recorded():
-    rep = gram(_p(1j, N=2))
-    assert len(rep.grid_history) >= 2
-    pers = [h[0] for h in rep.grid_history]
-    assert pers == sorted(pers)
-    assert pers[0] == 8 * 2  # oversample * N points per axis
+@pytest.mark.parametrize("p", [
+    _p(1j, N=2), _p(0.7 + 1.5j, N=5),
+    GaborParams(d=2, N=3, Omega=np.array([[1j, 0.2 + 0.1j], [0.2 + 0.1j, 1.5j]])),
+], ids=["d1-N2", "d1-N5", "d2-N3"])
+def test_gram_is_the_closed_form_without_quadrature(p):
+    # the constant symbol's one Fourier term gives the identity, so G is
+    # sqrt(det Y / (2N)^d) I to roundoff, and no grid is sampled
+    rep = gram(p)
+    root = math.sqrt(np.linalg.det(p.im) / (2.0 * p.N) ** p.d)
+    assert np.abs(rep.matrix - root * np.eye(p.dim_sn)).max() <= 4e-16 * root
+    assert rep.grid_history == []
 
 
 # ---------------------------------------------------------------------------

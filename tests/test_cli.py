@@ -183,8 +183,22 @@ def test_spectrum_restriction_document(capsys):
     assert doc["trace"]["re"] == pytest.approx(1.0, abs=1e-9)
     assert set(doc["counts_below"]) == {"0.25", "0.5"}
     assert doc["provenance"]["symbol"] == "sin(pi*x1)^2*sin(pi*xi1)^2"
+    # a trigonometric polynomial is summed from its own terms: no quadrature
+    assert '"oversample": null' in out and '"trace_history": []' in out
+    assert '"matrix_change": null' in out
+
+
+def test_spectrum_restriction_document_of_a_sampled_symbol(capsys):
+    # exp(cos(2 pi x)) has no finite Fourier sum, so the quadrature runs
+    code, out, _ = _run(capsys, "spectrum", "restriction", "--params", P4,
+                        "--symbol", "exp(cos(2*pi*x1))")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hermitian"] is True
+    prov = doc["provenance"]
+    assert prov["oversample"] >= 8 and len(prov["trace_history"]) >= 2
     # the relative Frobenius change the quadrature loop accepted
-    assert 0.0 <= doc["provenance"]["matrix_change"] <= 1e-8
+    assert 0.0 <= prov["matrix_change"] <= 1e-8
 
 
 def test_asymptotics_sweep_document(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,35 @@ def test_single_point_lattice_tests_refuse_a_batch():
         dual_lattice_member(zs, p)
     with pytest.raises(GaborError):
         complex_distance_mod_lattice(zs, zs + 0.1, p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan), complex(0.5, -np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+def test_single_point_lattice_tests_refuse_a_non_finite_point(bad):
+    # no integer witness of a cast NaN, no nan distance, no RuntimeWarning
+    for p in (_p1(0.3 + 1j), _p2()):
+        z = np.full(p.d, bad, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GaborError, match="must be finite"):
+                dual_lattice_member(z, p)
+            with pytest.raises(GaborError, match="must be finite"):
+                complex_distance_mod_lattice(z, np.zeros(p.d, complex), p)
+            with pytest.raises(GaborError, match="must be finite"):
+                complex_distance_mod_lattice(np.zeros(p.d, complex), z, p)
+
+
+def test_lattice_witnesses_beyond_64_bits_are_refused():
+    p = _p1()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GaborError, match="exceed 64 bits"):
+            dual_lattice_member(np.array([1e300 + 0j]), p)
+        with pytest.raises(GaborError, match="exceed 64 bits"):
+            dual_lattice_member(np.array([3 + 2j]), p, scale=1e-310)
+        with pytest.raises(GaborError, match="overflow"):
+            complex_distance_mod_lattice(np.array([1e307 + 0j]), np.array([-1e307 + 0j]),
+                                         _p1(1e-3j))
 
 
 def test_params_json_round_trip():

@@ -43,6 +43,22 @@ def _sin2sin2_trig():
     return TrigPoly(1, full)
 
 
+class _Sampled(Symbol):
+    """The same symbol without its Fourier terms, so restriction_matrix samples it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.d = inner.d
+        self.is_real = inner.is_real
+        self.description = inner.description
+
+    def __call__(self, x, xi):
+        return self.inner(x, xi)
+
+    def on_grid(self, axes):
+        return self.inner.on_grid(axes)
+
+
 # ---------------------------------------------------------------------------
 # symbol grammar
 
@@ -178,7 +194,7 @@ def test_matrix_rule_rejects_a_settled_trace():
 
 def test_zero_doublings_is_an_error_with_a_message():
     with pytest.raises(QuadratureUnderResolvedError, match="not measured at oversample 4"):
-        restriction_matrix(Constant(1.0), _p(2), max_doublings=0)
+        restriction_matrix(_Sampled(Constant(1.0)), _p(2), max_doublings=0)
 
 
 def test_symbol_dimension_must_match():
@@ -188,7 +204,7 @@ def test_symbol_dimension_must_match():
 
 def test_real_symbol_matrix_is_hermitian():
     p = _p(4)
-    rep = restriction_matrix(Expr("sin(2*pi*x1)^2 + cos(2*pi*xi1)"), p, oversample=4)
+    rep = restriction_matrix(_Sampled(Expr("sin(2*pi*x1)^2 + cos(2*pi*xi1)")), p, oversample=4)
     M = rep.matrix
     assert np.abs(M - M.conj().T).max() == 0.0
     assert len(rep.trace_history) >= 2
@@ -342,15 +358,10 @@ def test_phase_space_targets_do_not_depend_on_summation_order(make_inner):
     assert max(b.size for b in sym.blocks) <= 1 << 17
 
 
-class _Pointwise(Symbol):
+class _Pointwise(_Sampled):
     """A symbol seen through the default on_grid, which builds the grid points."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.d = inner.d
-
-    def __call__(self, x, xi):
-        return self.inner(x, xi)
+    on_grid = Symbol.on_grid
 
 
 # every node kind: num, var, neg, call, + - * / ^
@@ -442,7 +453,7 @@ def test_restriction_matrix_matches_the_pointwise_grid_sum(monkeypatch, chunk, p
     # the quadrature sum written out with per-point stft_basis_grid calls
     if chunk is not None:
         monkeypatch.setattr(transforms, "_CHUNK", chunk)
-    sym = parse_symbol(text, params.d)
+    sym = _Sampled(parse_symbol(text, params.d))
     rep = restriction_matrix(sym, params, oversample=ov, rel_tol=1e-3)
     w = transforms.GaussianWindow(params)
     X, XI, cell = transforms.tn_grid(params, rep.oversample * params.N,
@@ -542,15 +553,118 @@ MODE_CASES = [
                          ids=[f"d{p.d}-{p.Omega[0, 0]}-{nu}" for p, nu in MODE_CASES])
 def test_single_mode_is_one_damped_shift(params, nu):
     # e^{2 pi i nu.(x, xi)} gives gamma_Omega(nu) W_N(nu); its real part (the
-    # rfft path) gives the mean of the nu and -nu shifts
+    # rfft path of the quadrature) gives the mean of the nu and -nu shifts;
+    # both routes, the symbol's own terms and the sampled symbol
     minus = tuple(-v for v in nu)
     ref, gamma = _gamma_times_shift(nu, params)
     ref_minus, _ = _gamma_times_shift(minus, params)
     tol = 1e-12 * gamma
-    mode = restriction_matrix(TrigPoly(params.d, {nu: 1.0}), params, oversample=4)
-    assert np.abs(mode.matrix - ref).max() <= tol
-    cosine = restriction_matrix(TrigPoly(params.d, {nu: 0.5, minus: 0.5}), params, oversample=4)
-    assert np.abs(cosine.matrix - 0.5 * (ref + ref_minus)).max() <= tol
+    for route in (lambda sym: sym, _Sampled):
+        mode = restriction_matrix(route(TrigPoly(params.d, {nu: 1.0})), params, oversample=4)
+        assert np.abs(mode.matrix - ref).max() <= tol
+        cosine = restriction_matrix(route(TrigPoly(params.d, {nu: 0.5, minus: 0.5})), params,
+                                    oversample=4)
+        assert np.abs(cosine.matrix - 0.5 * (ref + ref_minus)).max() <= tol
+
+
+SERIES_CASES = [
+    (params, TrigPoly(params.d, {nu: 1.0})) for params, nu in MODE_CASES
+] + [
+    (params, TrigPoly(params.d, {nu: 0.5, tuple(-v for v in nu): 0.5})) for params, nu in MODE_CASES
+] + [
+    # the benchmark's symbols: restriction_2d at N = 2, 3 and the asymptotics_1d sweep
+    (GaborParams(d=2, N=N, Omega=OM2), parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2", 2))
+    for N in (2, 3)
+] + [
+    (_p(N), parse_symbol("sin(2*pi*x1)^2*sin(2*pi*xi1)^2")) for N in (8, 16, 32, 48)
+] + [
+    (_p(5, 0.3 + 1j), parse_symbol("cos(2*pi*x1 + 0.3)*sin(pi*xi1)^2 - 2.5")),
+]
+
+
+@pytest.mark.parametrize("params,sym", SERIES_CASES,
+                         ids=[f"d{p.d}-N{p.N}-{i}" for i, (p, _) in enumerate(SERIES_CASES)])
+def test_series_route_matches_the_quadrature(params, sym):
+    # the symbol's own Fourier terms against the sampled, grid-doubled matrix;
+    # the quadrature's roundoff is relative to the samples, so to sum |c_nu|
+    # where a mode's gamma makes the matrix smaller (2.8e-4 for (3, -2), N = 3)
+    series = restriction_matrix(sym, params)
+    quad = restriction_matrix(_Sampled(sym), params)
+    assert (series.oversample, series.trace_history, series.change) == (None, [], None)
+    assert quad.oversample is not None and len(quad.trace_history) >= 2
+    scale = max(np.abs(quad.matrix).max(), sum(abs(c) for c in sym.fourier_terms().values()))
+    assert np.abs(series.matrix - quad.matrix).max() <= 1e-13 * scale
+
+
+RECOGNISED = [
+    (1, "sin(pi*x1)^2*sin(pi*xi1)^2"),
+    (1, "cos(2*pi*x1 + 0.3)"),
+    (1, "-sin(2*pi*x1)*cos(4*pi*xi1)/2 + 3"),
+    (1, "(1 + cos(2*pi*(x1 - xi1)))^3 - sin(pi*x1)^2"),
+    (1, "2.5 / 4 - 1"),
+    (1, "sin(2*pi*x1)^0 + cos(pi*x1 - x1*pi)"),
+    (2, "sin(pi*x1)^2*sin(pi*xi1)^2*cos(pi*x2)^2"),
+    (2, "-cos(2*pi*x1 - 4*pi*xi2 + 1)^2 * sin(2*pi*x2) / 0.5"),
+    (2, "cos(x1*pi*2 - x2*2*pi + (4*pi)*xi2/2)"),
+]
+
+
+@pytest.mark.parametrize("d,text", RECOGNISED)
+def test_recognised_terms_sum_to_the_samples(d, text):
+    sym = parse_symbol(text, d)
+    terms = sym.fourier_terms()
+    assert terms and all(len(nu) == 2 * d and all(type(v) is int for v in nu) for nu in terms)
+    rng = np.random.default_rng(41)
+    x, xi = rng.uniform(-1, 2, (2, 200, d))
+    nu = np.array(list(terms), dtype=float)
+    series = np.exp(2j * np.pi * np.concatenate([x, xi], axis=1) @ nu.T) @ np.array(list(terms.values()))
+    assert np.abs(series - sym(x, xi)).max() <= 1e-14 * max(1.0, np.abs(series).max())
+
+
+@pytest.mark.parametrize("text", [
+    "sin(pi*x1)",                   # not 1-periodic: odd half-frequency
+    "sin(pi*x1)*cos(2*pi*xi1)",
+    "x1",                           # a bare variable
+    "sin(x1)",                      # frequency not an integer multiple of pi
+    "cos(0.1*pi*x1*10)",            # 0.1*pi*10 is not pi in floating point
+    "exp(cos(2*pi*x1))",
+    "step(0.5-x1)",
+    "sin(2*pi*x1)^0.5",             # non-integer power
+    "sin(2*pi*x1)^-1",
+    "sin(2*pi*x1)^xi1",             # non-constant exponent
+    "1/sin(2*pi*x1)",               # non-constant divisor
+    "sin(2*pi*x1)/0",
+    "0/0",                          # non-finite constant
+    "1e308*10*cos(2*pi*x1)",
+    "(1e200*cos(2*pi*x1))^2",       # non-finite coefficient
+    "cos(2*pi*x1*xi1)",             # argument not affine
+    "cos(2050*pi*x1)",              # frequency past the cap
+    "(cos(2*pi*x1) + cos(2*pi*xi1) + cos(6*pi*x1 + 2*pi*xi1))^40",   # terms past the cap
+])
+def test_forms_outside_the_class_have_no_terms(text):
+    assert parse_symbol(text).fourier_terms() is None
+
+
+def test_symbol_classes_state_their_terms():
+    assert Constant(2.5, d=2).fourier_terms() == {(0, 0, 0, 0): 2.5}
+    tp = _sin2sin2_trig()
+    assert tp.fourier_terms() == tp.terms and tp.fourier_terms() is not tp.terms
+    assert TrigPoly(1, {(1025, 0): 1.0}).fourier_terms() is None
+    assert BoxIndicator([0.0, 0.0], [0.5, 0.5]).fourier_terms() is None
+    assert Symbol().fourier_terms() is None
+
+
+def test_series_overflow_is_a_domain_error():
+    # the sums spectrum forms must stay finite: 2 N^d sum |c_nu| is refused past
+    # the largest double, and just below it the spectrum is finite
+    p = _p(4)
+    with pytest.raises(GaborError, match="the symbol's Fourier sum overflowed"):
+        restriction_matrix(Constant(1e308), p)
+    big = np.finfo(float).max / 8.5
+    with pytest.raises(GaborError, match="the symbol's Fourier sum overflowed"):
+        restriction_matrix(TrigPoly(1, {(1, 0): 0.6 * big, (-1, 0): 0.6 * big}), p)
+    sp = spectrum(restriction_matrix(Constant(big), p))
+    assert np.all(np.isfinite(sp.eigenvalues)) and sp.eigenvalues.real.max() == pytest.approx(big)
 
 
 def _shortest_form(omega):
@@ -644,7 +758,8 @@ def test_restriction_builds_the_kernel_once(monkeypatch):
     p = _p(6, 0.3 + 1j)
     box = parse_symbol("step(0.5 - x1)*step(0.5 - xi1)")
     levels = set()
-    for sym, tol in ((Constant(1.0), 1e-8), (parse_symbol("sin(pi*x1)^2*xi1"), 1e-3), (box, 1e-3)):
+    for sym, tol in ((_Sampled(Constant(1.0)), 1e-8), (parse_symbol("sin(pi*x1)^2*xi1"), 1e-3),
+                     (box, 1e-3)):
         calls.clear()
         rep = restriction_matrix(sym, p, oversample=2, rel_tol=tol, max_doublings=4)
         levels.add(len(rep.trace_history))
@@ -654,6 +769,11 @@ def test_restriction_builds_the_kernel_once(monkeypatch):
     with pytest.raises(QuadratureUnderResolvedError):
         restriction_matrix(box, p, oversample=2, rel_tol=1e-12, max_doublings=2)
     assert len(calls) == 1
+    # the series route builds no kernel at all
+    calls.clear()
+    for sym in (Constant(1.0), parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2"), _sin2sin2_trig()):
+        assert restriction_matrix(sym, p).trace_history == []
+    assert calls == []
 
 
 # measured peak 5.52 MB (numpy 2.4, Linux x86-64): 4.42 MB of kept int32 nu and
@@ -690,7 +810,7 @@ def test_level_holds_one_transform(sym):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        restriction_matrix(sym, p, oversample=L // 4, rel_tol=1.0, max_doublings=1)
+        restriction_matrix(_Sampled(sym), p, oversample=L // 4, rel_tol=1.0, max_doublings=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
