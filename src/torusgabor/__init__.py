@@ -13,7 +13,6 @@ phase-space restriction operators; `cli` exposes the lot as subcommands.
 from .core import (
     GaborError,
     GaborParams,
-    ComplexPoint,
     dual_lattice_member,
     lattice_coefficients,
     params_from_json,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GaborError",
     "GaborParams",
-    "ComplexPoint",
     "dual_lattice_member",
     "lattice_coefficients",
     "params_from_json",

@@ -317,10 +317,9 @@ def _cmd_theta_eval(args):
 
 def _cmd_theta_zero(args):
     params = _load_params(args.params)
-    cp = theta.theta_zero_1d(params, tol=args.tol)
-    z0 = complex(cp.z[0])
-    ev = theta.theta_eval(cp.z * 1j, params, order=1, tol=1e-12)
-    phi = float(weight_phi(cp.z, params))
+    z0 = theta.theta_zero_1d(params, tol=args.tol)
+    ev = theta.theta_eval(np.array([z0 * 1j]), params, order=1, tol=1e-12)
+    phi = float(weight_phi(np.array([z0]), params))
     doc = {
         "provenance": _provenance(args, params),
         "z0": _cnum(z0),

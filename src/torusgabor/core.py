@@ -146,13 +146,6 @@ def validate(params):
     return params
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ComplexPoint:
-    """Representative z of a class in C^d / Lambda."""
-
-    z: np.ndarray
-
-
 def lattice_coefficients(z, params):
     """Real coefficients (a, b) with z = -i Omega a + i b, for z of shape (d,) or (P, d).
 

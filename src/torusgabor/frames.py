@@ -142,7 +142,7 @@ def parity_predicate(D, params, z0=None, tol=1e-9):
     if not D.distinct:
         raise NotApplicableError("parity predicate needs distinct points")
     if z0 is None:
-        z0 = theta_mod.theta_zero_1d(params).z[0]
+        z0 = theta_mod.theta_zero_1d(params)
     zs = D.complex_images(params)
     s = zs.sum(axis=0) - params.N * np.array([z0])
     mem = dual_lattice_member(s, params, scale=1.0, tol=tol)
@@ -330,7 +330,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     parity_applicable = params.d == 1 and K == params.N
     if parity_applicable:
         zs = PointSet.from_pairs(positions, params).complex_images(params)
-        no_frame = _lambda_membership(params, zs, theta_mod.theta_zero_1d(params).z[0])
+        no_frame = _lambda_membership(params, zs, theta_mod.theta_zero_1d(params))
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)

@@ -11,18 +11,20 @@ symbol e^{2 pi i nu.(x, xi)}, nu = (p, q) in Z^{2d}, gives
     M = gamma_Omega(nu) W_N(nu),   gamma_Omega(p, q) = e^{-(pi/2N) (p - Omega q)^H Y^{-1} (p - Omega q)},
 
 with Y = Im Omega and W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q)/N}.
-restriction_matrix takes one of two routes, chosen from the symbol itself.
-A symbol with Fourier terms (Symbol.fourier_terms: TrigPoly, Constant and
-the trigonometric polynomials among Expr) gets
-M = sum_nu c_nu gamma_Omega(nu) W_N(nu) over its own terms: no sampling, no
-FFT of samples, no doubling, and only roundoff as error.  Every other symbol
-goes through the midpoint rule of that integral,
-M = sum_nu a_L(nu) gamma_Omega(nu) W_N(nu) with a_L the DFT of the symbol
-at L midpoint nodes per axis; it rejects non-finite samples and doubles L
-until the whole matrix settles in relative Frobenius norm.  That is the only
-grid-doubling loop of the package: every other series is a certified
-lattice sum (theta.certified_lattice_sum) or a truncated Heisenberg series.
-The truncated series runs over the integer points of the ellipsoid where
+So every restriction matrix is the one series
+M = sum_nu c_nu gamma_Omega(nu) W_N(nu), summed by _series_matrix, and
+restriction_matrix only chooses, from the symbol itself, where c_nu comes
+from.  A symbol with Fourier terms (Symbol.fourier_terms: TrigPoly, Constant
+and the trigonometric polynomials among Expr) gives its own terms: no
+sampling, no FFT of samples, no doubling, and only roundoff as error.
+Every other symbol gives the midpoint rule of that integral,
+c_nu = e^{-pi i sum(nu) / L} F(nu mod L) / L^{2d} with F the DFT of the
+symbol at L midpoint nodes per axis; it rejects non-finite samples and
+doubles L, at most _MAX_DOUBLINGS times, until the whole matrix settles in
+relative Frobenius norm.  That is the only grid-doubling loop of the
+package: every other series is a certified lattice sum
+(theta.certified_lattice_sum) or a truncated Heisenberg series.  The
+sampled series runs over the integer points of the ellipsoid where
 gamma_Omega is not negligible (_heisenberg_kernel); a quadrature builds
 that kernel once and every doubling level reuses it.  For a == 1 the
 series is the identity up to roundoff.  The Gram matrix of the Bargmann sections is that
@@ -615,21 +617,25 @@ def _midpoint_samples(symbol, m):
         yield np.asarray(symbol.on_grid([first] + rest)).reshape(-1)
 
 
-def _folded_matrix(params, terms, factor):
-    """The matrix factor * sum_nu t_nu e^{-pi i p.q / N} W_N(nu), from blocks of terms.
+def _series_matrix(params, blocks, factor):
+    """The matrix (factor / N^d) sum_nu c_nu gamma_Omega(nu) W_N(nu), from blocks (nu, Q, c).
 
-    terms yields blocks (fold, t): t_nu, which holds the phase e^{pi i p.q / N}
-    of W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q) / N}, and fold, the
-    raveled index of nu mod N into B[r, s] = sum_{nu = (r, s) mod N} t_nu.
-    Then M[m, m + s] = factor sum_r B[r, s] e^{2 pi i r.m / N}, one inverse
-    FFT of B.  A non-finite M is a GaborError.
+    Q(nu) = nu' H nu (_heisenberg_form), so gamma_Omega(nu) = e^{-(pi/2N) Q}.
+    Each term t_nu = c_nu gamma_Omega(nu) e^{pi i p.q / N} carries the phase
+    of W_N(p, q)[m, m + q mod N] = e^{pi i p.(2m + q) / N}, with p.q reduced
+    exactly mod 2N, and is folded into B[r, s] = sum_{nu = (r, s) mod N} t_nu.
+    Then M[m, m + s] = factor ifftn(B)[m, s], the inverse FFT over r.  Both
+    routes of restriction_matrix end here; only c differs.  A non-finite M
+    is a GaborError.
     """
     N, d = params.N, params.d
     B = np.zeros((N,) * (2 * d), dtype=complex)
     # an overflow leaves M non-finite, which is checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for fold, t in terms:
-            np.add.at(B.reshape(-1), fold, t)
+        for nu, Q, c in blocks:
+            pq = np.einsum("ij,ij->i", nu[:, :d], nu[:, d:]) % (2 * N) / N
+            t = c * np.exp(-math.pi / (2 * N) * Q + 1j * math.pi * pq)
+            np.add.at(B.reshape(-1), np.ravel_multi_index(tuple((nu % N).T), B.shape), t)
         C = np.fft.ifftn(B, axes=tuple(range(d))) * factor
     m = np.indices(params.shape).reshape(d, -1).T
     cols = np.ravel_multi_index(np.moveaxis((m[:, None] + m[None, :]) % N, -1, 0), params.shape)
@@ -640,15 +646,14 @@ def _folded_matrix(params, terms, factor):
     return M
 
 
-def _series_matrix(terms, params):
+def _terms_matrix(terms, params):
     """sum_nu c_nu gamma_Omega(nu) W_N(nu) over the symbol's own terms {nu: c_nu}.
 
     Exact up to roundoff: no sampling and no truncation.  Every entry of M
     is at most sum |c_nu|; the sum must leave room for the sums spectrum
     forms (M + M^H and the trace), else it is a GaborError.
     """
-    N, d = params.N, params.d
-    nu = np.array(list(terms), dtype=np.int64).reshape(-1, 2 * d)
+    nu = np.array(list(terms), dtype=np.int64).reshape(-1, 2 * params.d)
     c = np.array(list(terms.values()), dtype=complex)
     with np.errstate(over="ignore"):
         total = float(np.abs(c).sum())
@@ -656,22 +661,17 @@ def _series_matrix(terms, params):
         raise GaborError(f"the symbol's Fourier sum overflowed: its coefficients add up "
                          f"to {total:.3e} in modulus")
     Q = ((nu @ _heisenberg_form(params)) * nu).sum(axis=1)
-    pq = np.einsum("ij,ij->i", nu[:, :d], nu[:, d:]) % (2 * N) / N
-    t = c * np.exp(-math.pi / (2 * N) * Q + 1j * math.pi * pq)
-    fold = np.ravel_multi_index(tuple((nu % N).T), (N,) * (2 * d))
-    return _folded_matrix(params, [(fold, t)], N ** d)
+    return _series_matrix(params, [(nu, Q, c)], params.N ** params.d)
 
 
 def _level_matrix(symbol, params, L, kernel):
-    """The midpoint-rule matrix at L nodes per axis, summed as its Heisenberg series.
+    """The midpoint-rule matrix at L nodes per axis, summed as a Heisenberg series.
 
-    sum_nu a_L(nu) gamma_Omega(nu) W_N(nu), a_L the DFT of the samples at the
-    L midpoint nodes per axis.  kernel holds, per block of _heisenberg_kernel,
-    the parts of the terms that do not depend on L, as _quadrature_matrix
-    builds them once: nu, -(pi/2N) Q, the W_N phase (p.q mod 2N) / N, sum(nu)
-    and the raveled index of nu mod N into B.  A level only gathers a_L(nu),
-    reduces the midpoint phase e^{-pi i sum(nu) / L} exactly and takes one
-    exp per term.
+    The coefficients are those of the samples: c_nu = e^{-pi i sum(nu) / L}
+    F(nu mod L) / L^{2d}, F the DFT of the symbol at the L midpoint nodes per
+    axis, taken on the nu of kernel, the (nu, Q) blocks of one
+    _heisenberg_kernel.  They go into _series_matrix with the 1 / L^{2d} in
+    its factor.
     """
     d = params.d
     rows = (L,) * (2 * d - 1)
@@ -690,44 +690,40 @@ def _level_matrix(symbol, params, L, kernel):
         for axis in range(2 * d - 1):
             np.fft.fft(F, axis=axis, out=F)
 
-    def terms():
-        for nu, gauss, pq, nusum, fold in kernel:
+    def blocks():
+        for nu, Q in kernel:
             flip = nu[:, -1] % L >= F.shape[-1]
             idx = np.where(flip[:, None], -nu, nu) % L
             ahat = F.reshape(-1)[np.ravel_multi_index(idx.T, F.shape)]
             np.conjugate(ahat, out=ahat, where=flip)
-            # e^{pi i p.q / N} of W_N and e^{-pi i sum(nu) / L} of the midpoint
-            # nodes, with both integers reduced exactly
-            ahat *= np.exp(gauss + 1j * np.pi * (pq - nusum % (2 * L) / L))
-            yield fold, ahat
+            # the midpoint phase, with sum(nu) reduced exactly mod 2L
+            ahat *= np.exp(-1j * np.pi * (np.einsum("ij->i", nu) % (2 * L) / L))
+            yield nu, Q, ahat
 
-    return _folded_matrix(params, terms(), params.N ** d / L ** (2 * d))
+    return _series_matrix(params, blocks(), params.N ** d / L ** (2 * d))
 
 
-def _quadrature_matrix(symbol, params, oversample, rel_tol, max_doublings):
+# doublings of the midpoint grid before a quadrature gives up
+_MAX_DOUBLINGS = 3
+
+
+def _quadrature_matrix(symbol, params, oversample, rel_tol):
     """The midpoint-rule matrix, grid-doubled until it settles: (M, oversample, history, change).
 
     Level k samples the symbol at L = oversample * N midpoint nodes per axis
     (oversample doubling with k) and sums its Heisenberg series over one
-    _heisenberg_kernel, built once per call with the parts of each term that
-    do not depend on L.  A level is accepted once
+    _heisenberg_kernel, built once per call.  A level is accepted once
     ||M_k - M_{k-1}||_F <= rel_tol ||M_k||_F (the norm floored at 1e-300);
     change is that relative change at the accepted level and history holds
     (oversample, trace) per level.  Raises QuadratureUnderResolvedError when
-    the change still exceeds rel_tol after max_doublings doublings.
+    the change still exceeds rel_tol after _MAX_DOUBLINGS doublings.
     """
-    N, d = params.N, params.d
-    scale = math.pi / (2 * N)
-    # the terms' parts that do not depend on L (_level_matrix), int32 where integer
-    kernel = [(nu, -scale * Q, np.einsum("ij,ij->i", nu[:, :d], nu[:, d:]) % (2 * N) / N,
-               np.einsum("ij->i", nu),
-               np.ravel_multi_index(tuple((nu % N).T), (N,) * (2 * d)).astype(np.int32))
-              for nu, Q in _heisenberg_kernel(params, scale, _SERIES_BOUND)]
+    N = params.N
+    kernel = list(_heisenberg_kernel(params, math.pi / (2 * N), _SERIES_BOUND))
     history = []
     prev = None
-    change = None
     ov = oversample
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         M = _level_matrix(symbol, params, ov * N, kernel)
         history.append((ov, complex(np.trace(M))))
         if prev is not None:
@@ -736,10 +732,9 @@ def _quadrature_matrix(symbol, params, oversample, rel_tol, max_doublings):
                 return M, ov, history, change
         prev = M
         ov *= 2
-    measured = "not measured" if change is None else f"{change:.3e}"
     raise QuadratureUnderResolvedError(
-        f"relative matrix change (Frobenius) {measured} at oversample {ov // 2} "
-        f"after {max_doublings} doublings; rel_tol = {rel_tol:.1e}"
+        f"relative matrix change (Frobenius) {change:.3e} at oversample {ov // 2} "
+        f"after {_MAX_DOUBLINGS} doublings; rel_tol = {rel_tol:.1e}"
     )
 
 
@@ -750,15 +745,16 @@ _RESTRICTION_HERMITIAN_TOL = 1e-8
 _SPECTRUM_HERMITIAN_TOL = 1e-10
 
 
-def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings=3):
-    """Localization matrix of the symbol, from its Fourier terms or by quadrature.
+def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8):
+    """Localization matrix of the symbol, M = sum_nu c_nu gamma_Omega(nu) W_N(nu).
 
-    A symbol with Fourier terms (Symbol.fourier_terms: TrigPoly, Constant
-    and the trigonometric polynomials among Expr) gets
-    M = sum_nu c_nu gamma_Omega(nu) W_N(nu) over its own terms, exact up to
-    roundoff (_series_matrix); oversample, rel_tol and max_doublings do not
-    enter, report.oversample and report.change are None and trace_history
-    is empty.  Every other symbol goes through the midpoint rule, doubled
+    One series (_series_matrix) with two sources of c_nu.  A symbol with
+    Fourier terms (Symbol.fourier_terms: TrigPoly, Constant and the
+    trigonometric polynomials among Expr) gives its own terms, exact up to
+    roundoff (_terms_matrix); oversample and rel_tol do not enter,
+    report.oversample and report.change are None and trace_history is
+    empty.  Every other symbol gives the DFT of its midpoint samples, from
+    L = oversample * N nodes per axis, doubled at most _MAX_DOUBLINGS times
     until the whole matrix settles (_quadrature_matrix): report.change is
     the relative Frobenius change at the accepted oversample and
     trace_history holds (oversample, trace) per level.  Real symbols yield a
@@ -772,10 +768,9 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8, max_doublings
         raise GaborError(f"oversample must be >= 1, got {oversample}")
     terms = symbol.fourier_terms()
     if terms is not None:
-        M, ov, history, change = _series_matrix(terms, params), None, [], None
+        M, ov, history, change = _terms_matrix(terms, params), None, [], None
     else:
-        M, ov, history, change = _quadrature_matrix(symbol, params, oversample, rel_tol,
-                                                    max_doublings)
+        M, ov, history, change = _quadrature_matrix(symbol, params, oversample, rel_tol)
     if symbol.is_real:
         asym = float(np.abs(M - M.conj().T).max())
         scale = max(1.0, float(np.abs(M).max()))
@@ -814,9 +809,10 @@ class SpectrumReport:
     def count_above(self, alpha):
         return int(np.count_nonzero(self.eigenvalues.real > alpha))
 
-    def plunge_fraction(self, delta, symbol_max=1.0):
+    def plunge_fraction(self, delta):
+        """Share of the eigenvalues, by real part, in (delta, 1 - delta)."""
         lam = self.eigenvalues.real
-        inside = np.count_nonzero((lam > delta) & (lam < symbol_max - delta))
+        inside = np.count_nonzero((lam > delta) & (lam < 1.0 - delta))
         return inside / lam.size
 
 
@@ -831,8 +827,9 @@ def spectrum(restriction):
         else np.asarray(restriction, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise GaborError("restriction matrix must be square")
-    scale = max(1.0, float(np.abs(M).max()))
-    herm = float(np.abs(M - M.conj().T).max()) <= _SPECTRUM_HERMITIAN_TOL * scale
+    # both tests run on M scaled to max |A| <= 1, so nothing at the scale of M is squared
+    A = M / max(1.0, float(np.abs(M).max()))
+    herm = float(np.abs(A - A.conj().T).max()) <= _SPECTRUM_HERMITIAN_TOL
     try:
         svals = np.linalg.svd(M, compute_uv=False)
         if herm:
@@ -841,8 +838,8 @@ def spectrum(restriction):
         else:
             lam = np.linalg.eigvals(M)
             lam = lam[np.argsort(lam.real)]
-            comm = M @ M.conj().T - M.conj().T @ M
-            nonnormal = float(np.linalg.norm(comm)) > _SPECTRUM_HERMITIAN_TOL * scale ** 2
+            comm = A @ A.conj().T - A.conj().T @ A
+            nonnormal = float(np.linalg.norm(comm)) > _SPECTRUM_HERMITIAN_TOL
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
     return SpectrumReport(
@@ -909,7 +906,7 @@ def _phase_space_targets(symbol, alphas):
 
 
 def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
-                     rel_tol=1e-8, max_doublings=3, plunge_delta=0.1):
+                     rel_tol=1e-8, plunge_delta=0.1):
     """Scaled trace and eigenvalue counts along a list of grid sizes N."""
     from .core import GaborParams
 
@@ -918,8 +915,7 @@ def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
     rows = []
     for N in n_list:
         params = GaborParams(d=symbol.d, N=int(N), Omega=Omega)
-        rep = restriction_matrix(symbol, params, oversample=oversample,
-                                 rel_tol=rel_tol, max_doublings=max_doublings)
+        rep = restriction_matrix(symbol, params, oversample=oversample, rel_tol=rel_tol)
         spec = spectrum(rep)
         nd = params.dim_sn
         rows.append(SweepRow(

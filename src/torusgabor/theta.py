@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .core import ComplexPoint, GaborError, lattice_coefficients, siegel, validate
+from .core import GaborError, lattice_coefficients, siegel, validate
 
 
 class ToleranceUnreachableError(GaborError):
@@ -465,8 +465,8 @@ def theta_zero_1d(params, tol=1e-10):
 
     theta_1 vanishes at the half period (1 + Omega)/2, so z0 = -i(1 + Omega)/2,
     and nowhere else in a cell (a section of order N has N zeros there; see
-    bargmann.section_winding).  The returned representative has lattice
-    coefficients in [0, 1)^2.  Its weighted magnitude |theta_1(i z0)|
+    bargmann.section_winding).  It returns the complex representative with
+    lattice coefficients in [0, 1)^2.  Its weighted magnitude |theta_1(i z0)|
     e^{-phi(z0)/2}, phi(z) = 2 pi (Re z)^2 / Im Omega, is evaluated by theta_eval
     and must be below tol, else ToleranceUnreachableError is raised.
     """
@@ -482,4 +482,4 @@ def theta_zero_1d(params, tol=1e-10):
         raise ToleranceUnreachableError(
             f"weighted |theta_1| at the half period is {weighted:.1e}, not below tol={tol:.1e}"
         )
-    return ComplexPoint(np.array([z0]))
+    return z0

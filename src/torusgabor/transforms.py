@@ -147,11 +147,6 @@ def _check_signal(f, name="signal"):
     return f
 
 
-def sn_inner(f, g):
-    """Coefficient inner product <f, g> = sum conj(g) f... ordered <f,g> = sum f conj(g)."""
-    return complex(np.sum(np.asarray(f) * np.conj(np.asarray(g))))
-
-
 def time_frequency_shift(h, k, l):
     """(M_l T_k h)[m] = exp(2 pi i l.m / N) h[m - k] with cyclic index shifts."""
     h = _check_signal(h, "window")
@@ -278,27 +273,4 @@ def dgt_inverse(V, g):
         _require_finite(V, "coefficients")
         raise theta.ToleranceUnreachableError("the inverse transform overflows double precision")
     return f
-
-
-# ---------------------------------------------------------------------------
-# quadrature grids
-
-def tn_grid(params, nx, nxi, midpoint=False):
-    """Uniform product grid on T_N = [0, N)^d x [0, 1)^d.
-
-    nx and nxi are points per time and frequency axis.  Returns (X, XI, w)
-    with X, XI of shape (P, d) and w the cell volume; for periodic smooth
-    integrands the plain w-weighted sum is the spectrally accurate
-    trapezoid/midpoint rule.  Points run in C order over the axes
-    (x_1..x_d, xi_1..xi_d).
-    """
-    if nx < 1 or nxi < 1:
-        raise GaborError(f"a T_N grid needs nx, nxi >= 1, got nx={nx}, nxi={nxi}")
-    off = 0.5 if midpoint else 0.0
-    d, N = params.d, params.N
-    xs = (np.arange(nx) + off) * (N / nx)
-    xis = (np.arange(nxi) + off) * (1.0 / nxi)
-    mesh = np.meshgrid(*([xs] * d + [xis] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    return pts[:, :d], pts[:, d:], (N / nx) ** d * (1.0 / nxi) ** d
 

@@ -110,7 +110,7 @@ def test_criterion_04_theta_quasiperiodicity_and_tail_honesty():
 def test_criterion_05_theta_zero_matches_transported_classical_zero():
     for om in (1j, 2j, 0.3 + 1j):
         p = _params(1, 3, om)
-        z0 = theta_zero_1d(p, tol=1e-12).z
+        z0 = np.array([theta_zero_1d(p, tol=1e-12)])
         target = -1j * (1 + om) / 2
         dist = complex_distance_mod_lattice(z0, np.array([target]), p)
         assert dist <= 1e-10

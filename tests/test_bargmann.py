@@ -12,6 +12,7 @@ from torusgabor.bargmann import (
     section_winding,
     weight_phi,
 )
+from grids import tn_grid
 from torusgabor import transforms
 from torusgabor.core import GaborParams
 from torusgabor.theta import ScaledComplex, ToleranceUnreachableError, theta_eval
@@ -302,7 +303,7 @@ def test_gram_is_the_weighted_section_sum(p, nx, nxi, tol):
     # domain, summed here from the section series alone on a midpoint grid of
     # z = i (Omega x / N + xi), x in [0, N)^d, xi in [0, 1)^d; the grid sizes
     # put the aliasing error below tol
-    X, XI, cell = transforms.tn_grid(p, nx, nxi, midpoint=True)
+    X, XI, cell = tn_grid(p, nx, nxi, midpoint=True)
     Z = 1j * (X @ p.Omega.T / p.N + XI)
     B = np.array([bargmann_basis(np.array(n), Z, p).raw.to_complex()
                   for n in np.ndindex(p.shape)]).T
@@ -325,7 +326,7 @@ def test_table_is_the_sections_times_one_phase():
         ns = np.indices(p.shape).reshape(p.d, -1).T
         # 3N nodes per axis: at 2N, e^{2 pi i N k.xi} = +-1 would hide its sign
         nx = 3 * p.N
-        X, XI, _ = transforms.tn_grid(p, nx, nx)
+        X, XI, _ = tn_grid(p, nx, nx)
         window = transforms.GaussianWindow(p)
         for j in rng.choice(len(X), 8, replace=False):
             V = transforms.stft_basis_grid(window, X[j], XI[j])[:, 0]
@@ -390,7 +391,7 @@ def test_density_matches_the_pointwise_grid_sum(monkeypatch, chunk, p, ov):
         monkeypatch.setattr(transforms, "_CHUNK", chunk)
     rep = bergman_density(p, oversample=ov)
     w = transforms.GaussianWindow(p)
-    X, XI, _ = transforms.tn_grid(p, ov * p.N, ov * p.N)
+    X, XI, _ = tn_grid(p, ov * p.N, ov * p.N)
     V = transforms.stft_basis_grid(w, X, XI)
     rho = (np.abs(V) ** 2).sum(axis=0) / w.l2_norm_sq()
     assert rep.values.size == rho.size

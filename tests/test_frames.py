@@ -220,7 +220,7 @@ def test_scan_verdicts_equal_the_parity_predicate():
     # verdict must be the one parity_predicate solves for from scratch
     p = _p(4, omega=0.25 + 1j)
     positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
-    member = _lambda_membership(p, _set(positions, p).complex_images(p), theta_zero_1d(p).z[0])
+    member = _lambda_membership(p, _set(positions, p).complex_images(p), theta_zero_1d(p))
     predicted = 0
     for idx in itertools.combinations(range(len(positions)), 4):
         expected = parity_predicate(_set([positions[i] for i in idx], p), p).no_frame
@@ -380,7 +380,7 @@ def test_oversampled_random_sets_are_all_frames():
 def test_diagnostic_vanishes_for_no_frame_configuration():
     p = _p(4)
     bad = _set([(0, 0), (1, 1), (2, 3), (1, 0)], p)
-    z0 = theta_zero_1d(p).z[0]
+    z0 = theta_zero_1d(p)
     translates = (bad.complex_images(p) - z0).reshape(4, 1)
     vals = zero_set_diagnostic(bad, translates, p)
     assert vals.shape == (4,)
@@ -390,7 +390,7 @@ def test_diagnostic_vanishes_for_no_frame_configuration():
 def test_diagnostic_rejects_frame_translates_then_accepts_recentered():
     p = _p(4)
     good = _set([(0, 0), (1, 1), (2, 3), (2, 0)], p)
-    z0 = theta_zero_1d(p).z[0]
+    z0 = theta_zero_1d(p)
     translates = (good.complex_images(p) - z0).reshape(4, 1)
     with pytest.raises(TranslateSumNotInDualLatticeError):
         zero_set_diagnostic(good, translates, p)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grids import tn_grid
 from torusgabor import localization, theta, transforms
 from torusgabor.core import GaborError, GaborParams, QuadratureUnderResolvedError
 from torusgabor.localization import (
@@ -179,8 +180,26 @@ def test_quadrature_failure_reports_change():
     p = _p(4)
     box = BoxIndicator([0.1, 0.13], [0.47, 0.81])
     with pytest.raises(QuadratureUnderResolvedError) as exc:
-        restriction_matrix(box, p, oversample=2, rel_tol=1e-10, max_doublings=1)
+        restriction_matrix(box, p, oversample=2, rel_tol=1e-10)
     assert "relative matrix change (Frobenius)" in str(exc.value)
+
+
+def test_quadrature_gives_up_after_max_doublings(monkeypatch):
+    levels = []
+    level = localization._level_matrix
+
+    def counted(symbol, params, L, kernel):
+        levels.append(L)
+        return level(symbol, params, L, kernel)
+
+    monkeypatch.setattr(localization, "_level_matrix", counted)
+    box = BoxIndicator([0.1, 0.13], [0.47, 0.81])
+    with pytest.raises(QuadratureUnderResolvedError) as exc:
+        restriction_matrix(box, _p(4), oversample=4, rel_tol=1e-10)
+    assert localization._MAX_DOUBLINGS == 3
+    assert "at oversample 32" in str(exc.value)
+    assert "after 3 doublings" in str(exc.value)
+    assert levels == [16, 32, 64, 128]
 
 
 def test_matrix_rule_rejects_a_settled_trace():
@@ -190,11 +209,6 @@ def test_matrix_rule_rejects_a_settled_trace():
     sym = Expr("step(0.3 - x1) - step(x1 - 0.3)")
     with pytest.raises(QuadratureUnderResolvedError, match="at oversample 32"):
         restriction_matrix(sym, _p(8), rel_tol=1e-8)
-
-
-def test_zero_doublings_is_an_error_with_a_message():
-    with pytest.raises(QuadratureUnderResolvedError, match="not measured at oversample 4"):
-        restriction_matrix(_Sampled(Constant(1.0)), _p(2), max_doublings=0)
 
 
 def test_symbol_dimension_must_match():
@@ -259,6 +273,22 @@ def test_spectrum_flags_nonnormal():
     assert sp.nonnormal
     assert np.allclose(sp.eigenvalues, 0.0)
     assert sp.singular_values[0] == pytest.approx(1.0)
+
+
+def test_spectrum_tests_huge_input_without_overflow():
+    # the Hermitian and normality tests run on M / max|M|: nothing at the
+    # scale of M is squared, and eigvals and svd see M itself
+    big = restriction_matrix(TrigPoly(1, {(1, 0): 1e200}), _p(4))
+    sp = spectrum(big)
+    assert not sp.hermitian and not sp.nonnormal
+    assert np.all(np.isfinite(sp.eigenvalues)) and np.all(np.isfinite(sp.singular_values))
+    assert np.abs(sp.eigenvalues).max() == pytest.approx(np.abs(big.matrix).max())
+    sp = spectrum(1e200 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert not sp.hermitian and sp.nonnormal
+    assert sp.singular_values[0] == pytest.approx(1e200)
+    sp = spectrum(np.array([[1e308, -1e308], [1e308, 0.0]]))
+    assert np.all(np.isfinite(sp.eigenvalues)) and np.all(np.isfinite(sp.singular_values))
+    assert not sp.hermitian and sp.nonnormal
 
 
 def test_spectrum_rejects_nonsquare_and_wraps_solver_errors():
@@ -456,8 +486,8 @@ def test_restriction_matrix_matches_the_pointwise_grid_sum(monkeypatch, chunk, p
     sym = _Sampled(parse_symbol(text, params.d))
     rep = restriction_matrix(sym, params, oversample=ov, rel_tol=1e-3)
     w = transforms.GaussianWindow(params)
-    X, XI, cell = transforms.tn_grid(params, rep.oversample * params.N,
-                                     rep.oversample * params.N, midpoint=True)
+    X, XI, cell = tn_grid(params, rep.oversample * params.N,
+                          rep.oversample * params.N, midpoint=True)
     V = transforms.stft_basis_grid(w, X, XI)
     M = (V.conj() * np.asarray(sym(X / params.N, XI)).real) @ V.T
     M *= cell / w.l2_norm_sq()
@@ -470,7 +500,6 @@ def test_toeplitz_correspondence_with_weighted_sections():
     # matched through the single constant the unit symbol fixes
     from torusgabor.bargmann import bargmann_basis, weight_phi
     from torusgabor.core import GaborParams
-    from torusgabor.transforms import tn_grid
 
     rng = np.random.default_rng(32)
     p = GaborParams(d=1, N=2, Omega=np.array([[1j]]))
@@ -761,13 +790,13 @@ def test_restriction_builds_the_kernel_once(monkeypatch):
     for sym, tol in ((_Sampled(Constant(1.0)), 1e-8), (parse_symbol("sin(pi*x1)^2*xi1"), 1e-3),
                      (box, 1e-3)):
         calls.clear()
-        rep = restriction_matrix(sym, p, oversample=2, rel_tol=tol, max_doublings=4)
+        rep = restriction_matrix(sym, p, oversample=2, rel_tol=tol)
         levels.add(len(rep.trace_history))
         assert len(calls) == 1
     assert levels == {2, 3, 4}
     calls.clear()
     with pytest.raises(QuadratureUnderResolvedError):
-        restriction_matrix(box, p, oversample=2, rel_tol=1e-12, max_doublings=2)
+        restriction_matrix(box, p, oversample=2, rel_tol=1e-12)
     assert len(calls) == 1
     # the series route builds no kernel at all
     calls.clear()
@@ -810,7 +839,7 @@ def test_level_holds_one_transform(sym):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        restriction_matrix(_Sampled(sym), p, oversample=L // 4, rel_tol=1.0, max_doublings=1)
+        restriction_matrix(_Sampled(sym), p, oversample=L // 4, rel_tol=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -463,22 +463,22 @@ def test_theta_zero_matches_half_periods():
         p = _p(om, N=4)
         z0 = theta_zero_1d(p)
         expect = np.array([-1j * (1 + om) / 2])
-        assert complex_distance_mod_lattice(z0.z, expect, p) < 1e-10
+        assert complex_distance_mod_lattice(np.array([z0]), expect, p) < 1e-10
 
 
 def test_theta_zero_is_a_zero_in_weighted_magnitude():
     for om in ZERO_OMEGAS:
         p = _p(om, N=2)
         z0 = theta_zero_1d(p, tol=1e-11)
-        ev = theta_eval(1j * z0.z, p, order=1, tol=1e-13)
+        ev = theta_eval(np.array([1j * z0]), p, order=1, tol=1e-13)
         y = float(p.im[0, 0])
-        phi = 2 * np.pi * float(z0.z.real[0]) ** 2 / y
+        phi = 2 * np.pi * z0.real ** 2 / y
         assert ev.value.magnitude(-0.5 * phi) < 1e-11
 
 
 def test_theta_zero_representative_is_reduced():
     for om in ZERO_OMEGAS:
-        z0 = complex(theta_zero_1d(_p(om, N=4)).z[0])
+        z0 = theta_zero_1d(_p(om, N=4))
         # coefficients against the generators -i Omega and i
         a = z0.real / om.imag
         b = z0.imag + a * om.real

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from grids import tn_grid
 from torusgabor import transforms
 from torusgabor.core import GaborParams
 from torusgabor.theta import ToleranceUnreachableError, theta_eval
@@ -15,10 +16,8 @@ from torusgabor.transforms import (
     dgt,
     dgt_inverse,
     periodize_sample,
-    sn_inner,
     stft_basis_grid,
     time_frequency_shift,
-    tn_grid,
 )
 
 DGT_TOL = 1e-12
@@ -329,12 +328,6 @@ def test_dgt_overflow_is_refused_without_a_warning():
     # large but representable coefficients still transform
     V = dgt(np.array([1e300, 0, 0, 0]), np.ones(4))
     assert np.abs(V).max() == pytest.approx(1e300)
-
-
-def test_sn_inner_ordering():
-    f = np.array([1 + 1j, 0, 0, 0])
-    g = np.array([2j, 0, 0, 0])
-    assert sn_inner(f, g) == pytest.approx((1 + 1j) * (-2j))
 
 
 # ---------------------------------------------------------------------------
