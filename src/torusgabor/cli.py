@@ -13,9 +13,11 @@ elementwise sums, with no matmul, so their last bits follow numpy's FFT, not
 the BLAS build.  What can still differ between BLAS/LAPACK builds is the
 output of dense linear algebra: eigenvalues, and singular values at roundoff
 level, such as the 4.5314964572701556e-17 in tests/golden/frame_check.json.
-`frame scan` takes one batched SVD per block of subsets, which can differ
-from the single-matrix SVD of `frame check` at roundoff level (about 1e-16
-relative in a margin).
+`frame scan` takes one SVD per translation orbit of subsets, batched per
+block: a subset's margin is that of its orbit's first scanned member, which
+can differ from the subset's own SVD, and from the single-matrix SVD of
+`frame check`, at roundoff level (up to 1.6e-14 relative in a frame margin
+of the N=K=5 scan).
 A report never holds NaN or Infinity: a non-finite value is a domain error.
 """
 

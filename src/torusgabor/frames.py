@@ -15,11 +15,17 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
 
 The scan driver runs both over subset families and reports every
 disagreement, keeping the margin distribution so the SVD threshold remains
-auditable.  It works on blocks of subsets: each block of index rows gathers
-one (B, K, N^d) stack of atom matrices, takes one batched SVD of the stack
-and sums the parity coefficients of every row at once.  A block holds at
-most transforms._CHUNK complex entries, and the verdicts do not depend on
-where blocks split.
+auditable.  The oracle takes one SVD per translation orbit, not per subset:
+for any window h, M_{l+l0} T_{k+k0} h = e^{2 pi i l.k0/N} M_{l0} T_{k0} M_l T_k h,
+so the atom matrix of D + t is a row-phased copy of D's times a unitary and
+has the same singular values.  Each subset gets a key naming its orbit (its
+least sorted translate), one np.unique over all keys picks each orbit's
+first scanned member, and only those members' atom stacks are SVD'd; their
+margins are scattered to the rest of the orbit.  With K < N^d the atoms
+cannot span and no SVD runs: every margin is 0.  The parity predicate is
+summed per subset.  Every block of keys, parity sums or atom stacks holds at
+most about transforms._CHUNK entries, and the results do not depend on where
+blocks split.
 """
 
 from __future__ import annotations
@@ -181,6 +187,44 @@ def _lambda_membership(params, zs, z0, tol=1e-9):
     return member
 
 
+def _orbit_keys(subsets, diff):
+    """Keys naming each subset's orbit under the translations of Z_N^2d, one row each.
+
+    subsets is (B, K) flat position indices j = Q k + l, where Q = N^d and
+    k, l are flat indices into Z_N^d; diff is the (Q, Q) table of the flat
+    index of k - k' mod N.  The key is the least sorted translate of the
+    subset, or of its complement when that is smaller (a translation moves
+    both together).  Only the translates S - p_s, s in S, hold position 0,
+    so the least of all N^2d translates is among them.
+    """
+    B, K = subsets.shape
+    Q = len(diff)
+    if 0 < Q * Q - K < K:
+        outside = np.ones((B, Q * Q), dtype=bool)
+        outside[np.arange(B)[:, None], subsets] = False
+        subsets = np.nonzero(outside)[1].reshape(B, -1).astype(subsets.dtype)
+    k, l = np.divmod(subsets, Q)
+    # cand[b, s, j] = flat index of p_j - p_s, each row sorted; the flat
+    # indices of diff stay below Q^2, so they fit the dtype
+    table = diff.ravel()
+    cand = table.take(k[:, None, :] * Q + k[:, :, None])
+    cand *= Q
+    cand += table.take(l[:, None, :] * Q + l[:, :, None])
+    cand.sort(axis=-1)
+    # each subset's lexicographically least row, column by column over the
+    # subsets whose least row is not yet unique
+    least = np.ones(cand.shape[:2], dtype=bool)
+    live = np.arange(B)
+    top = np.iinfo(cand.dtype).max
+    for c in range(1, cand.shape[-1]):
+        col = np.where(least[live], cand[live, :, c], top)
+        least[live] &= col == col.min(axis=1, keepdims=True)
+        live = live[np.count_nonzero(least[live], axis=1) > 1]
+        if not len(live):
+            break
+    return cand[np.arange(B), least.argmax(axis=1)]
+
+
 def _frame_margin(svals, nd):
     """(sigma_min, sigma_max, margin) from singular values sorted along the last axis.
 
@@ -290,7 +334,11 @@ def zero_set_diagnostic(D, translates, params, tol=1e-10):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
-    """Predicate-vs-oracle agreement over a family of K-subsets."""
+    """Predicate-vs-oracle agreement over a family of K-subsets.
+
+    orbits is the number of atom matrices the scan SVD'd: one per translation
+    orbit among the scanned subsets, and 0 when K < N^d.
+    """
 
     total: int
     mode: str
@@ -300,6 +348,7 @@ class ScanResult:
     margins: np.ndarray
     all_frames: bool
     seed: int | None
+    orbits: int
 
 
 # largest family an exhaustive scan enumerates
@@ -322,11 +371,6 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     total_positions = len(positions)
     if not 1 <= K <= total_positions:
         raise GaborError(f"subset size K must be in 1..{total_positions}, got {K}")
-    atoms_all = np.stack([
-        transforms.time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
-        for k, l in positions
-    ])
-
     parity_applicable = params.d == 1 and K == params.N
     if parity_applicable:
         zs = PointSet.from_pairs(positions, params).complex_images(params)
@@ -353,28 +397,62 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         raise GaborError(f"unknown scan mode {mode!r}")
 
     nd = params.dim_sn
-    block = max(1, transforms._CHUNK // (K * nd))
-    margins = np.empty(total)
+    by_count = K < nd
+    # holds every position index, and so every flat index _orbit_keys forms
+    index_dtype = np.min_scalar_type(total_positions - 1)
+    subsets = np.empty((total, K), dtype=index_dtype)
+    keys = []
+    if not by_count:
+        # diff[a, b] = flat index of k_a - k_b mod N, for k_a, k_b in Z_N^d
+        ks = np.array(list(np.ndindex(params.shape)))
+        diff = np.ravel_multi_index(np.moveaxis((ks[:, None] - ks) % params.N, -1, 0),
+                                    params.shape).astype(index_dtype)
     pred = np.empty(total, dtype=bool)
-    disagreements = []
+    block = max(1, transforms._CHUNK // (K * max(nd, K)))
     for start in range(0, total, block):
         idx = np.fromiter(itertools.islice(subset_iter, block), dtype=np.dtype((np.intp, K)))
         rows = slice(start, start + len(idx))
-        svals = np.linalg.svd(atoms_all[idx], compute_uv=False)
-        smin, _, margins[rows] = _frame_margin(svals, nd)
-        if not parity_applicable:
-            continue
-        pred[rows] = no_frame(idx)
-        # a disagreement: predicted no-frame where the oracle finds a frame, or
-        # the reverse
-        for i in np.flatnonzero(pred[rows] == (margins[rows] > svd_threshold)):
-            disagreements.append({
-                "positions": [positions[j] for j in idx[i]],
-                "sigma_min": float(smin[i]),
-                "margin": float(margins[start + i]),
-                "pred_no_frame": bool(pred[start + i]),
-            })
+        subsets[rows] = idx
+        if not by_count:
+            keys.append(_orbit_keys(subsets[rows], diff))
+        if parity_applicable:
+            pred[rows] = no_frame(idx)
+
+    if by_count:
+        # fewer atoms than dimensions never span, so no SVD: these are the
+        # zeros _frame_margin returns for fewer than N^d singular values
+        smin, margins, orbits = np.zeros(total), np.zeros(total), 0
+    else:
+        # translates share singular values, so one SVD per orbit: that of its
+        # first scanned member, scattered to the others
+        keys = np.concatenate(keys)
+        _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys[0].nbytes))).ravel(),
+                                      return_index=True, return_inverse=True)
+        orbits = len(first)
+        atoms_all = np.stack([
+            transforms.time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
+            for k, l in positions
+        ])
+        rep_smin, rep_margins = np.empty(orbits), np.empty(orbits)
+        block = max(1, transforms._CHUNK // (K * nd))
+        for start in range(0, orbits, block):
+            rows = slice(start, start + block)
+            svals = np.linalg.svd(atoms_all[subsets[first[rows]]], compute_uv=False)
+            rep_smin[rows], _, rep_margins[rows] = _frame_margin(svals, nd)
+        smin, margins = rep_smin[inverse], rep_margins[inverse]
+
     oracle = margins > svd_threshold
+    # a disagreement: predicted no-frame where the oracle finds a frame, or the
+    # reverse
+    disagreements = [
+        {
+            "positions": [positions[j] for j in subsets[i]],
+            "sigma_min": float(smin[i]),
+            "margin": float(margins[i]),
+            "pred_no_frame": bool(pred[i]),
+        }
+        for i in np.flatnonzero(pred == oracle)
+    ] if parity_applicable else []
     confusion = dict.fromkeys(("agree_frame", "agree_no_frame",
                                "pred_no_frame_oracle_frame", "pred_frame_oracle_no_frame"), 0)
     if parity_applicable:
@@ -395,4 +473,5 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         margins=margins,
         all_frames=bool(np.all(oracle)),
         seed=seed,
+        orbits=orbits,
     )

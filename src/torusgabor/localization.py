@@ -66,7 +66,11 @@ class NonHermitianBeyondToleranceError(GaborError):
 
 
 class EigSolverFailure(GaborError):
-    """The dense eigensolver did not converge."""
+    """The dense eigen or singular value solve has no finite answer.
+
+    The matrix has a non-finite entry, the solver did not converge, or a
+    result lies beyond double precision.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +831,17 @@ def spectrum(restriction):
         else np.asarray(restriction, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise GaborError("restriction matrix must be square")
-    # both tests run on M scaled to max |A| <= 1, so nothing at the scale of M is squared
-    A = M / max(1.0, float(np.abs(M).max()))
+    if not np.isfinite(M).all():
+        raise EigSolverFailure("restriction matrix has a non-finite entry")
+    # both tests run on M scaled to max(|Re A|, |Im A|) <= 1, so nothing at the
+    # scale of M is squared; |M| itself can overflow where its parts do not
+    A = M / max(1.0, float(np.abs(M.real).max()), float(np.abs(M.imag).max()))
     herm = float(np.abs(A - A.conj().T).max()) <= _SPECTRUM_HERMITIAN_TOL
     try:
         svals = np.linalg.svd(M, compute_uv=False)
         if herm:
-            lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T)).astype(complex)
+            # halving first: M + M^H can overflow where M does not
+            lam = np.linalg.eigvalsh(0.5 * M + 0.5 * M.conj().T).astype(complex)
             nonnormal = False
         else:
             lam = np.linalg.eigvals(M)
@@ -842,10 +850,14 @@ def spectrum(restriction):
             nonnormal = float(np.linalg.norm(comm)) > _SPECTRUM_HERMITIAN_TOL
     except np.linalg.LinAlgError as exc:
         raise EigSolverFailure(str(exc)) from exc
+    with np.errstate(over="ignore"):
+        trace = complex(np.trace(M))
+    if not (np.isfinite(svals).all() and np.isfinite(lam).all() and cmath.isfinite(trace)):
+        raise EigSolverFailure("the spectrum of the restriction matrix overflows double precision")
     return SpectrumReport(
         eigenvalues=lam,
         singular_values=svals,
-        trace=complex(np.trace(M)),
+        trace=trace,
         hermitian=herm,
         nonnormal=nonnormal,
     )

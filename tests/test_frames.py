@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -286,6 +287,8 @@ SCAN_CASES = {
     "random-d2-N3-K8": (GaborParams(d=2, N=3, Omega=OMEGA_2D), 8,
                         {"mode": "random", "count": 300, "seed": 5}),
     "random-d1-N6-K7": (_p(6), 7, {"mode": "random", "count": 300, "seed": 6}),
+    # C(81, 79) = 3240 subsets; 81^79 overflows any integer code of a subset
+    "exhaustive-d2-N3-K79": (GaborParams(d=2, N=3, Omega=OMEGA_2D), 79, {}),
 }
 
 
@@ -332,6 +335,47 @@ def test_scan_reports_every_disagreement_in_subset_order(monkeypatch):
     assert all(rec["margin"] > 1e-4 and not rec["pred_no_frame"] for rec in res.disagreements)
     monkeypatch.setattr(transforms, "_CHUNK", 7 * 4 * 4)
     assert scan_subsets(p, 4, svd_threshold=2.0).disagreements == res.disagreements
+
+
+def _count_svd_matrices(monkeypatch):
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(np.prod(np.shape(a)[:-2], dtype=int))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return matrices
+
+
+@pytest.mark.parametrize("N, orbits", [(4, 122), (5, 2130)])
+def test_scan_takes_one_svd_per_translation_orbit(N, orbits, monkeypatch):
+    # Burnside: 122 = (1820 + 3 * 28 + 12 * 4) / 16 orbits of 4-subsets of
+    # Z_4^2, and 2130 = (53130 + 24 * 5) / 25 of 5-subsets of Z_5^2
+    p = _p(N, omega=0.25 + 1j)
+    matrices = _count_svd_matrices(monkeypatch)
+    res = scan_subsets(p, N)
+    assert res.total == math.comb(N * N, N)
+    assert res.orbits == orbits == sum(matrices)
+    # an orbit's first scanned member keeps the bits of its own stacked SVD
+    h = periodize_sample(GaussianWindow(p))
+    atoms = np.stack([time_frequency_shift(h, k, l) for k in range(N) for l in range(N)])
+    svals = np.linalg.svd(atoms[list(itertools.combinations(range(N * N), N))],
+                          compute_uv=False)
+    own = (svals[:, -1] / svals[:, 0]) ** 2
+    first = np.unique(res.margins, return_index=True)[1]
+    assert np.array_equal(res.margins[first], own[first])
+
+
+def test_scan_below_the_dimension_takes_no_svd(monkeypatch):
+    # K < N^d atoms never span: every margin is the 0 an SVD would give
+    matrices = _count_svd_matrices(monkeypatch)
+    p, K, kw = SCAN_CASES["random-d2-N3-K8"]
+    res = scan_subsets(p, K, **kw)
+    assert matrices == [] and res.orbits == 0
+    assert np.array_equal(res.margins, np.zeros(res.total))
+    assert res.confusion["oracle_no_frame"] == res.total
 
 
 @pytest.mark.parametrize("K", [0, 17])
@@ -424,6 +468,25 @@ def test_adding_points_never_hurts():
             assert rep.A >= prev_A - 1e-12
             assert rep.is_frame or not was_frame
             prev_A, was_frame = rep.A, rep.is_frame
+
+
+@pytest.mark.parametrize("p", [_p(5, omega=0.3 + 1j), GaborParams(d=2, N=3, Omega=OMEGA_2D)],
+                         ids=["d1", "d2"])
+def test_translated_sets_share_singular_values_for_any_window(p):
+    # M_{l+l0} T_{k+k0} h = e^{2 pi i l.k0/N} M_{l0} T_{k0} M_l T_k h for every
+    # window h: the atoms of D + t are a row-phased copy of D's times a
+    # unitary, which is what lets a scan take one SVD per translation orbit
+    rng = np.random.default_rng(23)
+    h = rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape)
+    assert not np.allclose(h, h[tuple(-np.indices(p.shape) % p.N)])  # not even
+    K = p.dim_sn + 2
+    for _ in range(4):
+        ks, ls, t = rng.integers(0, p.N, (K, p.d)), rng.integers(0, p.N, (K, p.d)), \
+            rng.integers(0, p.N, (2, p.d))
+        r0 = frame_bounds(PointSet.from_pairs(zip(ks, ls), p), p, window=h)
+        r1 = frame_bounds(PointSet.from_pairs(zip(ks + t[0], ls + t[1]), p), p, window=h)
+        assert np.abs(r1.singular_values - r0.singular_values).max() <= \
+            1e-13 * r0.singular_values[0]
 
 
 def test_rigid_translation_preserves_singular_values():

@@ -291,6 +291,34 @@ def test_spectrum_tests_huge_input_without_overflow():
     assert not sp.hermitian and sp.nonnormal
 
 
+def test_spectrum_of_entries_near_the_largest_double_is_finite():
+    # M + M^H would overflow here; the Hermitian part halves first
+    sp = spectrum(np.diag([1e308, 1.0]))
+    assert sp.hermitian and not sp.nonnormal
+    assert sp.eigenvalues.tolist() == [1.0, 1e308]
+    assert sp.singular_values.tolist() == [1e308, 1.0]
+    assert sp.trace == 1e308 + 1.0
+
+
+def test_spectrum_beyond_double_precision_is_a_domain_error():
+    # |M_00| overflows though its parts do not, and so does sigma_1: the
+    # tests must not read the matrix as zero, and no NaN may come back
+    with pytest.raises(EigSolverFailure, match="overflows double precision"):
+        spectrum(np.array([[1.5e308 + 1.5e308j, 0], [1e308, 0]]))
+    with pytest.raises(EigSolverFailure, match="overflows double precision"):
+        spectrum(np.array([[1e308, 1e308j], [-1e308j, 1e308]]))  # eigenvalue 2e308
+    with pytest.raises(EigSolverFailure, match="overflows double precision"):
+        spectrum(np.diag([1e308, 1e308]))  # the trace
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_spectrum_refuses_non_finite_entries_before_solving(bad):
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    with pytest.raises(EigSolverFailure, match="non-finite entry"):
+        spectrum(M)
+
+
 def test_spectrum_rejects_nonsquare_and_wraps_solver_errors():
     with pytest.raises(GaborError):
         spectrum(np.zeros((2, 3)))
