@@ -338,7 +338,7 @@ def _parity_doc(parity):
         "no_frame": parity.no_frame,
         "s": _cnum(parity.s),
         "witness": list(parity.witness),
-        "integer_form": parity.integer_form,
+        "integer_form": parity.no_frame,
     }
 
 

@@ -11,9 +11,9 @@ T_Omega = C^d / Lambda, where
 so the integer time-frequency sample (k, l) lands on z = -i(Omega k/N + l/N).
 The transforms live on the real side and the frame criteria on the complex
 side; this module owns the lattice coefficients of complex points (one or a
-batch), the integer-lattice membership test the frame predicates are built
-on, the integer points of an ellipsoid (lattice_ellipsoid, behind the
-Heisenberg series and the nearest lattice translate), and exact_sum, the
+batch), the lattice membership test behind the zero-set diagnostic, the
+integer points of an ellipsoid (lattice_ellipsoid, behind the Heisenberg
+series and the section sums), and exact_sum, the
 correctly rounded sum behind every grid total a report prints.  The
 reduction of a point into the cell, with the factor the theta series and the
 sections pick up on the way, lives in theta (theta._reduce).
@@ -50,6 +50,9 @@ class QuadratureUnderResolvedError(GaborError):
 
 
 SYMMETRY_RTOL = 1e-12
+# largest coefficient residual at which dual_lattice_member counts a point as
+# a lattice point
+MEMBERSHIP_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -192,90 +195,60 @@ class LatticeMembership:
     residual: float
 
 
-def dual_lattice_member(z, params, scale=1.0, tol=1e-9):
-    """Test z in scale * Lambda, where Lambda = -i Omega Z^d + i Z^d.
+def dual_lattice_member(z, params):
+    """Test z in Lambda = -i Omega Z^d + i Z^d.
 
-    The solved real coefficients are divided by `scale` and compared with the
-    nearest integers; `residual` is the largest componentwise distance.  For
-    the principal polarization carried by Lambda the lattice dual to Lambda
-    under the torus symplectic form is Lambda itself, so scale 1 is the test
-    the frame parity predicate needs; scale 1/N probes the refinement that
-    shows up in sampling arguments.
+    The solved real coefficients are compared with the nearest integers;
+    `residual` is the largest componentwise distance, and z is a member when
+    it is at most MEMBERSHIP_TOL.  For the principal polarization carried by
+    Lambda the lattice dual to Lambda under the torus symplectic form is
+    Lambda itself, so this is the test the zero-set diagnostic needs of the
+    sum of its translates.
     """
     a, b = _point_coefficients(z, params)
-    with np.errstate(all="ignore"):  # an overflow is refused below
-        ca, cb = a / scale, b / scale
-    wa, wb = np.round(ca), np.round(cb)
+    wa, wb = np.round(a), np.round(b)
     if not np.all(np.abs(np.concatenate([wa, wb])) < 2.0 ** 63):
         raise GaborError(f"the integer witnesses of {np.asarray(z).tolist()} exceed 64 bits")
-    residual = float(max(np.abs(ca - wa).max(), np.abs(cb - wb).max()))
+    residual = float(max(np.abs(a - wa).max(), np.abs(b - wb).max()))
     return LatticeMembership(
-        member=residual <= tol,
+        member=residual <= MEMBERSHIP_TOL,
         a=wa.astype(int),
         b=wb.astype(int),
         residual=residual,
     )
 
 
-def complex_distance_mod_lattice(z1, z2, params):
-    """Euclidean distance |z1 - z2| minimized over Lambda translates.
+def lattice_ellipsoid(form, bound, rows, radius=math.inf):
+    """Blocks of integer points, in C order, holding all nu with nu' form nu <= bound.
 
-    With z1 - z2 = -i Omega a + i b, the translate by -i Omega m + i k leaves
-    v(u, w) = -i Omega u + i w at (u, w) = (a - m, b - k), and
-    |v|^2 = u' Y^2 u + |w - X u|^2 is a quadratic form G in (u, w).  Rounding a
-    and b gives one candidate, which on a skewed lattice need not be the
-    nearest; every translate at most as far lies in the ellipsoid of G about
-    the rounding residual, and lattice_ellipsoid enumerates it.
+    form is symmetric positive definite, n x n.  With nu_0..nu_{k-1} fixed,
+    the least value of the form over real nu_{k+1}.. is y' S_k y with
+    y = nu[:k+1] and S_k = inv(inv(form)[:k+1, :k+1]), a quadratic in nu_k
+    whose bound interval is found in closed form.  Each interval is widened by
+    one integer on each side, far more than the rounding of its ends, and
+    clipped to [-radius, radius]; so the points are a superset of the
+    ellipsoid, and a caller applies its own exact test.  A block groups
+    consecutive rows of the previous coordinate's blocks and holds at most
+    rows points (more only if one interval is longer); the coordinates are
+    int32.
     """
-    a, b = _point_coefficients(z1 - z2, params)
-    d = params.d
-    res = np.concatenate([a - np.round(a), b - np.round(b)])
-    A = np.block([[params.im, np.zeros((d, d))], [-params.re, np.eye(d)]])
-
-    def dist(n):
-        u = res - n
-        return np.linalg.norm(-1j * (u[:, :d] @ params.Omega.T) + 1j * u[:, d:], axis=1)
-
-    near = dist(np.zeros((1, 2 * d)))[0]
-    for n in lattice_ellipsoid(A.T @ A, near ** 2, 1 << 10, center=res):
-        near = min(near, dist(n).min())
-    return float(near)
-
-
-def lattice_ellipsoid(form, bound, rows, radius=math.inf, center=None):
-    """Blocks of integer points, in C order, holding all nu with (nu - c)' form (nu - c) <= bound.
-
-    form is symmetric positive definite, n x n; c is center, 0 by default.  With
-    nu_0..nu_{k-1} fixed, the least value of the form over real nu_{k+1}.. is
-    y' S_k y with y = nu[:k+1] - center[:k+1] and S_k = inv(inv(form)[:k+1, :k+1]),
-    a quadratic in nu_k whose bound interval is found in closed form.  Each
-    interval is widened by one integer on each side, far more than the
-    rounding of its ends, and clipped to [-radius, radius]; so the points are
-    a superset of the ellipsoid, and a caller applies its own exact test.
-    A block groups consecutive rows of the previous coordinate's blocks and
-    holds at most rows points (more only if one interval is longer); the
-    coordinates are int32.
-    """
-    n = len(form)
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float)
     inv = np.linalg.inv(form)
     blocks = iter([np.zeros((1, 0), dtype=np.int32)])
     low = np.zeros((0, 0))
-    for k in range(n):
+    for k in range(len(form)):
         S = np.linalg.inv(inv[:k + 1, :k + 1])
-        blocks = _extend_prefixes(blocks, S, low, center[:k + 1], bound, rows, radius)
+        blocks = _extend_prefixes(blocks, S, low, bound, rows, radius)
         low = S
     return blocks
 
 
-def _extend_prefixes(blocks, S, low, center, bound, rows, radius):
+def _extend_prefixes(blocks, S, low, bound, rows, radius):
     # append coordinate k to every prefix nu[:k] of the blocks; low is S_{k-1},
     # so y' low y is the least the form can be on the prefix
     k = len(S) - 1
     for prefix in blocks:
-        y = prefix - center[:k]
-        mid = center[k] - (y @ S[k, :k]) / S[k, k]
-        half = np.sqrt(np.maximum(bound - ((y @ low) * y).sum(axis=1), 0.0) / S[k, k])
+        mid = -(prefix @ S[k, :k]) / S[k, k]
+        half = np.sqrt(np.maximum(bound - ((prefix @ low) * prefix).sum(axis=1), 0.0) / S[k, k])
         lo = np.maximum(np.ceil(mid - half) - 1, -radius).astype(np.int64)
         hi = np.minimum(np.floor(mid + half) + 1, radius).astype(np.int64)
         count = np.maximum(hi - lo + 1, 0)

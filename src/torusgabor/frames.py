@@ -10,8 +10,10 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
 * for d = 1, K = N and distinct points, an algebraic parity predicate: with
   z_j = -i(Omega k_j/N + l_j/N) and z0 the zero of z -> theta_1(i z, Omega),
   the system fails to span exactly when s = sum_j z_j - N z0 lies in
-  Lambda = -i Omega Z + i Z.  For purely imaginary Omega this reduces to an
-  integer test: N even, N | sum k_j and N | sum l_j.
+  Lambda = -i Omega Z + i Z.  In the coordinates z = -i Omega a + i b, z_j is
+  (k_j/N, -l_j/N) and z0 = -i Omega/2 + i/2 is (1/2, 1/2), so s is
+  (sum k/N - N/2, -sum l/N - N/2).  Both are integers exactly when N is even,
+  N | sum k_j and N | sum l_j: an integer test that holds for every Omega.
 
 The scan driver runs both over subset families and reports every
 disagreement, keeping the margin distribution so the SVD threshold remains
@@ -22,10 +24,10 @@ has the same singular values.  Each subset gets a key naming its orbit (its
 least sorted translate), one np.unique over all keys picks each orbit's
 first scanned member, and only those members' atom stacks are SVD'd; their
 margins are scattered to the rest of the orbit.  With K < N^d the atoms
-cannot span and no SVD runs: every margin is 0.  The parity predicate is
-summed per subset.  Every block of keys, parity sums or atom stacks holds at
-most about transforms._CHUNK entries, and the results do not depend on where
-blocks split.
+cannot span and no SVD runs: every margin is 0.  The parity test is
+decided per subset from its integer sums.  Every block of keys, parity sums
+or atom stacks holds at most about transforms._CHUNK entries, and the
+results do not depend on where blocks split.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from . import theta as theta_mod
 from . import transforms
 from .bargmann import weight_phi
-from .core import GaborError, dual_lattice_member, lattice_coefficients, validate
+from .core import MEMBERSHIP_TOL, GaborError, dual_lattice_member, validate
 
 
 class EmptyPointSetError(GaborError):
@@ -48,10 +50,6 @@ class EmptyPointSetError(GaborError):
 
 class NotApplicableError(GaborError):
     """The parity predicate needs d = 1, K = N, and distinct points."""
-
-
-class ParityMismatchError(GaborError):
-    """The lattice-membership and integer forms of the predicate disagreed."""
 
 
 class TooManySubsetsError(GaborError):
@@ -130,61 +128,40 @@ class ParityResult:
     no_frame: bool
     s: complex
     witness: tuple
-    integer_form: bool | None
 
 
-def parity_predicate(D, params, z0=None, tol=1e-9):
+def _no_frame(k_sums, l_sums, N):
+    # s = sum_j z_j - N z0 lies in Lambda: N even, N | sum k and N | sum l
+    return (N % 2 == 0) & (k_sums % N == 0) & (l_sums % N == 0)
+
+
+def parity_predicate(D, params):
     """Algebraic no-frame test: s = sum_j z_j - N z0 lies in Lambda.
 
     Raises NotApplicableError unless d = 1, |D| = N and the points are
-    distinct.  For Re Omega = 0 the equivalent integer form (N even,
-    N | sum k, N | sum l) is evaluated as well and the two must agree.
+    distinct.  The verdict is the integer form (N even, N | sum k, N | sum l),
+    exact for every Omega.  s and the witness, its coordinates rounded half
+    to even, come from the exact coordinates 2N a = 2 sum k - N^2 and
+    2N b = -2 sum l - N^2 of s = -i Omega a + i b.
     """
     validate(params)
+    N = params.N
     if params.d != 1:
         raise NotApplicableError(f"parity predicate needs d = 1, got d = {params.d}")
-    if len(D) != params.N:
-        raise NotApplicableError(f"parity predicate needs K = N = {params.N}, got K = {len(D)}")
+    if len(D) != N:
+        raise NotApplicableError(f"parity predicate needs K = N = {N}, got K = {len(D)}")
     if not D.distinct:
         raise NotApplicableError("parity predicate needs distinct points")
-    if z0 is None:
-        z0 = theta_mod.theta_zero_1d(params)
-    zs = D.complex_images(params)
-    s = zs.sum(axis=0) - params.N * np.array([z0])
-    mem = dual_lattice_member(s, params, scale=1.0, tol=tol)
-    integer_form = None
-    if float(np.abs(params.re).max()) == 0.0:
-        integer_form = (
-            params.N % 2 == 0
-            and int(D.ks.sum()) % params.N == 0
-            and int(D.ls.sum()) % params.N == 0
-        )
-        if integer_form != mem.member:
-            raise ParityMismatchError(
-                f"integer form {integer_form} vs lattice membership {mem.member} "
-                f"for points ks={D.ks.ravel().tolist()}, ls={D.ls.ravel().tolist()}"
-            )
+    k_sum, l_sum = int(D.ks.sum()), int(D.ls.sum())
+    no_frame = _no_frame(k_sum, l_sum, N)
+    a, b = (2 * k_sum - N * N) / (2 * N), (-2 * l_sum - N * N) / (2 * N)
+    om = complex(params.Omega[0, 0])
     return ParityResult(
         applicable=True,
-        no_frame=mem.member,
-        s=complex(s[0]),
-        witness=(int(mem.a[0]), int(mem.b[0])),
-        integer_form=integer_form,
+        no_frame=no_frame,
+        s=complex(om.imag * a, b - om.real * a),
+        witness=(round(a), round(b)),
     )
-
-
-def _lambda_membership(params, zs, z0, tol=1e-9):
-    # idx (..., K) -> whether sum_j zs[idx] - N z0 lies in Lambda, one bool per
-    # row; lattice coefficients are real-linear, so each z_j and N z0 is
-    # solved once, not per subset
-    coef = np.concatenate(lattice_coefficients(zs, params), axis=-1)
-    base = np.concatenate(lattice_coefficients(params.N * np.array([z0]), params))
-
-    def member(idx):
-        c = coef[idx].sum(axis=-2) - base
-        return np.abs(c - np.round(c)).max(axis=-1) <= tol
-
-    return member
 
 
 def _orbit_keys(subsets, diff):
@@ -302,11 +279,6 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     )
 
 
-# residual up to which the translate sum of zero_set_diagnostic counts as a
-# lattice point
-_MEMBERSHIP_TOL = 1e-9
-
-
 def zero_set_diagnostic(D, translates, params, tol=1e-10):
     """Weighted distance of every sample point to the union of translated zero sets.
 
@@ -320,10 +292,10 @@ def zero_set_diagnostic(D, translates, params, tol=1e-10):
     if translates.shape != (params.N, params.d):
         raise GaborError(f"need exactly N = {params.N} translates of dimension {params.d}")
     ssum = translates.sum(axis=0)
-    mem = dual_lattice_member(ssum, params, scale=1.0, tol=_MEMBERSHIP_TOL)
+    mem = dual_lattice_member(ssum, params)
     if not mem.member:
         raise TranslateSumNotInDualLatticeError(
-            f"translate sum residual {mem.residual:.3e} exceeds {_MEMBERSHIP_TOL:.1e}"
+            f"translate sum residual {mem.residual:.3e} exceeds {MEMBERSHIP_TOL:.1e}"
         )
     # one batched theta_eval over every difference z_j - t_i, rows j, columns i
     w = (D.complex_images(params)[:, None, :] - translates).reshape(-1, params.d)
@@ -372,9 +344,6 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     if not 1 <= K <= total_positions:
         raise GaborError(f"subset size K must be in 1..{total_positions}, got {K}")
     parity_applicable = params.d == 1 and K == params.N
-    if parity_applicable:
-        zs = PointSet.from_pairs(positions, params).complex_images(params)
-        no_frame = _lambda_membership(params, zs, theta_mod.theta_zero_1d(params))
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)
@@ -416,7 +385,9 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         if not by_count:
             keys.append(_orbit_keys(subsets[rows], diff))
         if parity_applicable:
-            pred[rows] = no_frame(idx)
+            # in d = 1 the flat position index is k N + l
+            k, l = np.divmod(idx, params.N)
+            pred[rows] = _no_frame(k.sum(axis=1), l.sum(axis=1), params.N)
 
     if by_count:
         # fewer atoms than dimensions never span, so no SVD: these are the

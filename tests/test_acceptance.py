@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from lattice import complex_distance_mod_lattice
 from torusgabor.bargmann import bergman_density, gram, section_winding
 from torusgabor.cli import main
-from torusgabor.core import GaborParams, complex_distance_mod_lattice
+from torusgabor.core import GaborParams
 from torusgabor.frames import scan_subsets
 from torusgabor.localization import (
     BoxIndicator,

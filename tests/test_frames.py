@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusgabor import transforms
-from torusgabor.core import GaborError, GaborParams
+from torusgabor.core import GaborError, GaborParams, dual_lattice_member
 from torusgabor.frames import (
     EmptyPointSetError,
     NotApplicableError,
@@ -18,7 +20,6 @@ from torusgabor.frames import (
     scan_subsets,
     zero_set_diagnostic,
 )
-from torusgabor.frames import _lambda_membership
 from torusgabor.theta import theta_zero_1d
 from torusgabor.transforms import (
     GaussianWindow,
@@ -161,16 +162,50 @@ def test_parity_not_applicable_cases():
 def test_parity_integer_form_agrees_on_purely_imaginary_omega():
     p = _p(4)
     res = parity_predicate(_set([(0, 0), (1, 1), (2, 3), (1, 0)], p), p)
-    assert res.no_frame and res.integer_form is True
+    assert res.no_frame is True
     res = parity_predicate(_set([(0, 0), (1, 1), (2, 3), (2, 0)], p), p)
-    assert not res.no_frame and res.integer_form is False
+    assert res.no_frame is False
 
 
-def test_parity_integer_form_skipped_for_general_omega():
+def test_parity_integer_form_is_the_verdict_for_general_omega():
     p = _p(4, omega=0.25 + 1j)
     res = parity_predicate(_set([(0, 0), (1, 1), (2, 3), (1, 0)], p), p)
-    assert res.integer_form is None
-    assert res.no_frame  # predicate does not depend on Re Omega
+    assert res.no_frame is True  # no dependence on Re Omega
+    assert res.s == -1 - 2.75j and res.witness == (-1, -3)
+    # s = -i Omega (-1/2) + i(-4): a half-integer coordinate rounds half to even
+    p = _p(4, omega=0.3 + 1.1j)
+    res = parity_predicate(_set([(0, 1), (1, 2), (3, 3), (2, 2)], p), p)
+    assert res.no_frame is False
+    assert res.s == -0.55 - 3.85j and res.witness == (0, -4)
+
+
+def _lattice_reference(D, p):
+    # the complex-geometric form: s = sum_j z_j - N z0 against Lambda
+    s = D.complex_images(p).sum(axis=0) - p.N * theta_zero_1d(p)
+    return dual_lattice_member(s, p), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(2, 8), re=st.floats(-2.0, 2.0).filter(lambda x: x != 0.0),
+       im=st.floats(0.2, 3.0), force=st.booleans(), data=st.data())
+def test_parity_predicate_is_lattice_membership(N, re, im, force, data):
+    # random subsets are members about 1/N^2 of the time, so half the cases
+    # move the last point until N | sum k and N | sum l: members for even N,
+    # and for odd N exactly the subsets an "N even" clause must exclude
+    p = _p(N, omega=complex(re, im))
+    flat = data.draw(st.lists(st.integers(0, N * N - 1), min_size=N, max_size=N, unique=True))
+    k, l = np.divmod(np.array(flat), N)
+    if force:
+        k[-1] = (k[-1] - k.sum()) % N
+        l[-1] = (l[-1] - l.sum()) % N
+        assume(len(set(zip(k, l))) == N)
+    D = _set(list(zip(k, l)), p)
+    res = parity_predicate(D, p)
+    mem, s = _lattice_reference(D, p)
+    assert res.no_frame is mem.member
+    assert abs(res.s - s[0]) <= 1e-12 * max(1.0, abs(s[0]))
+    if mem.member:
+        assert res.witness == (mem.a[0], mem.b[0])
 
 
 def test_parity_odd_n_never_certifies_no_frame():
@@ -217,18 +252,20 @@ def test_scan_counts_do_not_depend_on_real_part():
 
 
 def test_scan_verdicts_equal_the_parity_predicate():
-    # the scan sums lattice coefficients solved once per scan; every subset's
-    # verdict must be the one parity_predicate solves for from scratch
-    p = _p(4, omega=0.25 + 1j)
-    positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
-    member = _lambda_membership(p, _set(positions, p).complex_images(p), theta_zero_1d(p))
-    predicted = 0
-    for idx in itertools.combinations(range(len(positions)), 4):
-        expected = parity_predicate(_set([positions[i] for i in idx], p), p).no_frame
-        assert member(list(idx)) == expected
-        predicted += expected
-    c = scan_subsets(p, 4).confusion
-    assert c["agree_no_frame"] + c["pred_no_frame_oracle_frame"] == predicted == 116
+    # the scan decides each subset from its integer sums; every verdict must be
+    # the complex-geometric one, s = sum_j z_j - N z0 in Lambda, and
+    # parity_predicate's
+    for N, omega, predicted in ((4, 0.25 + 1j, 116), (3, 0.3 + 1j, 0)):
+        p = _p(N, omega=omega)
+        positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
+        subsets = list(itertools.combinations(range(len(positions)), N))
+        res = scan_subsets(p, N)
+        # with no disagreement, each subset's prediction is the oracle's verdict
+        assert res.disagreements == []
+        for idx, verdict in zip(subsets, res.margins <= 1e-7):
+            D = _set([positions[i] for i in idx], p)
+            assert verdict == parity_predicate(D, p).no_frame == _lattice_reference(D, p)[0].member
+        assert np.count_nonzero(res.margins <= 1e-7) == predicted
 
 
 OMEGA_2D = np.array([[0.1 + 1j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])

@@ -326,6 +326,19 @@ def test_spectrum_rejects_nonsquare_and_wraps_solver_errors():
         spectrum(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("solver,M", [("eigvalsh", np.diag([1.0, 2.0])),
+                                      ("eigvals", np.array([[1.0, 1.0], [0.0, 2.0]]))],
+                         ids=["hermitian", "general"])
+def test_spectrum_wraps_a_solver_that_does_not_converge(solver, M, monkeypatch):
+    # finite input reaches the solver; its LinAlgError becomes a domain error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, fail)
+    with pytest.raises(EigSolverFailure, match="did not converge"):
+        spectrum(M)
+
+
 # ---------------------------------------------------------------------------
 # asymptotics
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice import complex_distance_mod_lattice
 from torusgabor import core
 from torusgabor import theta as theta_mod
-from torusgabor.core import GaborError, GaborParams, complex_distance_mod_lattice
+from torusgabor.core import GaborError, GaborParams
 from torusgabor.theta import (
     ContourNearZeroError,
     ScaledComplex,
