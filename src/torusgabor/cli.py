@@ -4,10 +4,14 @@ Every subcommand writes one deterministic report to stdout (or --out): JSON
 by default, a flat CSV table with --format csv (provenance then goes to
 stderr).  Floats are printed with 17 significant digits so equal inputs give
 byte-identical output; reports carry no timestamps for the same reason.
-The grid sums and means that reports print (phase-space targets, density
-integral and flatness) are order-fixed: they are correctly rounded sums
-(core.exact_sum, equal to math.fsum), so they do not change with the
-summation order of a numpy build.  Restriction matrices
+The grid sums and means that reports print (density integral and
+flatness, and the sweep's mean target of a symbol without Fourier terms)
+are order-fixed: they are correctly rounded sums (core.exact_sum, equal to
+math.fsum), so they do not change with the summation order of a numpy
+build.  A symbol with Fourier terms (a trigonometric polynomial) takes its
+mean target from its constant term c_0, with no sum at all.  The volume
+targets are always counts of grid samples, exact but aliased at and above
+the grid's Nyquist frequency (1024 in d = 1, 24 in d = 2).  Restriction matrices
 (and so their traces) and density values are assembled by FFTs and
 elementwise sums, with no matmul, so their last bits follow numpy's FFT, not
 the BLAS build.  What can still differ between BLAS/LAPACK builds is the
@@ -184,9 +188,9 @@ def _load_array(arg, shape, name):
 def _array_doc(arr):
     # a real array has no "im" list; _load_array reads it as zeros
     flat = arr.reshape(-1)
-    doc = {"shape": list(arr.shape), "re": [float(v) for v in flat.real]}
+    doc = {"shape": list(arr.shape), "re": flat.real.tolist()}
     if np.iscomplexobj(arr):
-        doc["im"] = [float(v) for v in flat.imag]
+        doc["im"] = flat.imag.tolist()
     return doc
 
 
@@ -406,8 +410,8 @@ def _cmd_bergman_density(args):
         "vmin": rep.vmin,
         "vmax": rep.vmax,
         "flatness": rep.flatness(),
-        "x_nodes": [float(v) for v in rep.x_nodes],
-        "xi_nodes": [float(v) for v in rep.xi_nodes],
+        "x_nodes": rep.x_nodes.tolist(),
+        "xi_nodes": rep.xi_nodes.tolist(),
         "values": _array_doc(rep.values),
     }
     d = params.d
@@ -437,7 +441,7 @@ def _cmd_spectrum_restriction(args):
         "hermitian": spec.hermitian,
         "nonnormal": spec.nonnormal,
         "eigenvalues": [_cnum(v) for v in spec.eigenvalues],
-        "singular_values": [float(v) for v in spec.singular_values],
+        "singular_values": spec.singular_values.tolist(),
         "counts_below": {_fmt_float(a): spec.count_below(a) for a in args.alpha_grid},
         "plunge_fraction": spec.plunge_fraction(args.plunge_delta),
     }

@@ -179,8 +179,10 @@ class TrigPoly(Symbol):
     def __call__(self, x, xi):
         pts = np.concatenate([np.asarray(x, float), np.asarray(xi, float)], axis=-1)
         acc = np.zeros(pts.shape[:-1], dtype=complex)
-        for nu, c in self.terms.items():
-            acc += c * np.exp(2j * np.pi * (pts @ np.asarray(nu, float)))
+        # as for Expr, non-finite samples are reported by whoever consumes them
+        with np.errstate(all="ignore"):
+            for nu, c in self.terms.items():
+                acc += c * np.exp(2j * np.pi * (pts @ np.asarray(nu, float)))
         return acc.real if self.is_real else acc
 
     def fourier_terms(self):
@@ -882,15 +884,20 @@ class SweepReport:
     """Sweep over N with phase-space targets for the scaled statistics.
 
     trace_scaled rows approach the symbol's mean; counts_scaled[alpha]
-    approaches the volume of {a < alpha}.  Both targets come from a midpoint
-    grid on [0,1)^2d (2048^2 nodes in d = 1, 48^4 in d = 2), sampled on its
-    open grid (Symbol.on_grid).  integral_target is the correctly rounded sum
-    of the samples (core.exact_sum, equal to math.fsum) divided by their
-    count, so it does not depend on summation order; in d = 1 the count is
-    2^22, the division is exact and the value is the correctly rounded mean
-    of the samples.  volume_targets[alpha] is the exact count of samples
-    below alpha over the number of samples.  A non-finite sample, or a sum
-    beyond double precision, is a GaborError.
+    approaches the volume of {a < alpha}.  A symbol with Fourier terms
+    (Symbol.fourier_terms) has integral_target = Re c_0, its exact mean and
+    the constant term that gives its restriction matrix its trace.  For
+    every other symbol integral_target is the mean of the samples of a
+    midpoint grid on [0,1)^2d (2048^2 nodes in d = 1, 48^4 in d = 2),
+    sampled on its open grid (Symbol.on_grid): the correctly rounded sum of
+    the samples (core.exact_sum, equal to math.fsum) divided by their count,
+    so it does not depend on summation order; in d = 1 the count is 2^22,
+    the division is exact and the value is the correctly rounded mean of the
+    samples.  volume_targets[alpha] is always the exact count of grid
+    samples below alpha over the number of samples, so it aliases for
+    frequencies at and above the grid's Nyquist frequency (1024 in d = 1,
+    24 in d = 2): cos(96 pi x1) in d = 2 reads 1 at alpha = 0.5.  A
+    non-finite sample, or a sum beyond double precision, is a GaborError.
     """
 
     rows: list
@@ -901,6 +908,8 @@ class SweepReport:
 
 def _phase_space_targets(symbol, alphas):
     m = 2048 if symbol.d == 1 else 48
+    what = f"the symbol samples on the {m}^{2 * symbol.d} target grid"
+    size = m ** (2 * symbol.d)
     below = {float(a): 0 for a in alphas}
 
     def blocks():
@@ -910,11 +919,21 @@ def _phase_space_targets(symbol, alphas):
                 below[a] += np.count_nonzero(vals < a)
             yield vals
 
-    # the correctly rounded sum does not depend on the order in which a given
-    # numpy build would add the samples; it also rejects non-finite samples
-    size = m ** (2 * symbol.d)
-    integral = exact_sum(blocks(), f"the symbol samples on the {m}^{2 * symbol.d} target grid")
-    return integral / size, {a: float(c / size) for a, c in below.items()}
+    terms = symbol.fourier_terms()
+    if terms is None:
+        # the correctly rounded sum does not depend on the order in which a
+        # given numpy build would add the samples; it also rejects non-finite
+        # samples
+        integral = exact_sum(blocks(), what) / size
+    else:
+        # the constant term is the exact mean, with no aliasing; the samples
+        # are still counted and must still be finite.  + 0.0 turns a -0.0
+        # term into the +0.0 that exact_sum gives for a zero total
+        for vals in blocks():
+            if not np.isfinite(vals).all():
+                raise GaborError(f"{what} must be finite")
+        integral = complex(terms.get((0,) * (2 * symbol.d), 0.0)).real + 0.0
+    return integral, {a: float(c / size) for a, c in below.items()}
 
 
 def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,

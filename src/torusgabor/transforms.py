@@ -68,10 +68,6 @@ class GaussianWindow:
         q = np.einsum("...i,ij,...j->...", t, self.params.Omega, t)
         return np.conj(np.exp(1j * np.pi * q / self.params.N))
 
-    def l2_norm_sq(self):
-        p = self.params
-        return math.sqrt(p.N ** p.d / (2.0 ** p.d * float(np.linalg.det(p.im))))
-
 
 # truncation tolerances of the series, relative to each value
 _PERIODIZE_TOL = 1e-14

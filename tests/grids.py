@@ -1,5 +1,7 @@
 """Quadrature grids on T_N for the tests' pointwise reference sums."""
 
+import math
+
 import numpy as np
 
 from torusgabor.core import GaborError
@@ -24,3 +26,12 @@ def tn_grid(params, nx, nxi, midpoint=False):
     pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
     return pts[:, :d], pts[:, d:], (N / nx) ** d * (1.0 / nxi) ** d
 
+
+
+def window_l2_norm_sq(params):
+    """||h||^2 of the Gaussian window h (transforms.GaussianWindow).
+
+    |h(t)| = exp(-pi t'(Im Omega) t / N), so the squared L2 norm over R^d has
+    the closed form sqrt(N^d / (2^d det Im Omega)).
+    """
+    return math.sqrt(params.N ** params.d / (2.0 ** params.d * float(np.linalg.det(params.im))))

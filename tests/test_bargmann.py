@@ -12,7 +12,7 @@ from torusgabor.bargmann import (
     section_winding,
     weight_phi,
 )
-from grids import tn_grid
+from grids import tn_grid, window_l2_norm_sq
 from torusgabor import transforms
 from torusgabor.core import GaborParams
 from torusgabor.theta import ScaledComplex, ToleranceUnreachableError, theta_eval
@@ -393,7 +393,7 @@ def test_density_matches_the_pointwise_grid_sum(monkeypatch, chunk, p, ov):
     w = transforms.GaussianWindow(p)
     X, XI, _ = tn_grid(p, ov * p.N, ov * p.N)
     V = transforms.stft_basis_grid(w, X, XI)
-    rho = (np.abs(V) ** 2).sum(axis=0) / w.l2_norm_sq()
+    rho = (np.abs(V) ** 2).sum(axis=0) / window_l2_norm_sq(p)
     assert rep.values.size == rho.size
     assert np.abs(rep.values.reshape(-1) - rho).max() <= 1e-13 * rho.max()
 

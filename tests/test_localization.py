@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grids import tn_grid
+from grids import tn_grid, window_l2_norm_sq
 from torusgabor import localization, theta, transforms
 from torusgabor.core import GaborError, GaborParams, QuadratureUnderResolvedError
 from torusgabor.localization import (
@@ -417,7 +417,9 @@ def test_phase_space_targets_exact_for_sin2():
 @pytest.mark.parametrize("make_inner", [lambda: parse_symbol("sin(pi*x1)^2*sin(pi*xi1)^2"),
                                         _WideRange], ids=["sin2", "wide_range"])
 def test_phase_space_targets_do_not_depend_on_summation_order(make_inner):
+    # _Recorded has no Fourier terms, so the mean target is the sampled one
     sym = _Recorded(make_inner())
+    assert sym.fourier_terms() is None
     integral, volumes = _phase_space_targets(sym, (0.5,))
     vals = sym.samples
     shuffled = np.random.default_rng(0).permutation(vals)
@@ -455,9 +457,42 @@ def test_open_grid_samples_equal_the_pointwise_samples(d, text):
     fast, slow = np.concatenate(fast), np.concatenate(slow)
     assert fast.size == m ** (2 * d)
     assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
-    integral, volumes = _phase_space_targets(sym, (0.0, 0.5))
+    # the sampled mean target, from the open grid and from the grid points
+    # (neither _Sampled nor _Pointwise has Fourier terms)
+    integral, volumes = _phase_space_targets(_Sampled(sym), (0.0, 0.5))
     assert (integral, volumes) == _phase_space_targets(_Pointwise(sym), (0.0, 0.5))
     assert integral == math.fsum(slow) / slow.size
+    # a symbol with terms counts the same samples; its mean is its constant term
+    terms = sym.fourier_terms()
+    own_integral, own_volumes = _phase_space_targets(sym, (0.0, 0.5))
+    assert own_volumes == volumes
+    assert own_integral == (integral if terms is None else terms[(0,) * (2 * d)].real)
+
+
+def test_constant_term_target_has_no_aliasing():
+    # in d = 2 the 48 midpoint nodes per axis alias frequency 48 onto the
+    # mean: the sampled target of cos(96 pi x1) reads -1, its constant term 0
+    sw = asymptotic_sweep("cos(96*pi*x1)", [2], 1j * np.eye(2), d=2)
+    assert sw.integral_target == 0.0
+    assert _phase_space_targets(_Sampled(parse_symbol("cos(96*pi*x1)", 2)), ())[0] == -1.0
+    # the volume targets are grid counts, aliased alike (the true volume is 2/3)
+    assert sw.volume_targets == {0.5: 1.0}
+
+
+def test_constant_term_target_is_the_constant_itself():
+    # the correctly rounded sample mean of 0.3 cos(2 pi x1) + 0.1 is
+    # 0.09999999999999999
+    sym = parse_symbol("0.3*cos(2*pi*x1)+0.1")
+    assert _phase_space_targets(sym, ())[0] == 0.1
+    assert _phase_space_targets(_Sampled(sym), ())[0] == 0.09999999999999999
+
+
+def test_constant_term_target_still_rejects_non_finite_samples():
+    # c_0 is finite, but the samples overflow on the grid the volumes count
+    sym = TrigPoly(1, {(0, 0): 1e308, (1, 0): 1e308, (-1, 0): 1e308})
+    assert sym.fourier_terms() is not None
+    with pytest.raises(GaborError, match="target grid must be finite"):
+        _phase_space_targets(sym, (0.5,))
 
 
 def test_constant_on_grid_equals_the_pointwise_samples():
@@ -484,10 +519,16 @@ def test_bad_target_samples_are_domain_errors(text, message):
 # cross-route identities
 
 
-def _random_real_trig(rng, d=1, deg=1):
+def _random_real_trig(rng, d=1, deg=1, pairs=None):
+    # every frequency with |nu_i| <= deg, or, with pairs, the constant and that
+    # many random conjugate pairs of them
+    if pairs is None:
+        freqs = (tuple(int(v) - deg for v in nu) for nu in np.ndindex(*(2 * deg + 1,) * (2 * d)))
+    else:
+        draws = rng.integers(-deg, deg + 1, (pairs, 2 * d)).tolist()
+        freqs = [(0,) * (2 * d)] + [max(tuple(nu), tuple(-v for v in nu)) for nu in draws]
     terms = {}
-    for nu in np.ndindex(*(2 * deg + 1,) * (2 * d)):
-        nu = tuple(int(v) - deg for v in nu)
+    for nu in freqs:
         if nu < tuple(-v for v in nu):
             continue
         if all(v == 0 for v in nu):
@@ -497,6 +538,41 @@ def _random_real_trig(rng, d=1, deg=1):
             terms[nu] = c
             terms[tuple(-v for v in nu)] = c.conjugate()
     return TrigPoly(d, terms)
+
+
+class _RecordedWithTerms(_Recorded):
+    """A recorded symbol that keeps its inner symbol's Fourier terms."""
+
+    def fourier_terms(self):
+        return self.inner.fourier_terms()
+
+
+class _Replayed(Symbol):
+    """Hands out recorded sample blocks in order, with no Fourier terms."""
+
+    def __init__(self, blocks, d):
+        self.blocks = iter(blocks)
+        self.d = d
+
+    def on_grid(self, axes):
+        return next(self.blocks)
+
+
+@pytest.mark.parametrize("d,deg", [(1, 1023), (2, 23)], ids=["d1", "d2"])
+def test_constant_term_target_equals_the_sampled_target(d, deg):
+    # frequencies up to just below the Nyquist frequency of the target grid
+    # (2048 nodes per axis in d = 1, 48 in d = 2): the midpoint rule
+    # integrates them exactly, so the sample mean is c_0 up to roundoff
+    sym = _RecordedWithTerms(_random_real_trig(np.random.default_rng(40 + d), d, deg, pairs=2))
+    alphas = (-0.5, 0.0, 0.5)
+    integral, volumes = _phase_space_targets(sym, alphas)
+    sampled, sampled_volumes = _phase_space_targets(_Replayed(sym.blocks, d), alphas)
+    c = sym.fourier_terms()
+    assert integral == c[(0,) * (2 * d)].real
+    scale = sum(abs(v) for v in c.values())
+    assert abs(integral - sampled) <= 4 * np.finfo(float).eps * scale
+    assert volumes == sampled_volumes
+    assert all(0.0 < v < 1.0 for v in volumes.values())
 
 
 def test_restriction_is_linear_in_the_symbol():
@@ -531,7 +607,7 @@ def test_restriction_matrix_matches_the_pointwise_grid_sum(monkeypatch, chunk, p
                           rep.oversample * params.N, midpoint=True)
     V = transforms.stft_basis_grid(w, X, XI)
     M = (V.conj() * np.asarray(sym(X / params.N, XI)).real) @ V.T
-    M *= cell / w.l2_norm_sq()
+    M *= cell / window_l2_norm_sq(params)
     M = 0.5 * (M + M.conj().T)
     assert np.abs(rep.matrix - M).max() <= 1e-13 * np.abs(M).max()
 
