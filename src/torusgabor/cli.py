@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -126,17 +127,15 @@ def _emit(doc, args, csv_header=None, csv_rows=None):
 
 
 def _flatten_doc(obj, prefix=""):
-    rows = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            rows.extend(_flatten_doc(v, f"{prefix}{k}." if prefix else f"{k}."))
-        return rows
+    # one [key, value] row per leaf; a complex number is a {re, im} leaf pair,
+    # as _json_dumps writes it
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            rows.extend(_flatten_doc(v, f"{prefix}{i}."))
-        return rows
+    if isinstance(obj, (complex, np.complexfloating)):
+        obj = _cnum(obj)
+    if isinstance(obj, (dict, list, tuple)):
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        return [row for k, v in items for row in _flatten_doc(v, f"{prefix}{k}.")]
     key = prefix.rstrip(".")
     if isinstance(obj, (float, np.floating)):
         return [[key, _fmt_float(obj)]]
@@ -334,39 +333,21 @@ def _cmd_theta_zero(args):
     _emit(doc, args)
 
 
-def _parity_doc(parity):
-    if parity is None:
-        return None
-    return {
-        "applicable": parity.applicable,
-        "no_frame": parity.no_frame,
-        "s": _cnum(parity.s),
-        "witness": list(parity.witness),
-        "integer_form": parity.no_frame,
-    }
-
-
 def _cmd_frame_check(args):
     params = _load_params(args.params)
     D = _parse_points(args.points, params)
     window = _window_coeffs(args, params)
     rep = frames.frame_bounds(D, params, window=window, svd_threshold=args.threshold)
-    g = rep.guarantees
+    parity = rep.parity and dataclasses.asdict(rep.parity) | {"integer_form": rep.parity.no_frame}
     doc = {
         "provenance": _provenance(args, params, extra={"threshold": args.threshold}),
         "K": len(D),
-        "A": float(rep.A),
-        "B": float(rep.B),
+        "A": rep.A,
+        "B": rep.B,
         "is_frame": rep.is_frame,
-        "singular_values": [float(s) for s in rep.singular_values],
-        "parity": _parity_doc(rep.parity),
-        "guarantees": {
-            "frame_by_count": g.frame_by_count,
-            "no_frame_by_count": g.no_frame_by_count,
-            "interpolation_by_count": g.interpolation_by_count,
-            "seshadri_lower": g.seshadri_lower,
-            "seshadri_upper": g.seshadri_upper,
-        },
+        "singular_values": rep.singular_values,
+        "parity": parity,
+        "guarantees": dataclasses.asdict(rep.guarantees),
     }
     _emit(doc, args)
 
@@ -383,20 +364,12 @@ def _cmd_frame_scan(args):
         "total": res.total,
         "mode": res.mode,
         "parity_applicable": res.parity_applicable,
-        "confusion": dict(res.confusion),
-        "margin_min": float(res.margins.min()),
-        "margin_median": float(np.median(res.margins)),
-        "margin_max": float(res.margins.max()),
+        "confusion": res.confusion,
+        "margin_min": res.margins.min(),
+        "margin_median": np.median(res.margins),
+        "margin_max": res.margins.max(),
         "all_frames": res.all_frames,
-        "disagreements": [
-            {
-                "positions": [[list(k), list(l)] for k, l in rec["positions"]],
-                "sigma_min": rec["sigma_min"],
-                "margin": rec["margin"],
-                "pred_no_frame": rec["pred_no_frame"],
-            }
-            for rec in res.disagreements
-        ],
+        "disagreements": res.disagreements,
     }
     _emit(doc, args)
 

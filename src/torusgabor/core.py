@@ -41,10 +41,6 @@ class NotPositiveDefiniteError(GaborError):
     """Im(Omega) has a nonpositive eigenvalue."""
 
 
-class SingularSystemError(GaborError):
-    """A real-linear coordinate system could not be solved."""
-
-
 class QuadratureUnderResolvedError(GaborError):
     """Grid doubling kept changing the result; the quadrature is not converged."""
 
@@ -152,23 +148,21 @@ def validate(params):
 def lattice_coefficients(z, params):
     """Real coefficients (a, b) with z = -i Omega a + i b, for z of shape (d,) or (P, d).
 
-    Re z = Y a and Im z = -X a + b with Omega = X + iY, one 2d x 2d solve per point.
+    Re z = Y a and Im z = -X a + b with Omega = X + iY: a is one solve with Y
+    per point and b = Im z + X a, summed elementwise.  params are validated
+    first, so Y is positive definite and its factorization, the one validate
+    inverts, has no zero pivot; an invalid Omega raises as validate does.
     """
+    sg = siegel(params)
     d = params.d
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim > 2 or z.shape[-1] != d:
         raise GaborError(f"expected a complex {d}-vector or (P, {d}) array, "
                          f"got shape {z.shape}")
-    M = np.zeros((2 * d, 2 * d))
-    M[:d, :d] = params.im
-    M[d:, :d] = -params.re
-    M[d:, d:] = np.eye(d)
-    rhs = np.concatenate([z.real, z.imag], axis=-1)[..., None]
-    try:
-        sol = np.linalg.solve(M, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"coordinate solve failed: {exc}") from None
-    return sol[..., :d], sol[..., d:]
+    a = np.linalg.solve(sg.im, z.real[..., None])[..., 0]
+    # an overflowed a times a zero entry of X is NaN; callers check for finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a, z.imag + (sg.Omega.real * a[..., None, :]).sum(axis=-1)
 
 
 def _point_coefficients(z, params):

@@ -15,6 +15,10 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
   (sum k/N - N/2, -sum l/N - N/2).  Both are integers exactly when N is even,
   N | sum k_j and N | sum l_j: an integer test that holds for every Omega.
 
+Atoms come from one batched transforms.time_frequency_shift call: one for
+frame_bounds' K points, one for all N^{2d} scan positions j = N^d k + l
+(k, l flat indices into Z_N^d).  A window is None (the Gaussian) or samples.
+
 The scan driver runs both over subset families and reports every
 disagreement, keeping the margin distribution so the SVD threshold remains
 auditable.  The oracle takes one SVD per translation orbit, not per subset:
@@ -229,21 +233,10 @@ class FrameReport:
 
 def _window_samples(window, params):
     if window is None:
-        window = transforms.GaussianWindow(params)
-    if isinstance(window, np.ndarray):
-        if window.shape != params.shape:
-            raise transforms.ShapeMismatchError(
-                f"window samples must have shape {params.shape}"
-            )
-        return np.asarray(window, dtype=complex)
-    return transforms.periodize_sample(window)
-
-
-def _atom_matrix(h, D):
-    return np.stack([
-        transforms.time_frequency_shift(h, k, l).reshape(-1)
-        for k, l in zip(D.ks, D.ls)
-    ])
+        return transforms.periodize_sample(transforms.GaussianWindow(params))
+    if np.shape(window) != params.shape:
+        raise transforms.ShapeMismatchError(f"window samples must have shape {params.shape}")
+    return np.asarray(window, dtype=complex)
 
 
 def frame_bounds(D, params, window=None, svd_threshold=1e-7):
@@ -258,7 +251,7 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     h = _window_samples(window, params)
     if float(np.vdot(h, h).real) == 0.0:
         raise transforms.ZeroWindowError("window has zero norm")
-    atoms = _atom_matrix(h, D)
+    atoms = transforms.time_frequency_shift(h, D.ks, D.ls).reshape(len(D), -1)
     # one 2-D SVD, not a stacked one: the reported singular values keep the
     # bits of the single-matrix LAPACK call
     svals = np.linalg.svd(atoms, compute_uv=False)
@@ -339,8 +332,10 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     """
     validate(params)
     h = _window_samples(window, params)
-    positions = list(itertools.product(np.ndindex(params.shape), np.ndindex(params.shape)))
-    total_positions = len(positions)
+    # position j = N^d k + l is the pair (cells[k], cells[l])
+    cells = list(np.ndindex(params.shape))
+    nd = len(cells)
+    total_positions = nd * nd
     if not 1 <= K <= total_positions:
         raise GaborError(f"subset size K must be in 1..{total_positions}, got {K}")
     parity_applicable = params.d == 1 and K == params.N
@@ -365,7 +360,6 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     else:
         raise GaborError(f"unknown scan mode {mode!r}")
 
-    nd = params.dim_sn
     by_count = K < nd
     # holds every position index, and so every flat index _orbit_keys forms
     index_dtype = np.min_scalar_type(total_positions - 1)
@@ -373,7 +367,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     keys = []
     if not by_count:
         # diff[a, b] = flat index of k_a - k_b mod N, for k_a, k_b in Z_N^d
-        ks = np.array(list(np.ndindex(params.shape)))
+        ks = np.array(cells)
         diff = np.ravel_multi_index(np.moveaxis((ks[:, None] - ks) % params.N, -1, 0),
                                     params.shape).astype(index_dtype)
     pred = np.empty(total, dtype=bool)
@@ -400,10 +394,8 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys[0].nbytes))).ravel(),
                                       return_index=True, return_inverse=True)
         orbits = len(first)
-        atoms_all = np.stack([
-            transforms.time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
-            for k, l in positions
-        ])
+        atoms_all = transforms.time_frequency_shift(
+            h, np.repeat(ks, nd, axis=0), np.tile(ks, (nd, 1))).reshape(total_positions, -1)
         rep_smin, rep_margins = np.empty(orbits), np.empty(orbits)
         block = max(1, transforms._CHUNK // (K * nd))
         for start in range(0, orbits, block):
@@ -417,7 +409,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     # reverse
     disagreements = [
         {
-            "positions": [positions[j] for j in subsets[i]],
+            "positions": [(cells[k], cells[l]) for k, l in zip(*np.divmod(subsets[i], nd))],
             "sigma_min": float(smin[i]),
             "margin": float(margins[i]),
             "pred_no_frame": bool(pred[i]),

@@ -250,17 +250,29 @@ def _tokenize(text):
     return toks
 
 
+# deepest nesting an expression may have: the most operators, calls, signs and
+# parentheses on one path from the top of the expression to a number or a
+# variable.  The parser and the syntax-tree walkers recurse a few frames per
+# level, so this keeps them well inside Python's recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
     """expr := term (('+'|'-') term)*
     term := factor (('*'|'/') factor)*
     factor := ('+'|'-') factor | power
     power := atom ('^' factor)?
-    atom := number | name | name '(' expr ')' | '(' expr ')'"""
+    atom := number | name | name '(' expr ')' | '(' expr ')'
+
+    Each rule returns its node and its depth (see _MAX_DEPTH); a depth or a
+    count of open levels beyond _MAX_DEPTH is a ParseError at the token that
+    crosses it."""
 
     def __init__(self, text, d):
         self.toks = _tokenize(text)
         self.pos = 0
         self.d = d
+        self.open = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -276,66 +288,85 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, got {tok[1]!r}", tok[2])
         return tok
 
+    def bound(self, depth, off):
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", off)
+        return depth
+
+    def nested(self, rule, off):
+        # a rule entered one level down (a parenthesis, a call's argument, a
+        # sign's operand or an exponent), counted on the way down so that the
+        # recursion stops at the level that crosses the bound
+        self.open += 1
+        self.bound(self.open, off)
+        node = rule()
+        self.open -= 1
+        return node
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
+    def binop(self, op, lhs, rhs, off):
+        # lhs and rhs are (node, depth) pairs; the operator is a level above both
+        return ("binop", op, lhs[0], rhs[0]), self.bound(max(lhs[1], rhs[1]) + 1, off)
+
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = ("binop", op, node, self.term())
+            op, _, off = self.take()
+            node = self.binop(op, node, self.term(), off)
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = ("binop", op, node, self.factor())
+            op, _, off = self.take()
+            node = self.binop(op, node, self.factor(), off)
         return node
 
     def factor(self):
         tok = self.peek()
         if tok[0] in ("+", "-"):
             self.take()
-            inner = self.factor()
-            return inner if tok[0] == "+" else ("neg", inner)
+            inner, depth = self.nested(self.factor, tok[2])
+            return (inner if tok[0] == "+" else ("neg", inner)), self.bound(depth + 1, tok[2])
         return self.power()
 
     def power(self):
         node = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            node = ("binop", "^", node, self.factor())
+            off = self.take()[2]
+            node = self.binop("^", node, self.nested(self.factor, off), off)
         return node
 
     def atom(self):
         tok = self.take()
         kind, val, off = tok
         if kind == "num":
-            return ("num", val)
+            return ("num", val), 0
         if kind == "(":
-            node = self.expr()
+            node, depth = self.nested(self.expr, off)
             self.expect(")")
-            return node
+            return node, self.bound(depth + 1, off)
         if kind == "name":
             if val in _FUNCS:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, off)
                 self.expect(")")
-                return ("call", val, arg)
+                return ("call", val, arg), self.bound(depth + 1, off)
             if val == "pi":
-                return ("num", math.pi)
+                return ("num", math.pi), 0
             for prefix, slot in (("xi", 1), ("x", 0)):
                 if val.startswith(prefix) and val[len(prefix):].isdigit():
                     idx = int(val[len(prefix):])
                     if not 1 <= idx <= self.d:
                         raise UnknownVariableError(
                             f"variable {val!r} out of range for d = {self.d}", off)
-                    return ("var", slot, idx - 1)
+                    return ("var", slot, idx - 1), 0
             raise UnknownVariableError(f"unknown name {val!r}", off)
         raise ParseError(f"unexpected token {val!r}", off)
 
@@ -511,6 +542,11 @@ def _fourier_terms(node, d):
 
 class Expr(Symbol):
     """Symbol defined by expression text over x1..xd, xi1..xid.
+
+    The nesting of the text is bounded: at most _MAX_DEPTH = 100 operators,
+    calls, signs and parentheses on any one path from the top of the
+    expression to a number or a variable (a sum of n terms is n - 1 levels
+    deep), else ParseError at the token that crosses the bound.
 
     A trigonometric polynomial of the forms _fourier_terms recognises has
     Fourier terms, found once here from the syntax tree; sampling

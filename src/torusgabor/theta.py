@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .core import GaborError, lattice_coefficients, siegel, validate
+from .core import GaborError, siegel, validate
 
 
 class ToleranceUnreachableError(GaborError):
@@ -465,8 +465,9 @@ def theta_zero_1d(params, tol=1e-10):
 
     theta_1 vanishes at the half period (1 + Omega)/2, so z0 = -i(1 + Omega)/2,
     and nowhere else in a cell (a section of order N has N zeros there; see
-    bargmann.section_winding).  It returns the complex representative with
-    lattice coefficients in [0, 1)^2.  Its weighted magnitude |theta_1(i z0)|
+    bargmann.section_winding).  It returns the representative
+    z0 = -i Omega/2 + i/2, whose lattice coefficients are exactly (1/2, 1/2),
+    with no solve.  Its weighted magnitude |theta_1(i z0)|
     e^{-phi(z0)/2}, phi(z) = 2 pi (Re z)^2 / Im Omega, is evaluated by theta_eval
     and must be below tol, else ToleranceUnreachableError is raised.
     """
@@ -474,8 +475,7 @@ def theta_zero_1d(params, tol=1e-10):
     if params.d != 1:
         raise GaborError("theta_zero_1d requires d = 1")
     om = complex(params.Omega[0, 0])
-    a, b = lattice_coefficients(np.array([-0.5j * (1.0 + om)]), params)
-    z0 = complex(-1j * om * (a - np.floor(a))[0] + 1j * (b - np.floor(b))[0])
+    z0 = -0.5j * om + 0.5j
     ev = theta_eval(np.array([1j * z0]), params, order=1, tol=1e-10)
     weighted = float(ev.value.magnitude(-math.pi * z0.real ** 2 / om.imag))
     if not weighted < tol:

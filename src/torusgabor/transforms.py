@@ -144,15 +144,23 @@ def _check_signal(f, name="signal"):
 
 
 def time_frequency_shift(h, k, l):
-    """(M_l T_k h)[m] = exp(2 pi i l.m / N) h[m - k] with cyclic index shifts."""
+    """(M_l T_k h)[m] = exp(2 pi i l.m / N) h[m - k] with cyclic index shifts.
+
+    One shift k, l of shape (d,) gives one atom; a stack of shape (K, d) gives
+    K atoms, shaped (K,) + h.shape, from the shift table _shift_view and one
+    (K, N^d) exponent l.m, each with the bits of its own one-shift call.
+    """
     h = _check_signal(h, "window")
     d, N = h.ndim, h.shape[0]
-    k = np.atleast_1d(np.asarray(k, dtype=int))
-    l = np.atleast_1d(np.asarray(l, dtype=int))
-    out = np.roll(h, tuple(int(v) for v in k), axis=tuple(range(d)))
-    m = np.indices(h.shape)
-    phase = np.exp(2j * np.pi * np.tensordot(l, m, axes=1) / N)
-    return phase * out
+    ks = np.atleast_2d(np.asarray(k, dtype=int))
+    ls = np.atleast_2d(np.asarray(l, dtype=int))
+    if ks.ndim != 2 or ks.shape[1] != d or ls.shape != ks.shape:
+        raise ShapeMismatchError(f"shifts must be ({d},) or (K, {d}), got {ks.shape}, {ls.shape}")
+    # in place, so a stack holds two arrays of its size at once
+    atoms = np.exp(2j * np.pi * (ls @ np.indices(h.shape).reshape(d, -1)) / N)
+    atoms = atoms.reshape((-1,) + h.shape)
+    atoms *= _shift_view(h)[tuple((ks % N).T)]
+    return atoms if np.ndim(k) == 2 else atoms[0]
 
 
 # numbers computed per block: DGT coefficients in dgt_inverse, symbol samples
@@ -184,8 +192,8 @@ def dgt(f, g, method="fft"):
     method="fft" multiplies f into the shift table conj(g[m - k]), a
     zero-copy strided view of g, to fill one C-ordered V, then transforms V
     in place along each frequency axis: no Python loop over the N^d shifts
-    and no table-sized temporary.  method="direct" is the literal O(N^{3d})
-    triple summation, kept as the independent reference path.
+    and no table-sized temporary.  method="direct", the reference path, sums
+    f against each atom M_l T_k g elementwise: O(N^{3d}), one batch per k.
 
     A non-finite f or g is a NonFiniteInputError.  Every |V[k, l]| is at
     most sum|f| max|g|; where that bound leaves the FFT's partial sums no
@@ -214,14 +222,11 @@ def dgt(f, g, method="fft"):
         for ax in range(2 * d - 1, d - 1, -1):
             np.fft.fft(V, axis=ax, out=V)
     elif method == "direct":
-        axes = tuple(range(d))
-        ms = np.indices(f.shape).reshape(d, -1).T
-        fv = f.reshape(-1)
+        # V[k, l] = <f, M_l T_k g>: the N^d atoms of one shift k in one batch
+        ls = np.indices(f.shape).reshape(d, -1).T
         for k in np.ndindex(f.shape):
-            u = fv * np.conj(np.roll(g, k, axis=axes)).reshape(-1)
-            for l in np.ndindex(f.shape):
-                ph = np.exp(-2j * np.pi * (ms @ np.asarray(l)) / N)
-                V[k + l] = (u * ph).sum()
+            atoms = np.conj(time_frequency_shift(g, np.broadcast_to(k, ls.shape), ls)) * f
+            V[k] = atoms.sum(axis=tuple(range(1, d + 1))).reshape(f.shape)
     else:
         raise GaborError(f"unknown dgt method {method!r}")
     return V

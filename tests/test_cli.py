@@ -109,6 +109,37 @@ def test_frame_check_document(capsys):
     assert len(doc["singular_values"]) == 4
 
 
+def test_frame_check_csv_keeps_the_parity_point_in_parts(capsys):
+    code, out, _ = _run(capsys, "frame", "check", "--params", P4,
+                        "--points", "0,0;1,1;2,3;1,0", "--format", "csv")
+    assert code == 0
+    rows = dict(line.split(",") for line in out.strip().split("\n")[1:])
+    doc = json.loads(_run(capsys, "frame", "check", "--params", P4,
+                          "--points", "0,0;1,1;2,3;1,0")[1])
+    assert float(rows["parity.s.re"]) == doc["parity"]["s"]["re"]
+    assert float(rows["parity.s.im"]) == doc["parity"]["s"]["im"]
+    assert rows["parity.witness.1"] == str(doc["parity"]["witness"][1])
+    assert rows["parity.integer_form"] == "true"
+    # complex values flatten into re and im rows, as _json_dumps writes them
+    assert cli._flatten_doc({"s": 0.5 - 1j}) == [["s.re", "0.5"], ["s.im", "-1"]]
+
+
+@pytest.mark.parametrize("symbol", [
+    "(" * 250 + "x1" + ")" * 250,
+    "(" * 3000 + "x1" + ")" * 3000,
+    "-" * 3000 + "x1",
+    "+".join(["sin(2*pi*x1)"] * 400),
+    "^".join(["x1"] * 3000),
+    "+".join(["x1"] * 20000),
+], ids=["parens-250", "parens-3000", "minus-3000", "sum-400", "power-3000", "sum-20000"])
+def test_deep_symbols_are_domain_errors(capsys, symbol):
+    # --symbol=..., so that argparse takes the leading minus signs as a value
+    code, out, err = _run(capsys, "spectrum", "restriction", "--params", P4, f"--symbol={symbol}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: expression nests deeper than 100 levels")
+    assert "Traceback" not in err
+
+
 def test_frame_check_json_points(capsys):
     code, out, _ = _run(capsys, "frame", "check", "--params", P4,
                         "--points", "[[[0],[0]],[[1],[1]],[[2],[3]],[[2],[0]]]")

@@ -85,6 +85,19 @@ def test_lattice_coefficients_recover_generators():
         lattice_coefficients(np.zeros((2, 3, 2), complex), _p2())
 
 
+def test_lattice_coefficients_validate_their_params():
+    # Im Omega = 0 is refused as every entry point refuses it, not by a failed solve
+    for om in (0.5 + 0j, 0.3 - 1j):
+        with pytest.raises(NotPositiveDefiniteError):
+            lattice_coefficients(np.array([1 + 1j]), _p1(om))
+    # a valid Omega whose 2d x 2d system with pivoting on X loses its last
+    # pivot to underflow: the solve with Y alone never does
+    a, b = lattice_coefficients(np.array([1 + 1j]), _p1(1e10 + 1e-320j))
+    assert a[0] == b[0] == math.inf
+    with pytest.raises(GaborError, match="overflow"):
+        dual_lattice_member(np.array([1 + 1j]), _p1(1e10 + 1e-320j))
+
+
 def test_dual_lattice_membership():
     p = _p1(0.3 + 1j)
     z = -1j * (p.Omega @ np.array([2.0])) + 1j * np.array([-3.0])

@@ -134,6 +134,20 @@ def test_zero_window_raises():
         frame_bounds(_set([(0, 0), (1, 1)], p), p, window=np.zeros(2, complex))
 
 
+def test_window_is_none_or_its_samples():
+    # a GaussianWindow object is not samples: frame_bounds and scan_subsets
+    # take None (the periodized Gaussian) or an array shaped like a signal
+    p = _p(3)
+    D = _set([(k, l) for k in range(3) for l in range(3)], p)
+    with pytest.raises(transforms.ShapeMismatchError):
+        frame_bounds(D, p, window=GaussianWindow(p))
+    with pytest.raises(transforms.ShapeMismatchError):
+        scan_subsets(p, 3, window=GaussianWindow(p))
+    h = periodize_sample(GaussianWindow(p))
+    assert np.array_equal(frame_bounds(D, p, window=h).singular_values,
+                          frame_bounds(D, p).singular_values)
+
+
 def test_custom_window_array_changes_bounds():
     p = _p(3)
     D = _set([(k, l) for k in range(3) for l in range(3)], p)

@@ -95,6 +95,32 @@ def test_parser_error_offsets():
     assert exc.value.offset == 6
 
 
+# inputs that ended in RecursionError before the parser bounded their depth
+DEEP_SYMBOLS = {
+    "parens-250": ("(" * 250 + "x1" + ")" * 250, 100),
+    "parens-3000": ("(" * 3000 + "x1" + ")" * 3000, 100),
+    "minus-3000": ("-" * 3000 + "x1", 100),
+    "sum-400": ("+".join(["sin(2*pi*x1)"] * 400), 1273),
+    "power-3000": ("^".join(["x1"] * 3000), 302),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_SYMBOLS)
+def test_parser_bounds_the_nesting_depth(name):
+    text, offset = DEEP_SYMBOLS[name]
+    with pytest.raises(ParseError, match="nests deeper than 100 levels") as exc:
+        Expr(text)
+    assert exc.value.offset == offset
+
+
+def test_parser_admits_the_depth_bound_itself():
+    # each of these is exactly 100 levels deep, and its syntax tree can be walked
+    assert Expr("(" * 100 + "x1" + ")" * 100)(np.array([0.25]), np.array([0.5])) == 0.25
+    assert Expr("-" * 100 + "x1").fourier_terms() is None
+    assert len(Expr("+".join(["sin(2*pi*x1)"] * 98)).fourier_terms()) == 2
+    assert Expr("^".join(["x1"] * 101)).fourier_terms() is None
+
+
 def test_parser_unknown_variables():
     with pytest.raises(UnknownVariableError):
         Expr("y1 + 1")

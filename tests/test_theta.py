@@ -487,6 +487,14 @@ def test_theta_zero_representative_is_reduced():
         assert -1e-9 <= b < 1 + 1e-9
 
 
+def test_theta_zero_is_the_half_period_itself():
+    # the lattice coefficients of z0 are exactly (1/2, 1/2): no solve, and
+    # no rounding beyond the two products and the sum of -i Omega/2 + i/2
+    rng = np.random.default_rng(23)
+    for om in [1j, 0.3 + 1j] + list(rng.uniform(-2, 2, 60) + 1j * rng.uniform(0.3, 3, 60)):
+        assert theta_zero_1d(_p(om, N=4)) == -0.5j * om + 0.5j
+
+
 def test_theta_zero_raises_below_the_attainable_magnitude():
     # theta_1 at the half period is zero only up to rounding, about 1e-17
     with pytest.raises(ToleranceUnreachableError):

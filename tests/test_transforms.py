@@ -177,6 +177,22 @@ def test_time_frequency_shift_formula():
         assert abs(out[m] - expect) < 1e-14
 
 
+@pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 3)])
+def test_time_frequency_shift_stack_equals_single_shifts(d, N):
+    # negative and unreduced shifts; l enters the phase unreduced, so each
+    # atom keeps the bits of its own one-shift call
+    rng = np.random.default_rng(d)
+    h = rng.standard_normal((N,) * d) + 1j * rng.standard_normal((N,) * d)
+    ks = rng.integers(-3 * N, 3 * N, size=(25, d))
+    ls = rng.integers(-3 * N, 3 * N, size=(25, d))
+    stack = time_frequency_shift(h, ks, ls)
+    assert stack.shape == (25,) + h.shape
+    for atom, k, l in zip(stack, ks, ls):
+        assert np.array_equal(atom.view(np.uint64), time_frequency_shift(h, k, l).view(np.uint64))
+    with pytest.raises(ShapeMismatchError):
+        time_frequency_shift(h, ks, ls[:3])
+
+
 def test_dgt_fft_equals_direct():
     # random complex windows, so no symmetry of a Gaussian hides an index slip
     rng = np.random.default_rng(2)
