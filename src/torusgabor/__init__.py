@@ -17,7 +17,6 @@ from .core import (
     lattice_coefficients,
     params_from_json,
     params_to_json,
-    validate,
 )
 from .theta import ScaledComplex, theta_eval, theta_zero_1d, winding_number
 from .transforms import (
@@ -62,7 +61,6 @@ __all__ = [
     "lattice_coefficients",
     "params_from_json",
     "params_to_json",
-    "validate",
     "ScaledComplex",
     "theta_eval",
     "theta_zero_1d",

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import localization
 from . import theta as theta_mod
-from .core import GaborError, exact_sum, siegel, validate
+from .core import GaborError, exact_sum
 from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
 
 
@@ -46,7 +46,7 @@ def weight_phi(z, params):
     invariant under the purely imaginary period directions.
     """
     z = np.asarray(z, dtype=complex)
-    yinv = siegel(params).im_inv
+    yinv = params.im_inv
     h = np.einsum("...i,ij,...j->...", z, yinv, np.conj(z))
     b = np.einsum("...i,ij,...j->...", z, yinv, z)
     return np.pi * (h.real + b.real)
@@ -54,7 +54,7 @@ def weight_phi(z, params):
 
 def chern_matrix(params):
     """Coefficient matrix (Im Omega)^{-1} of the translation-invariant curvature form (read-only)."""
-    return siegel(params).im_inv
+    return params.im_inv
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -91,14 +91,13 @@ def bargmann(coeffs, z, params, tol=1e-12):
     bound, exceeds tol for some term.  weighted_mag is |B a(zr)| e^{-N phi(zr)/2},
     which equals |B a(z)| e^{-N phi(z)/2} and keeps its digits far from the cell.
     """
-    sg = siegel(params)
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != params.shape:
         raise GaborError(f"coefficients must have shape {params.shape}")
     with np.errstate(invalid="ignore"):  # 1j * inf is nan, which the reduction refuses
         w, one = theta_mod._points(1j * np.asarray(z, dtype=complex), params.d)
     N, om = params.N, params.Omega
-    wr, e, c = theta_mod._reduce(w, sg, N, tol)
+    wr, e, c = theta_mod._reduce(w, params, N, tol)
     zr = -1j * wr
     with np.errstate(divide="ignore"):
         loga = np.log(coeffs)
@@ -125,7 +124,7 @@ def bargmann(coeffs, z, params, tol=1e-12):
         return e
 
     s, _, _ = certified_lattice_sum(
-        exponent_fn, math.pi * sg.im_min / N, params.d, tol, log_scale=scale)
+        exponent_fn, math.pi * params.im_min / N, params.d, tol, log_scale=scale)
     raw = ScaledComplex.from_exponent(e) * s
     wmag = s.magnitude(-0.5 * N * phi)
     if one:
@@ -157,7 +156,6 @@ def gram(params):
     identity by construction, up to the roundoff of one inverse FFT, with no
     quadrature; grid_history is always empty.
     """
-    validate(params)
     rep = localization.restriction_matrix(localization.Constant(1.0, params.d), params)
     G = math.sqrt(float(np.linalg.det(params.im)) / (2.0 * params.N) ** params.d) * rep.matrix
     evals = np.linalg.eigvalsh(G)
@@ -182,7 +180,6 @@ def section_winding(coeffs, params, tol=1e-10):
     Counts the zeros of the section in one fundamental domain; the contour is
     jittered when it grazes a zero.
     """
-    validate(params)
     if params.d != 1:
         raise GaborError("zero counting by winding is a d = 1 operation")
     om = complex(params.Omega[0, 0])
@@ -239,7 +236,6 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
     trapezoid sum of the samples, correctly rounded by core.exact_sum (so
     order-fixed).
     """
-    validate(params)
     N, d, ov = params.N, params.d, oversample
     if ov < 1:
         raise GaborError(f"oversample must be >= 1, got {ov}")

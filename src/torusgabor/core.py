@@ -2,9 +2,10 @@
 
 Everything in this package is configured by a triple (d, N, Omega): the space
 dimension, the number of samples per axis, and a Siegel matrix Omega
-(symmetric, with positive definite imaginary part).  Omega identifies the
-real torus T_N = R^{2d} / (N Z^d x Z^d) with the complex torus
-T_Omega = C^d / Lambda, where
+(symmetric, with positive definite imaginary part), held by a GaborParams,
+which checks them once, when it is made.  Omega identifies the real torus
+T_N = R^{2d} / (N Z^d x Z^d) with the complex torus T_Omega = C^d / Lambda,
+where
 
     Lambda = -i Omega Z^d + i Z^d,      z = -i(Omega x / N + xi),
 
@@ -22,7 +23,6 @@ sections pick up on the way, lives in theta (theta._reduce).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 
@@ -57,21 +57,53 @@ class GaborParams:
 
     The signal space has dimension N^d, the time lattice step is 1 and the
     frequency lattice step is 1/N.  Omega may be passed as a scalar for d = 1.
+    Everything is checked when the params are made: d and N are positive
+    integers (Python or numpy, not bool); Omega is d x d, finite, symmetric
+    within SYMMETRY_RTOL, and Y = Im Omega has its smallest eigenvalue above
+    d 2^-52 times its largest, the eigensolver's own error.  Y^{-1} (im_inv,
+    read-only like Omega) and lambda_min(Y) (im_min) are stored.
     """
 
     d: int
     N: int
     Omega: np.ndarray
+    im_inv: np.ndarray = dataclasses.field(init=False, repr=False)
+    im_min: float = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.N < 1:
-            raise GaborError("d and N must be positive integers")
+        for name in ("d", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise GaborError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         om = np.atleast_2d(np.asarray(self.Omega, dtype=complex))
         if om.shape != (self.d, self.d):
             raise GaborError(f"Omega must be {self.d}x{self.d}, got {om.shape}")
         om = om.copy()
         om.setflags(write=False)
+        if not np.all(np.isfinite(om)):
+            raise GaborError("Omega must have finite entries")
+        scale = float(np.abs(om).max())
+        asym = float(np.abs(om - om.T).max())
+        if asym > SYMMETRY_RTOL * scale:
+            raise NonSymmetricError(
+                f"Omega asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|Omega| "
+                f"= {SYMMETRY_RTOL * scale:.3e}"
+            )
+        im = om.imag
+        eig = np.linalg.eigvalsh(0.5 * (im + im.T))
+        low, high = float(eig[0]), float(eig[-1])
+        # also refuses low <= 0, whatever the sign of high
+        if low <= self.d * 2.0 ** -52 * high:
+            raise NotPositiveDefiniteError(
+                f"smallest eigenvalue of Im(Omega) is {low:.3e}; must be positive and "
+                f"above d * 2^-52 times the largest, {high:.3e}"
+            )
+        im_inv = np.linalg.inv(im)
+        im_inv.setflags(write=False)
         object.__setattr__(self, "Omega", om)
+        object.__setattr__(self, "im_inv", im_inv)
+        object.__setattr__(self, "im_min", float(np.linalg.eigvalsh(im)[0]))
 
     @property
     def dim_sn(self):
@@ -91,78 +123,23 @@ class GaborParams:
         return self.Omega.real
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class Siegel:
-    """What validate establishes about one Omega: Y = Im Omega, Y^{-1}, lambda_min(Y).
-
-    The arrays are read-only; records are shared through the cache of siegel.
-    """
-
-    Omega: np.ndarray
-    im: np.ndarray
-    im_inv: np.ndarray
-    im_min: float
-
-
-def siegel(params):
-    """The Siegel record of params.Omega; raises as validate does.
-
-    Records are kept per Omega value (shape and bytes) in a bounded module-level
-    cache, not on params, so a fresh import starts cold and an equal Omega in a
-    new GaborParams shares the record.  A failed check raises on every call.
-    """
-    om = params.Omega
-    return _siegel(om.shape, om.tobytes())
-
-
-@functools.lru_cache(maxsize=64)
-def _siegel(shape, data):
-    om = np.frombuffer(data, dtype=complex).reshape(shape).copy()
-    om.setflags(write=False)
-    if not np.all(np.isfinite(om)):
-        raise GaborError("Omega must have finite entries")
-    scale = float(np.abs(om).max())
-    asym = float(np.abs(om - om.T).max())
-    if scale > 0.0 and asym > SYMMETRY_RTOL * scale:
-        raise NonSymmetricError(
-            f"Omega asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.0e} * max|Omega| "
-            f"= {SYMMETRY_RTOL * scale:.3e}"
-        )
-    im = om.imag
-    low = float(np.linalg.eigvalsh(0.5 * (im + im.T))[0])
-    if low <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"smallest eigenvalue of Im(Omega) is {low:.3e}; must be positive"
-        )
-    im_inv = np.linalg.inv(im)
-    im_inv.setflags(write=False)
-    return Siegel(om, im, im_inv, float(np.linalg.eigvalsh(im)[0]))
-
-
-def validate(params):
-    """Check the Siegel conditions; return params unchanged if they hold."""
-    siegel(params)
-    return params
-
-
 def lattice_coefficients(z, params):
     """Real coefficients (a, b) with z = -i Omega a + i b, for z of shape (d,) or (P, d).
 
     Re z = Y a and Im z = -X a + b with Omega = X + iY: a is one solve with Y
-    per point and b = Im z + X a, summed elementwise.  params are validated
-    first, so Y is positive definite and its factorization, the one validate
-    inverts, has no zero pivot; an invalid Omega raises as validate does.
+    per point and b = Im z + X a, summed elementwise.  A GaborParams is
+    checked when it is made, so Y is positive definite, not numerically
+    singular, and its factorization has no zero pivot.
     """
-    sg = siegel(params)
     d = params.d
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim > 2 or z.shape[-1] != d:
         raise GaborError(f"expected a complex {d}-vector or (P, {d}) array, "
                          f"got shape {z.shape}")
-    a = np.linalg.solve(sg.im, z.real[..., None])[..., 0]
+    a = np.linalg.solve(params.im, z.real[..., None])[..., 0]
     # an overflowed a times a zero entry of X is NaN; callers check for finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        return a, z.imag + (sg.Omega.real * a[..., None, :]).sum(axis=-1)
+        return a, z.imag + (params.re * a[..., None, :]).sum(axis=-1)
 
 
 def _point_coefficients(z, params):
@@ -275,10 +252,10 @@ def params_to_json(params):
 
 
 def params_from_json(text):
-    """Parse and validate parameters from the JSON schema."""
+    """Parse parameters from the JSON schema; GaborParams checks d, N and Omega as given."""
     obj = json.loads(text)
     om = np.asarray(obj["omega_re"], dtype=float) + 1j * np.asarray(obj["omega_im"], dtype=float)
-    return validate(GaborParams(d=int(obj["d"]), N=int(obj["N"]), Omega=om))
+    return GaborParams(d=obj["d"], N=obj["N"], Omega=om)
 
 
 # exact_sum reads at most this many values per pass, so the bin sums below stay exact

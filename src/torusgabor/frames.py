@@ -45,7 +45,7 @@ import numpy as np
 from . import theta as theta_mod
 from . import transforms
 from .bargmann import weight_phi
-from .core import MEMBERSHIP_TOL, GaborError, dual_lattice_member, validate
+from .core import MEMBERSHIP_TOL, GaborError, dual_lattice_member
 
 
 class EmptyPointSetError(GaborError):
@@ -148,7 +148,6 @@ def parity_predicate(D, params):
     to even, come from the exact coordinates 2N a = 2 sum k - N^2 and
     2N b = -2 sum l - N^2 of s = -i Omega a + i b.
     """
-    validate(params)
     N = params.N
     if params.d != 1:
         raise NotApplicableError(f"parity predicate needs d = 1, got d = {params.d}")
@@ -245,7 +244,6 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     A is the squared N^d-th singular value of the atom matrix (zero when
     K < N^d), B the squared largest; the frame decision is A/B > threshold.
     """
-    validate(params)
     if len(D) == 0:
         raise EmptyPointSetError("sampling set is empty")
     h = _window_samples(window, params)
@@ -280,7 +278,6 @@ def zero_set_diagnostic(D, translates, params, tol=1e-10):
     z_j is min_i |theta_1(i(z_j - t_i), Omega)| e^{-phi(z_j - t_i)/2}, which
     vanishes exactly when z_j sits on some translated divisor.
     """
-    validate(params)
     translates = np.atleast_2d(np.asarray(translates, dtype=complex))
     if translates.shape != (params.N, params.d):
         raise GaborError(f"need exactly N = {params.N} translates of dimension {params.d}")
@@ -330,7 +327,6 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     from a seeded generator.  Margins are the ratios A/B, recorded for every
     subset so the decision threshold stays auditable.
     """
-    validate(params)
     h = _window_samples(window, params)
     # position j = N^d k + l is the pair (cells[k], cells[l])
     cells = list(np.ndindex(params.shape))

@@ -46,7 +46,7 @@ import operator
 import numpy as np
 
 from . import theta, transforms
-from .core import GaborError, QuadratureUnderResolvedError, exact_sum, lattice_ellipsoid, validate
+from .core import GaborError, QuadratureUnderResolvedError, exact_sum, lattice_ellipsoid
 
 
 class ParseError(GaborError):
@@ -803,7 +803,6 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8):
     matrix that is Hermitian up to roundoff; it is symmetrized, and
     NonHermitianBeyondToleranceError flags anything larger.
     """
-    validate(params)
     if symbol.d != params.d:
         raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
     if oversample < 1:
@@ -981,12 +980,12 @@ def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
         symbol = parse_symbol(symbol, d)
     rows = []
     for N in n_list:
-        params = GaborParams(d=symbol.d, N=int(N), Omega=Omega)
+        params = GaborParams(d=symbol.d, N=N, Omega=Omega)
         rep = restriction_matrix(symbol, params, oversample=oversample, rel_tol=rel_tol)
         spec = spectrum(rep)
         nd = params.dim_sn
         rows.append(SweepRow(
-            N=int(N),
+            N=params.N,
             trace_scaled=float(spec.trace.real) / nd,
             counts_scaled={float(a): spec.count_below(a) / nd for a in alphas},
             plunge=spec.plunge_fraction(plunge_delta),

@@ -40,17 +40,17 @@ again, each on the box of its own radius, so a point's bits do not depend on
 the batch.  theta_eval takes one point or P points and makes one
 certified_lattice_sum call for all of them.
 
-What does not depend on z is computed once and memoised: the checks on Omega
-with Y = Im Omega, Y^{-1} and lambda_min(Y) (core.siegel, keyed on Omega's
-shape and bytes); gaussian_box_tail and tail_radius (pure functions of their
-scalar arguments); the shell-ordered box (_shell_box, keyed on radius and d);
-and theta_eval's quadratic part i pi n k'Omega k over that box (_theta_quad,
-keyed on the Omega record, the order n and the radius).  The caches are
-module-level and bounded by fixed sizes, so a fresh import starts cold; their
-arrays are read-only, and a failed check is not cached.  The solve with Y in
-_reduce stays per batch: it depends on z, and an inverse computed once would
-move the rounding of Y^{-1} Im z, and with it the reduced point of a z on a
-cell edge.
+What does not depend on z is computed once.  The checks on Omega, with
+Y = Im Omega, Y^{-1} and lambda_min(Y), run when the GaborParams is made and
+are stored on it.  The rest is memoised: gaussian_box_tail and tail_radius
+(pure functions of their scalar arguments); the shell-ordered box
+(_shell_box, keyed on radius and d); and theta_eval's quadratic part
+i pi n k'Omega k over that box (_theta_quad, keyed on the params object, the
+order n and the radius).  The caches are module-level and bounded by fixed
+sizes, so a fresh import starts cold, and their arrays are read-only.  The
+solve with Y in _reduce stays per batch: it depends on z, and an inverse
+computed once would move the rounding of Y^{-1} Im z, and with it the
+reduced point of a z on a cell edge.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import math
 
 import numpy as np
 
-from .core import GaborError, siegel, validate
+from .core import GaborError
 
 
 class ToleranceUnreachableError(GaborError):
@@ -288,10 +288,10 @@ class ThetaEval:
 
 
 @functools.lru_cache(maxsize=64)
-def _theta_quad(sg, order, R):
-    """1j pi order k'Omega k over k = _shell_box(R, d), for the Siegel record sg; read-only."""
-    k = _shell_box(R, sg.Omega.shape[0])
-    q = 1j * np.pi * order * np.einsum("ki,ij,kj->k", k, sg.Omega, k)
+def _theta_quad(params, order, R):
+    """1j pi order k'Omega k over k = _shell_box(R, d), for params.Omega; read-only."""
+    k = _shell_box(R, params.d)
+    q = 1j * np.pi * order * np.einsum("ki,ij,kj->k", k, params.Omega, k)
     q.setflags(write=False)
     return q
 
@@ -332,7 +332,7 @@ def _exact_exponent(k0, om, z, order):
                    float(pi * order * part(om.real, z.real)))
 
 
-def _reduce(w, sg, order, tol):
+def _reduce(w, params, order, tol):
     """Reduce a (P, d) batch of points w by lattice translates, for sections of order n.
 
     With Y = Im Omega, c = Y^{-1} Im w, k0 = -round(c) and m0 = -round(Re(w + Omega k0)),
@@ -351,9 +351,9 @@ def _reduce(w, sg, order, tol):
     exact value, which leaves half an ulp per part.  A point whose e is not
     finite, or whose half ulp exceeds tol, raises ToleranceUnreachableError.
     """
-    om = sg.Omega
+    om = params.Omega
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.linalg.solve(sg.im, w.imag[:, :, None])[:, :, 0]
+        c = np.linalg.solve(params.im, w.imag[:, :, None])[:, :, 0]
         k0 = -np.rint(c)
         z1 = w + np.vecdot(k0[:, None, :], om)
         wr = z1 - np.rint(z1.real)
@@ -382,20 +382,19 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
     omitted terms relative to the kept partial sum.  All points make one
     certified_lattice_sum call, and each keeps the bits of its one-point call.
     """
-    sg = siegel(params)
     if order < 1:
         raise GaborError("order must be a positive integer")
     w, one = _points(z, params.d)
-    wr, e, c = _reduce(w, sg, order, tol)
+    wr, e, c = _reduce(w, params, order, tol)
 
     def exponent_fn(k, rows):  # k is a shell box, whose last row is (R, ..., R)
-        return (_theta_quad(sg, order, int(k[-1, 0]))
+        return (_theta_quad(params, order, int(k[-1, 0]))
                 + 2j * np.pi * order * np.vecdot(k, wr[rows, None, :]))
 
     # a term is at most exp(pi n c'Y c - pi n lambda_min(Y) |k + c|^2), with
     # c'Y c = c' Im wr and |c|_inf <= 1/2, the default offset
     s, radius, bound = certified_lattice_sum(
-        exponent_fn, math.pi * order * sg.im_min, params.d, tol,
+        exponent_fn, math.pi * order * params.im_min, params.d, tol,
         log_scale=math.pi * order * np.vecdot(c, wr.imag), min_radius=min_radius, r_cap=r_cap,
     )
     value = ScaledComplex.from_exponent(e) * s
@@ -471,7 +470,6 @@ def theta_zero_1d(params, tol=1e-10):
     e^{-phi(z0)/2}, phi(z) = 2 pi (Re z)^2 / Im Omega, is evaluated by theta_eval
     and must be below tol, else ToleranceUnreachableError is raised.
     """
-    validate(params)
     if params.d != 1:
         raise GaborError("theta_zero_1d requires d = 1")
     om = complex(params.Omega[0, 0])

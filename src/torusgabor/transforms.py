@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import theta
-from .core import GaborError, siegel, validate
+from .core import GaborError
 
 
 class ShapeMismatchError(GaborError):
@@ -61,7 +61,7 @@ class GaussianWindow:
     """
 
     def __init__(self, params):
-        self.params = validate(params)
+        self.params = params
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -80,8 +80,7 @@ def _delta_stft(params, X, XI, tol):
     # runs over w = u0 - N k, k in Z^d.  A term
     # e^{pi i w'Omega w/N - 2 pi i xi.(n - N m - N k)} is a(row) + b(row).k + c(k)
     # in the exponent and at most e^{-pi lambda_min(Y) N |k - u0/N|^2}
-    sg = siegel(params)
-    N, d, om = params.N, params.d, sg.Omega
+    N, d, om = params.N, params.d, params.Omega
     n = np.indices(params.shape).reshape(d, -1).T[:, None, :]
     u = n - X
     m = np.floor(u / N + 0.5)
@@ -99,7 +98,7 @@ def _delta_stft(params, X, XI, tol):
         return e
 
     offset = max(0.5, float(np.abs(u0).max(initial=0.0)) / N)
-    s, _, _ = theta.certified_lattice_sum(exponent_fn, math.pi * sg.im_min * N, d, tol,
+    s, _, _ = theta.certified_lattice_sum(exponent_fn, math.pi * params.im_min * N, d, tol,
                                           offset=offset, log_scale=np.zeros(len(a)))
     return s.to_complex().reshape(u.shape[:-1])
 

@@ -338,7 +338,7 @@ def test_theta_eval_overflow_is_a_domain_error(capsys):
 
 
 def test_domain_errors_exit_one(capsys):
-    # non-symmetric Omega is rejected during validation
+    # a negative Im Omega is refused when the params are made
     bad = '{"d": 1, "N": 3, "omega_re": [[0.0]], "omega_im": [[-1.0]]}'
     code, out, err = _run(capsys, "theta", "zero", "--params", bad)
     assert code == 1
@@ -348,6 +348,22 @@ def test_domain_errors_exit_one(capsys):
     params5 = '{"d": 1, "N": 5, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
     code, _, err = _run(capsys, "frame", "scan", "--params", params5, "-K", "12")
     assert code == 1
+
+
+@pytest.mark.parametrize("params,z,message", [
+    ('{"d": 1, "N": 4.9, "omega_re": [[0.0]], "omega_im": [[1.0]]}', "0.3", "N must be"),
+    ('{"d": true, "N": 4, "omega_re": [[0.0]], "omega_im": [[1.0]]}', "0.3", "d must be"),
+    ('{"d": 1, "N": "4", "omega_re": [[0.0]], "omega_im": [[1.0]]}', "0.3", "N must be"),
+    ('{"d": 2, "N": 2, "omega_re": [[0, 0], [0, 0]], "omega_im": [[0.29621784042087357, '
+     '0.17214920138308412], [0.17214920138308412, 0.10004578891915161]]}', "0.1,0.2",
+     "Im(Omega)"),
+], ids=["N-4.9", "d-true", "N-string", "singular-im"])
+def test_invalid_params_are_domain_errors(capsys, params, z, message):
+    # refused when the params are made, not truncated or left to a failed solve
+    code, out, err = _run(capsys, "theta", "eval", "--params", params, "--z", z)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and "cannot parse params" not in err
 
 
 def test_usage_errors_exit_two(capsys):

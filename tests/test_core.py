@@ -16,7 +16,6 @@ from torusgabor.core import (
     lattice_coefficients,
     params_from_json,
     params_to_json,
-    validate,
 )
 from torusgabor.theta import theta_eval
 
@@ -33,28 +32,53 @@ def _p2():
 
 
 def test_params_validation_accepts_siegel_matrices():
-    validate(_p1())
-    validate(_p1(0.3 + 1j))
-    validate(_p2())
+    for p in (_p1(), _p1(0.3 + 1j), _p2()):
+        assert np.array_equal(p.im_inv, np.linalg.inv(p.im))
+        assert p.im_min == float(np.linalg.eigvalsh(p.im)[0])
 
 
 def test_params_rejects_asymmetric_omega():
     om = np.array([[1j, 0.2], [0.1, 1j]])
     with pytest.raises(NonSymmetricError):
-        validate(GaborParams(d=2, N=2, Omega=om))
+        GaborParams(d=2, N=2, Omega=om)
 
 
 def test_params_rejects_indefinite_imaginary_part():
     with pytest.raises(NotPositiveDefiniteError):
-        validate(_p1(omega=0.5 - 0.1j))
+        _p1(omega=0.5 - 0.1j)
     with pytest.raises(NotPositiveDefiniteError):
-        validate(_p1(omega=0.5))
+        _p1(omega=0.5)
+
+
+@pytest.mark.parametrize("im", [
+    # eigvalsh's smallest eigenvalue rounds positive, and inv finds Y singular
+    [[0.29621784042087357, 0.17214920138308412], [0.17214920138308412, 0.10004578891915161]],
+    # inv succeeds, and the smallest eigenvalue is 1.1e-16
+    [[1.7004161176994, 1.2349936186624255], [1.2349936186624255, 0.896962350721813]],
+], ids=["inv-fails", "inv-succeeds"])
+def test_params_rejects_numerically_singular_imaginary_part(im):
+    # both Y are rank one in exact arithmetic
+    with pytest.raises(NotPositiveDefiniteError, match="Im\\(Omega\\)"):
+        GaborParams(d=2, N=2, Omega=1j * np.array(im))
+
+
+@pytest.mark.parametrize("d,N", [(1, 4.5), (1.0, 4), (True, 4), (1, "4"), (1, np.float64(4)),
+                                 (0, 4), (1, -2)])
+def test_params_d_and_N_must_be_positive_integers(d, N):
+    with pytest.raises(GaborError, match="positive integer"):
+        GaborParams(d=d, N=N, Omega=np.array([[1j]]))
+
+
+def test_params_store_numpy_integers_as_int():
+    p = GaborParams(d=np.int64(1), N=np.int32(4), Omega=np.array([[1j]]))
+    assert type(p.d) is int and type(p.N) is int and p.shape == (4,)
 
 
 def test_params_matrix_is_read_only():
-    p = _p1()
-    with pytest.raises(ValueError):
-        p.Omega[0, 0] = 2j
+    p = _p2()
+    for a in (p.Omega, p.im_inv):
+        with pytest.raises(ValueError):
+            a[0, 0] = 2j
 
 
 def test_params_shape_helpers():
@@ -185,24 +209,22 @@ def test_params_json_rejects_bad_matrix():
         params_from_json('{"d": 2, "N": 2, "omega_re": [[0]], "omega_im": [[1]]}')
 
 
-@pytest.mark.parametrize("bad,error", [(np.array([[1j, 0.2], [0.1, 1j]]), NonSymmetricError),
-                                       (np.array([[1j, 0.0], [0.0, -0.5j]]),
-                                        NotPositiveDefiniteError)],
-                         ids=["asymmetric", "indefinite"])
-def test_failed_validation_is_not_cached(bad, error):
-    # every call with a bad Omega raises, also between calls with a good one
-    good = GaborParams(d=2, N=2, Omega=np.array([[1j, 0.1], [0.1, 1.2j]]))
-    badp = GaborParams(d=2, N=2, Omega=bad)
+@pytest.mark.parametrize("bad,error", [
+    (np.array([[1j, np.nan], [np.nan, 1j]]), GaborError),
+    (np.array([[1j, 0.2], [0.1, 1j]]), NonSymmetricError),
+    (np.array([[1j, 0.0], [0.0, -0.5j]]), NotPositiveDefiniteError),
+    (1j * np.array([[1.7004161176994, 1.2349936186624255],
+                    [1.2349936186624255, 0.896962350721813]]), NotPositiveDefiniteError),
+], ids=["nonfinite", "asymmetric", "indefinite", "singular"])
+def test_invalid_omega_raises_on_every_construction(bad, error):
+    # every construction with a bad Omega raises, also between uses of a good one
     z, coeffs = np.array([0.1 + 0.2j, 0.3j]), np.ones((2, 2))
     for _ in range(3):
         with pytest.raises(error):
-            theta_eval(z, badp)
+            GaborParams(d=2, N=2, Omega=bad)
+        good = GaborParams(d=2, N=2, Omega=np.array([[1j, 0.1], [0.1, 1.2j]]))
         assert theta_eval(z, good).tail_bound <= 1e-12
-        with pytest.raises(error):
-            bargmann(coeffs, z, badp)
         assert bargmann(coeffs, z, good).weighted_mag > 0.0
-        with pytest.raises(error):
-            validate(GaborParams(d=2, N=2, Omega=bad.copy()))
 
 
 def _sum_cases():

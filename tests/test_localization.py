@@ -541,6 +541,13 @@ def test_bad_target_samples_are_domain_errors(text, message):
         asymptotic_sweep(text, [2], OM)
 
 
+def test_sweep_grid_sizes_must_be_integers():
+    # a grid size of 4.9 is refused, not run as N = 4
+    with pytest.raises(GaborError, match="N must be a positive integer"):
+        asymptotic_sweep("sin(pi*x1)^2", [4.9], OM)
+    assert [r.N for r in asymptotic_sweep("sin(pi*x1)^2", np.array([2]), OM).rows] == [2]
+
+
 # ---------------------------------------------------------------------------
 # cross-route identities
 

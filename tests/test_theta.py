@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice import complex_distance_mod_lattice
-from torusgabor import core
 from torusgabor import theta as theta_mod
 from torusgabor.core import GaborError, GaborParams
 from torusgabor.theta import (
@@ -562,7 +561,6 @@ def test_theta_eval_reduction_exponent_is_certified_when_its_terms_cancel():
 
 
 def _clear_caches():
-    core._siegel.cache_clear()
     for cached in (gaussian_box_tail, tail_radius, theta_mod._shell_box, theta_mod._theta_quad):
         cached.cache_clear()
 
@@ -590,9 +588,8 @@ def test_theta_eval_caches_are_invisible():
 
 def test_cached_arrays_are_read_only():
     ev = theta_eval(np.array([0.2 + 0.3j, -0.1j]), P2, order=2)
-    sg = core.siegel(P2)
-    arrays = [theta_mod._shell_box(ev.radius, 2), theta_mod._theta_quad(sg, 2, ev.radius),
-              sg.Omega, sg.im, sg.im_inv]
+    arrays = [theta_mod._shell_box(ev.radius, 2), theta_mod._theta_quad(P2, 2, ev.radius),
+              P2.Omega, P2.im, P2.im_inv]
     for a in arrays:
         with pytest.raises(ValueError):
             a.flat[0] = a.flat[0]
