@@ -28,13 +28,14 @@ tests check it against sums of the sections themselves.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from . import localization
 from . import theta as theta_mod
-from .core import GaborError, exact_sum
+from .core import GaborError, _exact_tiled_sum
 from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
 
 
@@ -203,21 +204,36 @@ def section_winding(coeffs, params, tol=1e-10):
     raise theta_mod.WindingNotOneError(f"no zero-free contour found: {last}")
 
 
+# bergman_density refuses a grid of more nodes than this (oversample * N per
+# axis, 2d axes); a printed grid holds one value per node
+_MAX_DENSITY_NODES = 1 << 24
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class DensityReport:
-    """Bergman density sampled on a T_N product grid."""
+    """Bergman density on a T_N product grid, kept as its period cell.
+
+    The grid has oversample * N nodes per axis, and rho on it is cell tiled
+    N times along each of the 2d axes: values is that tiling, built on first
+    use.  integral, mean, vmin and vmax are those of values, taken from cell.
+    """
 
     x_nodes: np.ndarray
     xi_nodes: np.ndarray
-    values: np.ndarray
+    cell: np.ndarray
+    N: int
     integral: float
+    mean: float
     vmin: float
     vmax: float
 
+    @functools.cached_property
+    def values(self):
+        return np.tile(self.cell, (self.N,) * self.cell.ndim)
+
     def flatness(self):
         """(vmax - vmin) / mean, with an order-fixed mean (core.exact_sum)."""
-        mean = exact_sum([self.values]) / self.values.size
-        return float((self.vmax - self.vmin) / mean)
+        return float((self.vmax - self.vmin) / self.mean)
 
 
 def bergman_density(params, oversample=8, rel_tol=1e-13):
@@ -231,27 +247,36 @@ def bergman_density(params, oversample=8, rel_tol=1e-13):
     are the integer points of that kernel's ellipsoid, enumerated directly
     (core.lattice_ellipsoid) and cut by the same exact test.  On the
     trapezoid grid of oversample * N nodes per axis rho has period oversample,
-    so one cell (an inverse FFT of the folded coefficients) is tiled N^{2d}
-    times.  Its exact integral over T_N is N^d; the integral reported is the
-    trapezoid sum of the samples, correctly rounded by core.exact_sum (so
-    order-fixed).
+    so the report keeps one cell (an inverse FFT of the folded coefficients),
+    which tiles the grid N^{2d} times.  Its exact integral over T_N is N^d;
+    the integral reported is the trapezoid sum of the grid samples, correctly
+    rounded (core.exact_sum, so order-fixed): N^{2d} times the exact sum of
+    the cell, rounded once, the same bits as exact_sum over the whole grid.
+    A grid of more than _MAX_DENSITY_NODES nodes is a GaborError, raised
+    before anything is computed.
     """
     N, d, ov = params.N, params.d, oversample
     if ov < 1:
         raise GaborError(f"oversample must be >= 1, got {ov}")
     nx = ov * N
+    if nx ** (2 * d) > _MAX_DENSITY_NODES:
+        raise GaborError(
+            f"the density grid of (oversample * N)^{2 * d} = {nx}^{2 * d} = {nx ** (2 * d)} "
+            f"nodes exceeds the limit of {_MAX_DENSITY_NODES}")
     scale = math.pi * N / 2
     coeffs = np.zeros((ov,) * (2 * d))
     for jk, Q in localization._heisenberg_kernel(params, scale, rel_tol):
         sign = 1 - 2 * (N * (jk[:, :d] * jk[:, d:]).sum(axis=1) % 2)
         np.add.at(coeffs, tuple((jk % ov).T), sign * np.exp(-scale * Q))
     cell = np.fft.ifftn(coeffs).real * ov ** (2 * d)
-    values = np.tile(cell, (N,) * (2 * d))
+    total = _exact_tiled_sum([cell], N ** (2 * d), "the density values")
     return DensityReport(
         x_nodes=np.arange(nx) * (N / nx),
         xi_nodes=np.arange(nx) / nx,
-        values=values,
-        integral=exact_sum([values]) * (N / nx) ** d * (1.0 / nx) ** d,
-        vmin=float(values.min()),
-        vmax=float(values.max()),
+        cell=cell,
+        N=N,
+        integral=total * (N / nx) ** d * (1.0 / nx) ** d,
+        mean=total / nx ** (2 * d),
+        vmin=float(cell.min()),
+        vmax=float(cell.max()),
     )

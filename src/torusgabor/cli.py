@@ -11,10 +11,13 @@ math.fsum), so they do not change with the summation order of a numpy
 build.  A symbol with Fourier terms (a trigonometric polynomial) takes its
 mean target from its constant term c_0, with no sum at all.  The volume
 targets are always counts of grid samples, exact but aliased at and above
-the grid's Nyquist frequency (1024 in d = 1, 24 in d = 2).  Restriction matrices
-(and so their traces) and density values are assembled by FFTs and
+the grid's Nyquist frequency (1024 in d = 1, 24 in d = 2).  Restriction
+matrices (and so their traces) and density values are assembled by FFTs and
 elementwise sums, with no matmul, so their last bits follow numpy's FFT, not
-the BLAS build.  What can still differ between BLAS/LAPACK builds is the
+the BLAS build.  The density is one inverse FFT of its period cell, and
+`bergman density` prints it from that cell: each cell value and each node is
+formatted once, and the grid's value list and CSV rows are tiled from that
+text.  What can still differ between BLAS/LAPACK builds is the
 output of dense linear algebra: eigenvalues, and singular values at roundoff
 level, such as the 4.5314964572701556e-17 in tests/golden/frame_check.json.
 `frame scan` takes one SVD per translation orbit of subsets, batched per
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -56,6 +60,10 @@ def _fmt_float(x):
     return format(x, ".17g")
 
 
+class _Formatted(list):
+    """Numbers already formatted by _fmt_float, which _json_dumps writes as they are."""
+
+
 def _json_dumps(obj, indent=0):
     # floats first: they are most of the values in a large report
     if isinstance(obj, (float, np.floating)):
@@ -69,20 +77,26 @@ def _json_dumps(obj, indent=0):
             f"{inner}{json.dumps(str(k))}: {_json_dumps(v, indent + 1)}"
             for k, v in obj.items()
         ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        # one f-string copies each part once; a chain of + copies a large
+        # report once per operator
+        body = ",\n".join(items)
+        return f"{{\n{body}\n{pad}}}"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if isinstance(obj, _Formatted):
+            items = obj
         # a list of Python floats (an array's values) is formatted in one pass;
         # an inf or NaN makes the sum non-finite, so one check covers them all
         # (finite values whose sum overflows take the per-value route)
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+        elif set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
             items = [format(v, ".17g") for v in obj]
         else:
             items = [_json_dumps(v, indent + 1) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        body = (",\n" + inner).join(items)
+        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
@@ -377,23 +391,30 @@ def _cmd_frame_scan(args):
 def _cmd_bergman_density(args):
     params = _load_params(args.params)
     rep = bergman_density(params, oversample=args.oversample)
+    # the grid is the period cell tiled N times along each axis, so each cell
+    # value and each node is formatted once, and the grid's text is tiled
+    x_text = _Formatted(_fmt_float(v) for v in rep.x_nodes)
+    xi_text = _Formatted(_fmt_float(v) for v in rep.xi_nodes)
+    cell_text = np.array([_fmt_float(v) for v in rep.cell.reshape(-1)], dtype=object)
+    grid_text = np.tile(cell_text.reshape(rep.cell.shape), (rep.N,) * rep.cell.ndim)
+    values_text = _Formatted(grid_text.reshape(-1).tolist())
     doc = {
         "provenance": _provenance(args, params, extra={"oversample": args.oversample}),
         "integral": rep.integral,
         "vmin": rep.vmin,
         "vmax": rep.vmax,
         "flatness": rep.flatness(),
-        "x_nodes": rep.x_nodes.tolist(),
-        "xi_nodes": rep.xi_nodes.tolist(),
-        "values": _array_doc(rep.values),
+        "x_nodes": x_text,
+        "xi_nodes": xi_text,
+        # the document of a real array, as _array_doc writes it
+        "values": {"shape": list(grid_text.shape), "re": values_text},
     }
     d = params.d
     header = [f"x{i + 1}" for i in range(d)] + [f"xi{i + 1}" for i in range(d)] + ["density"]
+    # itertools.product runs over the nodes in the row-major order of the values
     _emit(doc, args, header, lambda: [
-        [_fmt_float(rep.x_nodes[i]) for i in idx[:d]]
-        + [_fmt_float(rep.xi_nodes[i]) for i in idx[d:]]
-        + [_fmt_float(rep.values[idx])]
-        for idx in np.ndindex(rep.values.shape)
+        [*node, v] for node, v in zip(
+            itertools.product(*[x_text] * d, *[xi_text] * d), values_text)
     ])
 
 

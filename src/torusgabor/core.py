@@ -278,6 +278,15 @@ def exact_sum(blocks, what="the values"):
     precision, or a non-finite value, is a GaborError whose message names
     what is summed.  A zero total is +0.0.
     """
+    return _exact_tiled_sum(blocks, 1, what)
+
+
+def _exact_tiled_sum(blocks, copies, what):
+    """exact_sum of `copies` copies of the values, from one pass over them.
+
+    The bins add up to an exact integer, so copies times it is the exact sum
+    of the copies, rounded once like exact_sum's own.
+    """
     total = 0
     for block in blocks:
         flat = np.asarray(block, dtype=float).reshape(-1)
@@ -300,6 +309,6 @@ def exact_sum(blocks, what="the values"):
                     total += int(sums[e]) << (int(e) + shift)
     try:
         # the bins count units of 2^(-1073 - 53)
-        return total / (1 << 1126)
+        return total * copies / (1 << 1126)
     except OverflowError:
         raise GaborError(f"the sum of {what} exceeds double precision") from None

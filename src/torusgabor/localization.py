@@ -185,6 +185,19 @@ class TrigPoly(Symbol):
                 acc += c * np.exp(2j * np.pi * (pts @ np.asarray(nu, float)))
         return acc.real if self.is_real else acc
 
+    def on_grid(self, axes):
+        # per term, one exponential per axis on that axis alone, multiplied
+        # out over the open grid, as Expr.on_grid runs each node on its axes
+        acc = np.zeros(_grid_shape(axes), dtype=complex)
+        with np.errstate(all="ignore"):
+            for nu, c in self.terms.items():
+                term = c
+                for v, ax in zip(nu, axes):
+                    if v:
+                        term = term * np.exp(2j * np.pi * (v * np.asarray(ax, float)))
+                acc += term
+        return acc.real if self.is_real else acc
+
     def fourier_terms(self):
         if any(abs(v) > _MAX_FREQUENCY for nu in self.terms for v in nu):
             return None

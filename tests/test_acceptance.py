@@ -26,6 +26,9 @@ from torusgabor.theta import ScaledComplex, theta_eval, theta_zero_1d
 from torusgabor.transforms import GaussianWindow, dgt, dgt_inverse, periodize_sample
 
 OMEGA_2D = np.array([[0.1 + 1.0j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
+# the same Omega as JSON params at N = 2, for the density golden file
+P2D_DENSITY = ('{"d": 2, "N": 2, "omega_re": [[0.1, 0.05], [0.05, 0.0]], '
+               '"omega_im": [[1.0, 0.1], [0.1, 1.3]]}')
 
 
 def _params(d, N, omega=None):
@@ -213,6 +216,8 @@ def test_criterion_13_cli_determinism_and_golden_files(capsys, tmp_path):
         ("asymptotics_sweep.json", ["asymptotics", "sweep",
                                     "--symbol", "sin(pi*x1)^2*sin(pi*xi1)^2",
                                     "--omega", "1j", "--n-list", "2,4"]),
+        ("bergman_density.json", ["bergman", "density", "--params", P2D_DENSITY,
+                                  "--oversample", "3"]),
     ]
     here = __file__.rsplit("/", 1)[0]
     for golden_name, argv in runs:
@@ -233,3 +238,8 @@ def test_criterion_13_cli_determinism_and_golden_files(capsys, tmp_path):
     second = capsys.readouterr()
     assert first.out == second.out
     assert first.err == second.err
+    # the density table in CSV mode, pinned byte for byte
+    density_csv = ["bergman", "density", "--params", p4, "--oversample", "4", "--format", "csv"]
+    assert main(list(density_csv)) == 0
+    with open(f"{here}/golden/bergman_density.csv") as fh:
+        assert capsys.readouterr().out == fh.read()

@@ -13,8 +13,8 @@ from torusgabor.bargmann import (
     weight_phi,
 )
 from grids import tn_grid, window_l2_norm_sq
-from torusgabor import transforms
-from torusgabor.core import GaborParams
+from torusgabor import bargmann as bargmann_mod, transforms
+from torusgabor.core import GaborError, GaborParams, exact_sum
 from torusgabor.theta import ScaledComplex, ToleranceUnreachableError, theta_eval
 
 SERIES_TOL = 1e-12
@@ -396,6 +396,38 @@ def test_density_matches_the_pointwise_grid_sum(monkeypatch, chunk, p, ov):
     rho = (np.abs(V) ** 2).sum(axis=0) / window_l2_norm_sq(p)
     assert rep.values.size == rho.size
     assert np.abs(rep.values.reshape(-1) - rho).max() <= 1e-13 * rho.max()
+
+
+@pytest.mark.parametrize("p,ov", [(_p(1j, N=3), 8), (_p(0.3 + 1j, N=5), 8), (_p(1j, N=7), 3),
+                                  (_p(1j, N=32), 8), (_p(d=2, N=3), 3)],
+                         ids=["d1-N3", "d1-N5", "d1-N7", "d1-N32", "d2-N3"])
+def test_density_sums_from_the_cell_are_the_grid_sums(p, ov):
+    # N^{2d} times the cell's exact total, rounded once, is exact_sum over the
+    # tiled grid, bit for bit
+    rep = bergman_density(p, oversample=ov)
+    grid = np.tile(rep.cell, (p.N,) * (2 * p.d))
+    assert np.array_equal(rep.values, grid)
+    nx = ov * p.N
+    total = exact_sum([grid])
+    assert rep.integral == total * (p.N / nx) ** p.d * (1.0 / nx) ** p.d
+    assert rep.flatness() == float((grid.max() - grid.min()) / (total / grid.size))
+    assert (rep.vmin, rep.vmax) == (grid.min(), grid.max())
+
+
+def test_density_refuses_an_oversized_grid(monkeypatch):
+    # the limit is checked before the kernel is built or anything allocated
+    def unreachable(*args):
+        raise AssertionError("the kernel was built")
+
+    at_limit = bergman_density(_p(1j, N=512), oversample=8)   # 4096^2 = 2^24 nodes
+    assert at_limit.cell.shape == (8, 8) and at_limit.x_nodes.size == 4096
+    monkeypatch.setattr(bargmann_mod.localization, "_heisenberg_kernel", unreachable)
+    with pytest.raises(GaborError, match="4096000000 nodes"):
+        bergman_density(_p(1j, N=32), oversample=2000)
+    with pytest.raises(GaborError, match="4104\\^2 = 16842816 nodes"):
+        bergman_density(_p(1j, N=513), oversample=8)
+    with pytest.raises(GaborError, match="nodes"):
+        bergman_density(_p(d=2, N=3), oversample=22)   # 66^4 = 18,974,736
 
 
 def test_density_grid_layout():

@@ -194,6 +194,31 @@ def test_density_document_is_a_real_array(capsys):
     assert np.array_equal(back.real, rep.values)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_density_formats_each_cell_value_once(capsys, monkeypatch, fmt):
+    # 64 cell values and 2 * 256 nodes, not one format per node of the 256^2 grid
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return _fmt_float(x)
+
+    monkeypatch.setattr(cli, "_fmt_float", counted)
+    params = '{"d": 1, "N": 32, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
+    code, out, _ = _run(capsys, "bergman", "density", "--params", params, "--format", fmt)
+    assert code == 0
+    assert len(out.splitlines()) > 256 ** 2
+    assert len(calls) <= 8 ** 2 + 2 * 256 + 8
+
+
+def test_oversized_density_grid_is_a_domain_error(capsys):
+    params = '{"d": 1, "N": 32, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
+    code, out, err = _run(capsys, "bergman", "density", "--params", params,
+                          "--oversample", "2000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "4096000000 nodes" in err
+
+
 def test_complex_documents_keep_their_imaginary_part(capsys):
     f = np.arange(4.0)
     _, out, _ = _run(capsys, "dgt", "forward", "--params", P4, "--signal", _signal_doc(f))

@@ -392,6 +392,9 @@ def test_sweep_counts_are_fractions():
 def test_sweep_accepts_symbol_objects():
     sw = asymptotic_sweep(_sin2sin2_trig(), [2], OM)
     assert sw.rows[0].trace_scaled == pytest.approx(0.25, abs=1e-9)
+    # the count of the 2048^2 samples below 0.5, the same from the open grid
+    # (TrigPoly.on_grid) as from the grid points (TrigPoly.__call__)
+    assert sw.volume_targets == {0.5: 3346644 / 2048 ** 2}
 
 
 class _Recorded(Symbol):
@@ -571,6 +574,20 @@ def _random_real_trig(rng, d=1, deg=1, pairs=None):
             terms[nu] = c
             terms[tuple(-v for v in nu)] = c.conjugate()
     return TrigPoly(d, terms)
+
+
+@pytest.mark.parametrize("sym", [
+    _sin2sin2_trig(),
+    _random_real_trig(np.random.default_rng(50), 1, 8, pairs=6),
+    _random_real_trig(np.random.default_rng(51), 2, 3, pairs=6),
+    TrigPoly(2, {(1, 0, 1, 1): 1.0, (0, 1, -1, 2): 0.5 - 1j, (0, 0, 0, 0): 0.25}),
+], ids=["sin2sin2", "d1-random", "d2-random", "d2-complex"])
+def test_trig_poly_on_grid_equals_the_pointwise_samples(sym):
+    m = 64 if sym.d == 1 else 12
+    fast = np.concatenate(list(_midpoint_samples(sym, m)))
+    slow = np.concatenate(list(_midpoint_samples(_Pointwise(sym), m)))
+    assert fast.dtype == slow.dtype and fast.size == m ** (2 * sym.d)
+    assert np.abs(fast - slow).max() <= 1e-13 * sum(abs(c) for c in sym.terms.values())
 
 
 class _RecordedWithTerms(_Recorded):
