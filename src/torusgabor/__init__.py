@@ -29,7 +29,6 @@ from .transforms import (
 from .bargmann import (
     bargmann_basis,
     bergman_density,
-    chern_matrix,
     gram,
     section_winding,
     weight_phi,
@@ -40,7 +39,6 @@ from .frames import (
     frame_bounds,
     parity_predicate,
     scan_subsets,
-    zero_set_diagnostic,
 )
 from .localization import (
     BoxIndicator,
@@ -72,7 +70,6 @@ __all__ = [
     "time_frequency_shift",
     "bargmann_basis",
     "bergman_density",
-    "chern_matrix",
     "gram",
     "section_winding",
     "weight_phi",
@@ -81,7 +78,6 @@ __all__ = [
     "frame_bounds",
     "parity_predicate",
     "scan_subsets",
-    "zero_set_diagnostic",
     "BoxIndicator",
     "Constant",
     "TrigPoly",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import localization
 from . import theta as theta_mod
-from .core import GaborError, _exact_tiled_sum
+from .core import GaborError, _exact_tiled_sum, check_nodes
 from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
 
 
@@ -51,11 +51,6 @@ def weight_phi(z, params):
     h = np.einsum("...i,ij,...j->...", z, yinv, np.conj(z))
     b = np.einsum("...i,ij,...j->...", z, yinv, z)
     return np.pi * (h.real + b.real)
-
-
-def chern_matrix(params):
-    """Coefficient matrix (Im Omega)^{-1} of the translation-invariant curvature form (read-only)."""
-    return params.im_inv
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -204,9 +199,7 @@ def section_winding(coeffs, params, tol=1e-10):
     raise theta_mod.WindingNotOneError(f"no zero-free contour found: {last}")
 
 
-# bergman_density refuses a grid of more nodes than this (oversample * N per
-# axis, 2d axes); a printed grid holds one value per node
-_MAX_DENSITY_NODES = 1 << 24
+_DENSITY_TOL = 1e-13
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -236,36 +229,33 @@ class DensityReport:
         return float((self.vmax - self.vmin) / self.mean)
 
 
-def bergman_density(params, oversample=8, rel_tol=1e-13):
+def bergman_density(params, oversample=8):
     """rho(x, xi) = sum_n |V_h eps_n(x, xi)|^2 / ||h||_{L^2}^2 for the Gaussian window.
 
     rho is the trace part of the localization series (localization module):
 
         rho(x, xi) = sum_{j,k} (-1)^{N j.k} e^{-(pi N / 2) Q(j, k)} e^{2 pi i (j.x + N k.xi)},
 
-    Q as in localization._heisenberg_kernel, truncated at rel_tol: the (j, k)
-    are the integer points of that kernel's ellipsoid, enumerated directly
-    (core.lattice_ellipsoid) and cut by the same exact test.  On the
+    Q as in localization._heisenberg_kernel, truncated at _DENSITY_TOL: the
+    (j, k) are the integer points of that kernel's ellipsoid, enumerated
+    directly (core.lattice_ellipsoid) and cut by the same exact test.  On the
     trapezoid grid of oversample * N nodes per axis rho has period oversample,
     so the report keeps one cell (an inverse FFT of the folded coefficients),
     which tiles the grid N^{2d} times.  Its exact integral over T_N is N^d;
     the integral reported is the trapezoid sum of the grid samples, correctly
     rounded (core.exact_sum, so order-fixed): N^{2d} times the exact sum of
     the cell, rounded once, the same bits as exact_sum over the whole grid.
-    A grid of more than _MAX_DENSITY_NODES nodes is a GaborError, raised
-    before anything is computed.
+    A grid of more than core.MAX_NODES nodes is a GaborError, raised before
+    anything is computed.
     """
     N, d, ov = params.N, params.d, oversample
     if ov < 1:
         raise GaborError(f"oversample must be >= 1, got {ov}")
     nx = ov * N
-    if nx ** (2 * d) > _MAX_DENSITY_NODES:
-        raise GaborError(
-            f"the density grid of (oversample * N)^{2 * d} = {nx}^{2 * d} = {nx ** (2 * d)} "
-            f"nodes exceeds the limit of {_MAX_DENSITY_NODES}")
+    check_nodes(nx, 2 * d, f"the density grid of (oversample * N)^{2 * d}")
     scale = math.pi * N / 2
     coeffs = np.zeros((ov,) * (2 * d))
-    for jk, Q in localization._heisenberg_kernel(params, scale, rel_tol):
+    for jk, Q in localization._heisenberg_kernel(params, scale, _DENSITY_TOL):
         sign = 1 - 2 * (N * (jk[:, :d] * jk[:, d:]).sum(axis=1) % 2)
         np.add.at(coeffs, tuple((jk % ov).T), sign * np.exp(-scale * Q))
     cell = np.fft.ifftn(coeffs).real * ov ** (2 * d)

@@ -285,9 +285,9 @@ def _cmd_dgt_forward(args):
     params = _load_params(args.params)
     f = _load_array(args.signal, params.shape, "signal")
     g = _window_coeffs(args, params)
-    V = transforms.dgt(f, g, method=args.method)
+    V = transforms.dgt(f, g)
     doc = {
-        "provenance": _provenance(args, params, extra={"method": args.method}),
+        "provenance": _provenance(args, params),
         "coefficients": _array_doc(V),
     }
     header = [f"k{i + 1}" for i in range(params.d)] + \
@@ -507,7 +507,6 @@ def build_parser():
     p.add_argument("--params", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--window", default=None)
-    p.add_argument("--method", choices=("fft", "direct"), default="fft")
     _add_common(p)
     p.set_defaults(run=_cmd_dgt_forward)
     p = dgt.add_parser("inverse", help="signal from coefficients")

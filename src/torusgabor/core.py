@@ -12,10 +12,11 @@ where
 so the integer time-frequency sample (k, l) lands on z = -i(Omega k/N + l/N).
 The transforms live on the real side and the frame criteria on the complex
 side; this module owns the lattice coefficients of complex points (one or a
-batch), the lattice membership test behind the zero-set diagnostic, the
-integer points of an ellipsoid (lattice_ellipsoid, behind the Heisenberg
-series and the section sums), and exact_sum, the
-correctly rounded sum behind every grid total a report prints.  The
+batch), a float lattice membership test (the oracle the tests hold the
+integer parity rule of frames to), the integer points of an ellipsoid
+(lattice_ellipsoid, behind the Heisenberg series and the section sums),
+exact_sum, the correctly rounded sum behind every grid total a report
+prints, and the node budget MAX_NODES of every grid and table.  The
 reduction of a point into the cell, with the factor the theta series and the
 sections pick up on the way, lives in theta (theta._reduce).
 """
@@ -46,6 +47,10 @@ class QuadratureUnderResolvedError(GaborError):
 
 
 SYMMETRY_RTOL = 1e-12
+# the most nodes a grid or table may have: the density grid, each quadrature
+# level's midpoint grid, and the N^{2d} tables of a restriction matrix and a
+# DGT are refused above it (check_nodes), before anything is allocated
+MAX_NODES = 1 << 24
 # largest coefficient residual at which dual_lattice_member counts a point as
 # a lattice point
 MEMBERSHIP_TOL = 1e-9
@@ -123,6 +128,13 @@ class GaborParams:
         return self.Omega.real
 
 
+def check_nodes(base, power, what):
+    """Refuse `what`, a grid or table of base^power nodes, with a GaborError above MAX_NODES."""
+    if base ** power > MAX_NODES:
+        raise GaborError(f"{what} = {base}^{power} = {base ** power} nodes exceeds the "
+                         f"limit of {MAX_NODES}")
+
+
 def lattice_coefficients(z, params):
     """Real coefficients (a, b) with z = -i Omega a + i b, for z of shape (d,) or (P, d).
 
@@ -173,8 +185,8 @@ def dual_lattice_member(z, params):
     `residual` is the largest componentwise distance, and z is a member when
     it is at most MEMBERSHIP_TOL.  For the principal polarization carried by
     Lambda the lattice dual to Lambda under the torus symplectic form is
-    Lambda itself, so this is the test the zero-set diagnostic needs of the
-    sum of its translates.
+    Lambda itself, so this is the membership of s = sum_j z_j - N z0 that
+    frames.parity_predicate decides with integers.
     """
     a, b = _point_coefficients(z, params)
     wa, wb = np.round(a), np.round(b)

@@ -13,7 +13,8 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
   Lambda = -i Omega Z + i Z.  In the coordinates z = -i Omega a + i b, z_j is
   (k_j/N, -l_j/N) and z0 = -i Omega/2 + i/2 is (1/2, 1/2), so s is
   (sum k/N - N/2, -sum l/N - N/2).  Both are integers exactly when N is even,
-  N | sum k_j and N | sum l_j: an integer test that holds for every Omega.
+  N | sum k_j and N | sum l_j: an integer test that holds for every Omega,
+  so this module evaluates no theta function and solves no lattice system.
 
 Atoms come from one batched transforms.time_frequency_shift call: one for
 frame_bounds' K points, one for all N^{2d} scan positions j = N^d k + l
@@ -42,10 +43,8 @@ import math
 
 import numpy as np
 
-from . import theta as theta_mod
 from . import transforms
-from .bargmann import weight_phi
-from .core import MEMBERSHIP_TOL, GaborError, dual_lattice_member
+from .core import GaborError
 
 
 class EmptyPointSetError(GaborError):
@@ -57,11 +56,7 @@ class NotApplicableError(GaborError):
 
 
 class TooManySubsetsError(GaborError):
-    """Exhaustive enumeration would exceed the configured subset budget."""
-
-
-class TranslateSumNotInDualLatticeError(GaborError):
-    """Zero-set diagnostics need translates whose sum lies in the dual lattice."""
+    """A scan would enumerate or draw more subsets than its budget."""
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -90,10 +85,6 @@ class PointSet:
     def distinct(self):
         seen = {(tuple(k), tuple(l)) for k, l in zip(self.ks, self.ls)}
         return len(seen) == len(self)
-
-    def complex_images(self, params):
-        """z_j = -i(Omega k_j/N + l_j/N), one row per point."""
-        return -1j * (self.ks @ params.Omega.T / params.N + self.ls / params.N)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -270,30 +261,6 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     )
 
 
-def zero_set_diagnostic(D, translates, params, tol=1e-10):
-    """Weighted distance of every sample point to the union of translated zero sets.
-
-    translates is a sequence of N complex d-vectors t_i whose sum must lie in
-    the lattice dual to Lambda (= Lambda itself here); the returned value for
-    z_j is min_i |theta_1(i(z_j - t_i), Omega)| e^{-phi(z_j - t_i)/2}, which
-    vanishes exactly when z_j sits on some translated divisor.
-    """
-    translates = np.atleast_2d(np.asarray(translates, dtype=complex))
-    if translates.shape != (params.N, params.d):
-        raise GaborError(f"need exactly N = {params.N} translates of dimension {params.d}")
-    ssum = translates.sum(axis=0)
-    mem = dual_lattice_member(ssum, params)
-    if not mem.member:
-        raise TranslateSumNotInDualLatticeError(
-            f"translate sum residual {mem.residual:.3e} exceeds {MEMBERSHIP_TOL:.1e}"
-        )
-    # one batched theta_eval over every difference z_j - t_i, rows j, columns i
-    w = (D.complex_images(params)[:, None, :] - translates).reshape(-1, params.d)
-    ev = theta_mod.theta_eval(1j * w, params, order=1, tol=tol)
-    weighted = ev.value.magnitude(-0.5 * weight_phi(w, params))
-    return weighted.reshape(len(D), params.N).min(axis=1)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ScanResult:
     """Predicate-vs-oracle agreement over a family of K-subsets.
@@ -313,8 +280,8 @@ class ScanResult:
     orbits: int
 
 
-# largest family an exhaustive scan enumerates
-_MAX_EXHAUSTIVE = 10 ** 6
+# largest family a scan enumerates or draws
+_MAX_SUBSETS = 10 ** 6
 
 
 def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=None,
@@ -322,9 +289,10 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     """Run the SVD oracle (and parity when applicable) over K-subsets of I_N^2.
 
     mode="exhaustive" enumerates every subset in deterministic
-    lexicographic order and refuses families larger than _MAX_EXHAUSTIVE;
-    mode="random" draws `count` subsets without replacement inside each draw
-    from a seeded generator.  Margins are the ratios A/B, recorded for every
+    lexicographic order; mode="random" draws `count` subsets without
+    replacement inside each draw from a generator seeded by a non-negative
+    seed (or None).  Either refuses more than _MAX_SUBSETS subsets
+    (TooManySubsetsError).  Margins are the ratios A/B, recorded for every
     subset so the decision threshold stays auditable.
     """
     h = _window_samples(window, params)
@@ -338,15 +306,17 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
 
     if mode == "exhaustive":
         n_subsets = math.comb(total_positions, K)
-        if n_subsets > _MAX_EXHAUSTIVE:
-            raise TooManySubsetsError(
-                f"{n_subsets} subsets exceed the budget of {_MAX_EXHAUSTIVE}"
-            )
+        if n_subsets > _MAX_SUBSETS:
+            raise TooManySubsetsError(f"{n_subsets} subsets exceed the budget of {_MAX_SUBSETS}")
         subset_iter = itertools.combinations(range(total_positions), K)
         total = n_subsets
     elif mode == "random":
         if count is None or count < 1:
             raise GaborError(f"random mode needs a draw count >= 1, got {count}")
+        if count > _MAX_SUBSETS:
+            raise TooManySubsetsError(f"{count} draws exceed the budget of {_MAX_SUBSETS}")
+        if seed is not None and seed < 0:
+            raise GaborError(f"the seed must be a non-negative integer, got {seed}")
         rng = np.random.default_rng(seed)
         subset_iter = (
             tuple(sorted(rng.choice(total_positions, size=K, replace=False)))

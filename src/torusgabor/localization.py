@@ -46,7 +46,8 @@ import operator
 import numpy as np
 
 from . import theta, transforms
-from .core import GaborError, QuadratureUnderResolvedError, exact_sum, lattice_ellipsoid
+from .core import (GaborError, QuadratureUnderResolvedError, check_nodes, exact_sum,
+                   lattice_ellipsoid)
 
 
 class ParseError(GaborError):
@@ -779,6 +780,8 @@ def _quadrature_matrix(symbol, params, oversample, rel_tol):
     prev = None
     ov = oversample
     for _ in range(_MAX_DOUBLINGS + 1):
+        check_nodes(ov * N, 2 * params.d,
+                    f"the midpoint grid at oversample {ov}, (oversample * N)^{2 * params.d}")
         M = _level_matrix(symbol, params, ov * N, kernel)
         history.append((ov, complex(np.trace(M))))
         if prev is not None:
@@ -814,12 +817,15 @@ def restriction_matrix(symbol, params, oversample=4, rel_tol=1e-8):
     the relative Frobenius change at the accepted oversample and
     trace_history holds (oversample, trace) per level.  Real symbols yield a
     matrix that is Hermitian up to roundoff; it is symmetrized, and
-    NonHermitianBeyondToleranceError flags anything larger.
+    NonHermitianBeyondToleranceError flags anything larger.  A matrix of
+    N^{2d}, or a quadrature level of (oversample * N)^{2d}, above
+    core.MAX_NODES nodes is a GaborError, raised before it is allocated.
     """
     if symbol.d != params.d:
         raise GaborError(f"symbol dimension {symbol.d} != params dimension {params.d}")
     if oversample < 1:
         raise GaborError(f"oversample must be >= 1, got {oversample}")
+    check_nodes(params.N, 2 * params.d, f"the restriction matrix of N^{2 * params.d}")
     terms = symbol.fourier_terms()
     if terms is not None:
         M, ov, history, change = _terms_matrix(terms, params), None, [], None
@@ -864,7 +870,9 @@ class SpectrumReport:
         return int(np.count_nonzero(self.eigenvalues.real > alpha))
 
     def plunge_fraction(self, delta):
-        """Share of the eigenvalues, by real part, in (delta, 1 - delta)."""
+        """Share of the eigenvalues, by real part, in (delta, 1 - delta), for delta in [0, 1/2]."""
+        if not 0.0 <= delta <= 0.5:
+            raise GaborError(f"the plunge delta must lie in [0, 1/2], got {delta}")
         lam = self.eigenvalues.real
         inside = np.count_nonzero((lam > delta) & (lam < 1.0 - delta))
         return inside / lam.size
@@ -984,9 +992,11 @@ def _phase_space_targets(symbol, alphas):
     return integral, {a: float(c / size) for a, c in below.items()}
 
 
-def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
-                     rel_tol=1e-8, plunge_delta=0.1):
-    """Scaled trace and eigenvalue counts along a list of grid sizes N."""
+_PLUNGE_DELTA = 0.1
+
+
+def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4, rel_tol=1e-8):
+    """Scaled trace, eigenvalue counts and plunge fraction (at _PLUNGE_DELTA) along a list of N."""
     from .core import GaborParams
 
     if isinstance(symbol, str):
@@ -1001,7 +1011,7 @@ def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4,
             N=params.N,
             trace_scaled=float(spec.trace.real) / nd,
             counts_scaled={float(a): spec.count_below(a) / nd for a in alphas},
-            plunge=spec.plunge_fraction(plunge_delta),
+            plunge=spec.plunge_fraction(_PLUNGE_DELTA),
         ))
     integral, volumes = _phase_space_targets(symbol, alphas)
     return SweepReport(

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import theta
-from .core import GaborError
+from .core import GaborError, check_nodes
 
 
 class ShapeMismatchError(GaborError):
@@ -185,14 +185,14 @@ def _require_finite(x, name):
         raise NonFiniteInputError(f"{name} has a non-finite entry")
 
 
-def dgt(f, g, method="fft"):
+def dgt(f, g):
     """Discrete Gabor coefficients V_g f[k, l], returned with shape (N,)*2d.
 
-    method="fft" multiplies f into the shift table conj(g[m - k]), a
-    zero-copy strided view of g, to fill one C-ordered V, then transforms V
-    in place along each frequency axis: no Python loop over the N^d shifts
-    and no table-sized temporary.  method="direct", the reference path, sums
-    f against each atom M_l T_k g elementwise: O(N^{3d}), one batch per k.
+    f is multiplied into the shift table conj(g[m - k]), a zero-copy strided
+    view of g, to fill one C-ordered V, and V is transformed in place along
+    each frequency axis: no Python loop over the N^d shifts and no
+    table-sized temporary.  A table of more than core.MAX_NODES entries is a
+    GaborError, raised before it is allocated.
 
     A non-finite f or g is a NonFiniteInputError.  Every |V[k, l]| is at
     most sum|f| max|g|; where that bound leaves the FFT's partial sums no
@@ -203,9 +203,10 @@ def dgt(f, g, method="fft"):
     g = _check_signal(g, "window")
     if f.shape != g.shape:
         raise ShapeMismatchError(f"signal {f.shape} vs window {g.shape}")
+    d, N = f.ndim, f.shape[0]
+    check_nodes(N, 2 * d, f"the coefficient table of N^{2 * d}")
     _require_finite(f, "signal")
     _require_finite(g, "window")
-    d, N = f.ndim, f.shape[0]
     # a partial sum along one axis stays below 4N times its l1 norm: the
     # Bluestein convolution, for lengths with large prime factors, runs at a
     # length below 4N
@@ -215,19 +216,10 @@ def dgt(f, g, method="fft"):
         raise theta.ToleranceUnreachableError(
             f"coefficients up to {bound:.1e} overflow double precision")
     V = np.empty(f.shape + f.shape, dtype=complex)
-    if method == "fft":
-        # out=V keeps V in C order; the view's own order is not
-        np.multiply(f, _shift_view(np.conj(g)), out=V)
-        for ax in range(2 * d - 1, d - 1, -1):
-            np.fft.fft(V, axis=ax, out=V)
-    elif method == "direct":
-        # V[k, l] = <f, M_l T_k g>: the N^d atoms of one shift k in one batch
-        ls = np.indices(f.shape).reshape(d, -1).T
-        for k in np.ndindex(f.shape):
-            atoms = np.conj(time_frequency_shift(g, np.broadcast_to(k, ls.shape), ls)) * f
-            V[k] = atoms.sum(axis=tuple(range(1, d + 1))).reshape(f.shape)
-    else:
-        raise GaborError(f"unknown dgt method {method!r}")
+    # out=V keeps V in C order; the view's own order is not
+    np.multiply(f, _shift_view(np.conj(g)), out=V)
+    for ax in range(2 * d - 1, d - 1, -1):
+        np.fft.fft(V, axis=ax, out=V)
     return V
 
 

@@ -7,7 +7,6 @@ from torusgabor.bargmann import (
     bargmann,
     bargmann_basis,
     bergman_density,
-    chern_matrix,
     gram,
     section_winding,
     weight_phi,
@@ -64,11 +63,6 @@ def test_weight_phi_batched():
     out = weight_phi(zs, p)
     assert out.shape == (2,)
     assert out[0] == pytest.approx(2 * np.pi * 0.25)
-
-
-def test_chern_matrix_is_inverse_imaginary_part():
-    p = _p(d=2, N=2)
-    assert np.allclose(chern_matrix(p) @ p.im, np.eye(2), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusgabor import GaborParams, cli, theta_eval
+from dgt_reference import dgt_direct
+from torusgabor import GaborParams, cli, theta_eval, transforms
 from torusgabor.bargmann import bergman_density
 from torusgabor.cli import _fmt_float, _json_dumps, main
 from torusgabor.core import GaborError
@@ -85,15 +86,16 @@ def test_dgt_round_trip_through_documents(capsys):
 
 
 def test_dgt_methods_agree(capsys):
+    # the CLI's coefficients against the direct reference sum
     f = np.arange(4.0)
-    _, out_fft, _ = _run(capsys, "dgt", "forward", "--params", P4,
-                         "--signal", _signal_doc(f), "--method", "fft")
-    _, out_dir, _ = _run(capsys, "dgt", "forward", "--params", P4,
-                         "--signal", _signal_doc(f), "--method", "direct")
-    a = json.loads(out_fft)["coefficients"]
-    b = json.loads(out_dir)["coefficients"]
-    assert np.abs(np.asarray(a["re"]) - np.asarray(b["re"])).max() < 1e-12
-    assert json.loads(out_fft)["provenance"]["method"] == "fft"
+    _, out, _ = _run(capsys, "dgt", "forward", "--params", P4, "--signal", _signal_doc(f))
+    doc = json.loads(out)
+    a = doc["coefficients"]
+    g = transforms.periodize_sample(transforms.GaussianWindow(GaborParams(d=1, N=4, Omega=1j)))
+    b = dgt_direct(f, g).reshape(-1)
+    assert np.abs(np.asarray(a["re"]) - b.real).max() < 1e-12
+    assert np.abs(np.asarray(a["im"]) - b.imag).max() < 1e-12
+    assert "method" not in doc["provenance"]
 
 
 def test_frame_check_document(capsys):
@@ -354,6 +356,13 @@ def test_nonpositive_oversample_is_a_domain_error(capsys, command, oversample):
     assert "--oversample" in err
 
 
+def test_fourier_symbols_ignore_an_oversample_beyond_the_node_budget(capsys):
+    # no quadrature grid is built, so none is refused
+    code, out, _ = _run(capsys, "spectrum", "restriction", "--params", P4,
+                        "--symbol", "sin(pi*x1)^2", "--oversample", "1000000")
+    assert code == 0 and json.loads(out)["provenance"]["oversample"] is None
+
+
 def test_theta_eval_overflow_is_a_domain_error(capsys):
     # the lattice reduction factor overflows; no NaN may be printed as a value
     code, out, err = _run(capsys, "theta", "eval", "--params", P4, "--z", "1e308j")
@@ -419,6 +428,21 @@ def test_json_floats_survive_round_trip(capsys):
 P4_NO_OMEGA_RE = '{"d": 1, "N": 4, "omega_im": [[1.0]]}'
 P4_NAN_OMEGA = '{"d": 1, "N": 4, "omega_re": [[NaN]], "omega_im": [[1.0]]}'
 P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
+# N^2 tables of a terabyte and more, which must be refused before allocation
+P300K = '{"d": 1, "N": 300000, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
+P2_18 = '{"d": 1, "N": 262144, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
+
+
+class _Zeros:
+    """A real signal document of n zeros, passed as a file: it is too long for one argument."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def path(self, tmp_path):
+        path = tmp_path / f"zeros{self.n}.json"
+        path.write_text(json.dumps({"shape": [self.n], "re": [0] * self.n}))
+        return str(path)
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -456,16 +480,34 @@ P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
       "*step(0.50025-x1)", "--omega", "1j", "--n-list", "2"], 1, "target grid must be finite"),
     (["asymptotics", "sweep", "--symbol", "1e308*step(x1-0.50024)*step(0.50025-x1)",
       "--omega", "1j", "--n-list", "2"], 1, "target grid exceeds double precision"),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--oversample", "1000000"],
+     1, "4000000^2 = 16000000000000 nodes"),
+    (["asymptotics", "sweep", "--symbol", "sin(pi*x1)^2", "--omega", "1j",
+      "--n-list", "300000"], 1, "300000^2 = 90000000000 nodes"),
+    (["spectrum", "restriction", "--params", P300K, "--symbol", "sin(pi*x1)^2"], 1,
+     "300000^2 = 90000000000 nodes"),
+    (["dgt", "forward", "--params", P2_18, "--signal", _Zeros(2 ** 18),
+      "--window", _Zeros(2 ** 18)], 1, "262144^2 = 68719476736 nodes"),
+    (["frame", "scan", "--params", P4, "-K", "4", "--mode", "random",
+      "--count", "1000000000000"], 1, "draws exceed"),
+    (["frame", "scan", "--params", P4, "-K", "4", "--mode", "random", "--count", "5",
+      "--seed", "-1"], 1, "seed"),
+    (["spectrum", "restriction", "--params", P4, "--symbol", "sin(pi*x1)^2",
+      "--plunge-delta", "nan"], 1, "plunge delta"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
         "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
         "theta-eval-phase", "theta-zero-tol0", "theta-eval-magnitude", "dgt-forward-overflow",
         "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf", "sweep-target-inf",
-        "sweep-target-pole", "sweep-target-sum-overflow"])
-def test_malformed_input_exits_with_a_message(argv, code, message):
+        "sweep-target-pole", "sweep-target-sum-overflow", "restriction-oversample-grid",
+        "sweep-restriction-table", "restriction-table", "dgt-forward-table",
+        "scan-random-count", "scan-negative-seed", "plunge-delta-nan"])
+def test_malformed_input_exits_with_a_message(argv, code, message, tmp_path):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr
     import torusgabor
+
+    argv = [a.path(tmp_path) if isinstance(a, _Zeros) else a for a in argv]
 
     src = os.path.dirname(os.path.dirname(torusgabor.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

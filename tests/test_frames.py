@@ -13,12 +13,10 @@ from torusgabor.frames import (
     NotApplicableError,
     PointSet,
     TooManySubsetsError,
-    TranslateSumNotInDualLatticeError,
     counting_guarantees,
     frame_bounds,
     parity_predicate,
     scan_subsets,
-    zero_set_diagnostic,
 )
 from torusgabor.theta import theta_zero_1d
 from torusgabor.transforms import (
@@ -194,8 +192,10 @@ def test_parity_integer_form_is_the_verdict_for_general_omega():
 
 
 def _lattice_reference(D, p):
-    # the complex-geometric form: s = sum_j z_j - N z0 against Lambda
-    s = D.complex_images(p).sum(axis=0) - p.N * theta_zero_1d(p)
+    # the complex-geometric form: s = sum_j z_j - N z0 against Lambda, with
+    # z_j = -i(Omega k_j + l_j)/N
+    z = -1j * (D.ks @ p.Omega.T + D.ls) / p.N
+    s = z.sum(axis=0) - p.N * theta_zero_1d(p)
     return dual_lattice_member(s, p), s
 
 
@@ -466,39 +466,6 @@ def test_oversampled_random_sets_are_all_frames():
     res = scan_subsets(p, 7, mode="random", count=200, seed=123)
     assert res.all_frames
     assert res.margins.min() > 1e-5
-
-
-# ---------------------------------------------------------------------------
-# zero-set diagnostic
-
-
-def test_diagnostic_vanishes_for_no_frame_configuration():
-    p = _p(4)
-    bad = _set([(0, 0), (1, 1), (2, 3), (1, 0)], p)
-    z0 = theta_zero_1d(p)
-    translates = (bad.complex_images(p) - z0).reshape(4, 1)
-    vals = zero_set_diagnostic(bad, translates, p)
-    assert vals.shape == (4,)
-    assert vals.max() < 1e-12  # each point sits on its own translated divisor
-
-
-def test_diagnostic_rejects_frame_translates_then_accepts_recentered():
-    p = _p(4)
-    good = _set([(0, 0), (1, 1), (2, 3), (2, 0)], p)
-    z0 = theta_zero_1d(p)
-    translates = (good.complex_images(p) - z0).reshape(4, 1)
-    with pytest.raises(TranslateSumNotInDualLatticeError):
-        zero_set_diagnostic(good, translates, p)
-    s = translates.sum(axis=0)
-    vals = zero_set_diagnostic(good, translates - s / 4, p)
-    assert vals.min() > 1e-2  # no point is trapped once the sum is repaired
-
-
-def test_diagnostic_checks_translate_count():
-    p = _p(3)
-    D = _set([(0, 0), (1, 1), (2, 2)], p)
-    with pytest.raises(GaborError):
-        zero_set_diagnostic(D, np.zeros((2, 1), complex), p)
 
 
 # ---------------------------------------------------------------------------

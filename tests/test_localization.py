@@ -291,6 +291,10 @@ def test_spectrum_on_diagonal_input():
     assert sp.count_below(0.5) == 1
     assert sp.count_above(0.5) == 1
     assert sp.plunge_fraction(0.2) == pytest.approx(1 / 3)
+    assert sp.plunge_fraction(0.0) == 1.0 and sp.plunge_fraction(0.5) == 0.0
+    for delta in (math.nan, math.inf, -0.1, 0.6):
+        with pytest.raises(GaborError, match="plunge delta"):
+            sp.plunge_fraction(delta)
 
 
 def test_spectrum_flags_nonnormal():
