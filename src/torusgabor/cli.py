@@ -26,6 +26,11 @@ can differ from the subset's own SVD, and from the single-matrix SVD of
 `frame check`, at roundoff level (up to 1.6e-14 relative in a frame margin
 of the N=K=5 scan).
 A report never holds NaN or Infinity: a non-finite value is a domain error.
+So is a MemoryError, a request too large for the machine that no size check
+refused: `error:` on stderr and exit 1, as for a GaborError.
+The CLI is declared once, in _COMMANDS: each (command, action) with its help,
+handler and options.  build_parser builds the argparse tree from it once per
+import, and main loads --params once and hands the params to the handler.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -43,7 +49,7 @@ import numpy as np
 
 from . import frames, localization, theta, transforms
 from .bargmann import bergman_density, weight_phi
-from .core import GaborError, GaborParams, params_from_json, params_to_json
+from .core import GaborError, params_from_json, params_to_json
 
 VERSION = "0.1.0"
 
@@ -115,21 +121,16 @@ def _cnum(z):
     return {"re": z.real, "im": z.imag}
 
 
-def _csv_text(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _emit(doc, args, csv_header=None, csv_rows=None):
-    # csv_rows() is called in CSV mode only, so JSON output never formats rows
+    # csv_rows() is called in CSV mode only, so JSON output never formats rows;
+    # a document without a table is written as its flattened key, value rows
     if args.format == "csv":
         if csv_header is None:
-            body = {k: v for k, v in doc.items() if k != "provenance"}
-            text = _csv_text(["key", "value"], _flatten_doc(body))
+            csv_header = ["key", "value"]
+            rows = _flatten_doc({k: v for k, v in doc.items() if k != "provenance"})
         else:
-            text = _csv_text(csv_header, csv_rows())
+            rows = csv_rows()
+        text = "\n".join(map(",".join, [csv_header, *rows])) + "\n"
         print(_json_dumps({"provenance": doc.get("provenance", {})}), file=sys.stderr)
     else:
         text = _json_dumps(doc) + "\n"
@@ -198,15 +199,6 @@ def _load_array(arg, shape, name):
         return (re + 1j * im).reshape(shape)
 
 
-def _array_doc(arr):
-    # a real array has no "im" list; _load_array reads it as zeros
-    flat = arr.reshape(-1)
-    doc = {"shape": list(arr.shape), "re": flat.real.tolist()}
-    if np.iscomplexobj(arr):
-        doc["im"] = flat.imag.tolist()
-    return doc
-
-
 def _parse_complex_vector(text, d):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != d:
@@ -231,14 +223,13 @@ def _parse_points(arg, params):
         return frames.PointSet.from_pairs(pairs, params)
 
 
-def _parse_omega(text, d):
+def _parse_omega(text):
+    # a scalar is the 1 x 1 Omega of d = 1; JSON gives the matrix, and so d
     s = text.strip()
     with _parsing("--omega: need 'a+bj' or JSON with omega_re, omega_im"):
         if s.startswith("{"):
             obj = json.loads(s)
             return np.asarray(obj["omega_re"], float) + 1j * np.asarray(obj["omega_im"], float)
-        if d != 1:
-            raise GaborError("scalar --omega is for d = 1; pass omega_re/omega_im JSON")
         return np.array([[complex(s)]])
 
 
@@ -257,12 +248,12 @@ _floats = _number_list(float)
 _ints = _number_list(int)
 
 
-def _provenance(args, params=None, seed=None, extra=None):
+def _provenance(args, params=None, extra=None):
     prov = {
         "tool": "torusgabor",
         "version": VERSION,
         "command": f"{args.command} {args.action}",
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
     }
     if params is not None:
         prov["params"] = json.loads(params_to_json(params))
@@ -276,46 +267,37 @@ def _provenance(args, params=None, seed=None, extra=None):
 
 
 def _window_coeffs(args, params):
-    if getattr(args, "window", None):
+    if args.window:
         return _load_array(args.window, params.shape, "window")
     return transforms.periodize_sample(transforms.GaussianWindow(params))
 
 
-def _cmd_dgt_forward(args):
-    params = _load_params(args.params)
+def _emit_array(args, params, key, arr, index_names):
+    # the complex array's JSON document, or a CSV table with one index column
+    # per axis (index_names, d axes each) followed by value_re and value_im
+    flat = arr.reshape(-1)
+    doc = {"provenance": _provenance(args, params),
+           key: {"shape": list(arr.shape), "re": flat.real.tolist(), "im": flat.imag.tolist()}}
+    header = [f"{name}{i + 1}" for name in index_names for i in range(params.d)]
+    _emit(doc, args, header + ["value_re", "value_im"], lambda: [
+        [str(v) for v in idx] + [_fmt_float(arr[idx].real), _fmt_float(arr[idx].imag)]
+        for idx in np.ndindex(arr.shape)
+    ])
+
+
+def _cmd_dgt_forward(args, params):
     f = _load_array(args.signal, params.shape, "signal")
-    g = _window_coeffs(args, params)
-    V = transforms.dgt(f, g)
-    doc = {
-        "provenance": _provenance(args, params),
-        "coefficients": _array_doc(V),
-    }
-    header = [f"k{i + 1}" for i in range(params.d)] + \
-             [f"l{i + 1}" for i in range(params.d)] + ["value_re", "value_im"]
-    _emit(doc, args, header, lambda: [
-        [str(v) for v in idx] + [_fmt_float(V[idx].real), _fmt_float(V[idx].imag)]
-        for idx in np.ndindex(V.shape)
-    ])
+    V = transforms.dgt(f, _window_coeffs(args, params))
+    _emit_array(args, params, "coefficients", V, "kl")
 
 
-def _cmd_dgt_inverse(args):
-    params = _load_params(args.params)
+def _cmd_dgt_inverse(args, params):
     V = _load_array(args.coeffs, params.shape * 2, "coefficients")
-    g = _window_coeffs(args, params)
-    f = transforms.dgt_inverse(V, g)
-    doc = {
-        "provenance": _provenance(args, params),
-        "signal": _array_doc(f),
-    }
-    header = [f"m{i + 1}" for i in range(params.d)] + ["value_re", "value_im"]
-    _emit(doc, args, header, lambda: [
-        [str(v) for v in idx] + [_fmt_float(f[idx].real), _fmt_float(f[idx].imag)]
-        for idx in np.ndindex(f.shape)
-    ])
+    f = transforms.dgt_inverse(V, _window_coeffs(args, params))
+    _emit_array(args, params, "signal", f, "m")
 
 
-def _cmd_theta_eval(args):
-    params = _load_params(args.params)
+def _cmd_theta_eval(args, params):
     z = _parse_complex_vector(args.z, params.d)
     ev = theta.theta_eval(z, params, order=args.order, tol=args.tol)
     val = ev.value
@@ -334,8 +316,7 @@ def _cmd_theta_eval(args):
     _emit(doc, args)
 
 
-def _cmd_theta_zero(args):
-    params = _load_params(args.params)
+def _cmd_theta_zero(args, params):
     z0 = theta.theta_zero_1d(params, tol=args.tol)
     ev = theta.theta_eval(np.array([z0 * 1j]), params, order=1, tol=1e-12)
     phi = float(weight_phi(np.array([z0]), params))
@@ -347,8 +328,7 @@ def _cmd_theta_zero(args):
     _emit(doc, args)
 
 
-def _cmd_frame_check(args):
-    params = _load_params(args.params)
+def _cmd_frame_check(args, params):
     D = _parse_points(args.points, params)
     window = _window_coeffs(args, params)
     rep = frames.frame_bounds(D, params, window=window, svd_threshold=args.threshold)
@@ -366,15 +346,13 @@ def _cmd_frame_check(args):
     _emit(doc, args)
 
 
-def _cmd_frame_scan(args):
-    params = _load_params(args.params)
+def _cmd_frame_scan(args, params):
     window = _window_coeffs(args, params)
     res = frames.scan_subsets(
         params, args.size, window=window, mode=args.mode, count=args.count,
         seed=args.seed, svd_threshold=args.threshold)
     doc = {
-        "provenance": _provenance(args, params, seed=args.seed,
-                                  extra={"threshold": args.threshold}),
+        "provenance": _provenance(args, params, extra={"threshold": args.threshold}),
         "total": res.total,
         "mode": res.mode,
         "parity_applicable": res.parity_applicable,
@@ -388,8 +366,7 @@ def _cmd_frame_scan(args):
     _emit(doc, args)
 
 
-def _cmd_bergman_density(args):
-    params = _load_params(args.params)
+def _cmd_bergman_density(args, params):
     rep = bergman_density(params, oversample=args.oversample)
     # the grid is the period cell tiled N times along each axis, so each cell
     # value and each node is formatted once, and the grid's text is tiled
@@ -406,7 +383,7 @@ def _cmd_bergman_density(args):
         "flatness": rep.flatness(),
         "x_nodes": x_text,
         "xi_nodes": xi_text,
-        # the document of a real array, as _array_doc writes it
+        # a real array's document has no "im" list; _load_array reads it as zeros
         "values": {"shape": list(grid_text.shape), "re": values_text},
     }
     d = params.d
@@ -418,8 +395,7 @@ def _cmd_bergman_density(args):
     ])
 
 
-def _cmd_spectrum_restriction(args):
-    params = _load_params(args.params)
+def _cmd_spectrum_restriction(args, params):
     symbol = localization.parse_symbol(args.symbol, params.d)
     rep = localization.restriction_matrix(
         symbol, params, oversample=args.oversample, rel_tol=args.rel_tol)
@@ -447,21 +423,20 @@ def _cmd_spectrum_restriction(args):
     ])
 
 
-def _cmd_asymptotics_sweep(args):
-    omega = _parse_omega(args.omega, args.d)
-    alphas, n_list = args.alpha_grid, args.n_list
-    rep = localization.asymptotic_sweep(
-        args.symbol, n_list, omega, d=args.d, alphas=alphas,
-        oversample=args.oversample, rel_tol=args.rel_tol)
+def _cmd_asymptotics_sweep(args, _params):
+    omega = _parse_omega(args.omega)
+    alphas = args.alpha_grid
+    rep = localization.asymptotic_sweep(args.symbol, args.n_list, omega, alphas=alphas,
+                                        oversample=args.oversample, rel_tol=args.rel_tol)
     doc = {
         "provenance": _provenance(
             args,
             extra={
                 "symbol": args.symbol,
-                "d": args.d,
+                "d": len(np.atleast_2d(omega)),
                 "omega_re": omega.real.tolist(),
                 "omega_im": omega.imag.tolist(),
-                "n_list": n_list,
+                "n_list": args.n_list,
             }),
         "rows": [
             {
@@ -488,11 +463,78 @@ def _cmd_asymptotics_sweep(args):
 # parser wiring
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _opt(*flags, **kwargs):
+    return flags, kwargs
 
 
+# the options that several actions take, each declared once
+_PARAMS = _opt("--params", required=True)
+_WINDOW = _opt("--window")
+_THRESHOLD = _opt("--threshold", type=float, default=1e-7)
+_REL_TOL = _opt("--rel-tol", type=float, default=1e-8)
+_ALPHA_GRID = _opt("--alpha-grid", type=_floats, default="0.5")
+_OVERSAMPLE = _opt("--oversample", type=int, default=4)  # the localization commands'
+_OUTPUT = (_opt("--out", help="write the report here instead of stdout"),
+           _opt("--format", choices=("json", "csv"), default="json"))
+
+# command: (help, {action: (help, handler, options)}); each action's options
+# are followed by _OUTPUT, and its handler is called as handler(args, params)
+_COMMANDS = {
+    "dgt": ("discrete Gabor transform", {
+        "forward": ("coefficients of a signal", _cmd_dgt_forward,
+                    [_PARAMS, _opt("--signal", required=True), _WINDOW]),
+        "inverse": ("signal from coefficients", _cmd_dgt_inverse,
+                    [_PARAMS, _opt("--coeffs", required=True), _WINDOW]),
+    }),
+    "theta": ("lattice theta series", {
+        "eval": ("evaluate at a point", _cmd_theta_eval, [
+            _PARAMS,
+            _opt("--z", required=True, help="d comma-separated components, e.g. '0.3+0.7j'"),
+            _opt("--order", type=int, default=1),
+            _opt("--tol", type=float, default=1e-12),
+        ]),
+        "zero": ("locate the zero on the fundamental domain (d = 1)", _cmd_theta_zero,
+                 [_PARAMS, _opt("--tol", type=float, default=1e-10)]),
+    }),
+    "frame": ("frame certification", {
+        "check": ("bounds and verdicts for one sampling set", _cmd_frame_check, [
+            _PARAMS,
+            _opt("--points", required=True,
+                 help="'k,l;k,l;...' (components space-separated) or a JSON file"),
+            _WINDOW, _THRESHOLD,
+        ]),
+        "scan": ("sweep subsets and compare predicate vs SVD", _cmd_frame_scan, [
+            _PARAMS,
+            _opt("--size", "-K", type=int, required=True),
+            _opt("--mode", choices=("exhaustive", "random"), default="exhaustive"),
+            _opt("--count", type=int),
+            _opt("--seed", type=int),
+            _WINDOW, _THRESHOLD,
+        ]),
+    }),
+    "bergman": ("coherent-state density", {
+        "density": ("density on a phase-space grid", _cmd_bergman_density,
+                    [_PARAMS, _opt("--oversample", type=int, default=8)]),
+    }),
+    "spectrum": ("localization operators", {
+        "restriction": ("spectrum of a symbol's localization matrix", _cmd_spectrum_restriction, [
+            _PARAMS, _opt("--symbol", required=True), _OVERSAMPLE, _REL_TOL, _ALPHA_GRID,
+            _opt("--plunge-delta", type=float, default=0.1),
+        ]),
+    }),
+    "asymptotics": ("spectral statistics along N", {
+        "sweep": ("scaled trace and counting along a list of N", _cmd_asymptotics_sweep, [
+            _opt("--symbol", required=True),
+            _opt("--omega", required=True,
+                 help="'a+bj' for d = 1, or JSON with omega_re/omega_im"),
+            _opt("--n-list", type=_ints, required=True, help="comma-separated grid sizes"),
+            _ALPHA_GRID, _OVERSAMPLE, _REL_TOL,
+        ]),
+    }),
+}
+
+
+@functools.cache
 def build_parser():
     top = argparse.ArgumentParser(
         prog="torusgabor",
@@ -500,92 +542,14 @@ def build_parser():
                     "frame certification, and localization spectra.")
     top.add_argument("--version", action="version", version=f"torusgabor {VERSION}")
     groups = top.add_subparsers(dest="command", required=True)
-
-    dgt = groups.add_parser("dgt", help="discrete Gabor transform").add_subparsers(
-        dest="action", required=True)
-    p = dgt.add_parser("forward", help="coefficients of a signal")
-    p.add_argument("--params", required=True)
-    p.add_argument("--signal", required=True)
-    p.add_argument("--window", default=None)
-    _add_common(p)
-    p.set_defaults(run=_cmd_dgt_forward)
-    p = dgt.add_parser("inverse", help="signal from coefficients")
-    p.add_argument("--params", required=True)
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--window", default=None)
-    _add_common(p)
-    p.set_defaults(run=_cmd_dgt_inverse)
-
-    th = groups.add_parser("theta", help="lattice theta series").add_subparsers(
-        dest="action", required=True)
-    p = th.add_parser("eval", help="evaluate at a point")
-    p.add_argument("--params", required=True)
-    p.add_argument("--z", required=True, help="d comma-separated components, e.g. '0.3+0.7j'")
-    p.add_argument("--order", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-    p.set_defaults(run=_cmd_theta_eval)
-    p = th.add_parser("zero", help="locate the zero on the fundamental domain (d = 1)")
-    p.add_argument("--params", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p)
-    p.set_defaults(run=_cmd_theta_zero)
-
-    fr = groups.add_parser("frame", help="frame certification").add_subparsers(
-        dest="action", required=True)
-    p = fr.add_parser("check", help="bounds and verdicts for one sampling set")
-    p.add_argument("--params", required=True)
-    p.add_argument("--points", required=True,
-                   help="'k,l;k,l;...' (components space-separated) or a JSON file")
-    p.add_argument("--window", default=None)
-    p.add_argument("--threshold", type=float, default=1e-7)
-    _add_common(p)
-    p.set_defaults(run=_cmd_frame_check)
-    p = fr.add_parser("scan", help="sweep subsets and compare predicate vs SVD")
-    p.add_argument("--params", required=True)
-    p.add_argument("--size", "-K", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--window", default=None)
-    p.add_argument("--threshold", type=float, default=1e-7)
-    _add_common(p)
-    p.set_defaults(run=_cmd_frame_scan)
-
-    be = groups.add_parser("bergman", help="coherent-state density").add_subparsers(
-        dest="action", required=True)
-    p = be.add_parser("density", help="density on a phase-space grid")
-    p.add_argument("--params", required=True)
-    p.add_argument("--oversample", type=int, default=8)
-    _add_common(p)
-    p.set_defaults(run=_cmd_bergman_density)
-
-    sp = groups.add_parser("spectrum", help="localization operators").add_subparsers(
-        dest="action", required=True)
-    p = sp.add_parser("restriction", help="spectrum of a symbol's localization matrix")
-    p.add_argument("--params", required=True)
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--oversample", type=int, default=4)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--alpha-grid", type=_floats, default="0.5")
-    p.add_argument("--plunge-delta", type=float, default=0.1)
-    _add_common(p)
-    p.set_defaults(run=_cmd_spectrum_restriction)
-
-    asym = groups.add_parser("asymptotics", help="spectral statistics along N").add_subparsers(
-        dest="action", required=True)
-    p = asym.add_parser("sweep", help="scaled trace and counting along a list of N")
-    p.add_argument("--symbol", required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--omega", required=True,
-                   help="'a+bj' for d = 1, or JSON with omega_re/omega_im")
-    p.add_argument("--n-list", type=_ints, required=True, help="comma-separated grid sizes")
-    p.add_argument("--alpha-grid", type=_floats, default="0.5")
-    p.add_argument("--oversample", type=int, default=4)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    _add_common(p)
-    p.set_defaults(run=_cmd_asymptotics_sweep)
-
+    for command, (command_help, actions) in _COMMANDS.items():
+        sub = groups.add_parser(command, help=command_help).add_subparsers(
+            dest="action", required=True)
+        for action, (action_help, run, options) in actions.items():
+            p = sub.add_parser(action, help=action_help)
+            for flags, kwargs in (*options, *_OUTPUT):
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(run=run)
     return top
 
 
@@ -600,9 +564,14 @@ def main(argv=None):
         # checked here so the message names the option
         if getattr(args, "oversample", 1) < 1:
             raise GaborError(f"--oversample must be >= 1, got {args.oversample}")
-        args.run(args)
+        text = getattr(args, "params", None)
+        args.run(args, None if text is None else _load_params(text))
     except GaborError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # a request too large for this machine that no size check refused
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 1
     return 0
 

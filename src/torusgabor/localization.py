@@ -46,8 +46,8 @@ import operator
 import numpy as np
 
 from . import theta, transforms
-from .core import (GaborError, QuadratureUnderResolvedError, check_nodes, exact_sum,
-                   lattice_ellipsoid)
+from .core import (GaborError, GaborParams, QuadratureUnderResolvedError, check_nodes,
+                   exact_sum, lattice_ellipsoid)
 
 
 class ParseError(GaborError):
@@ -995,12 +995,13 @@ def _phase_space_targets(symbol, alphas):
 _PLUNGE_DELTA = 0.1
 
 
-def asymptotic_sweep(symbol, n_list, Omega, d=1, alphas=(0.5,), oversample=4, rel_tol=1e-8):
-    """Scaled trace, eigenvalue counts and plunge fraction (at _PLUNGE_DELTA) along a list of N."""
-    from .core import GaborParams
+def asymptotic_sweep(symbol, n_list, Omega, alphas=(0.5,), oversample=4, rel_tol=1e-8):
+    """Scaled trace, eigenvalue counts and plunge fraction (at _PLUNGE_DELTA) along a list of N.
 
+    A text symbol is parsed with d the size of Omega (a scalar is 1 x 1).
+    """
     if isinstance(symbol, str):
-        symbol = parse_symbol(symbol, d)
+        symbol = parse_symbol(symbol, len(np.atleast_2d(Omega)))
     rows = []
     for N in n_list:
         params = GaborParams(d=symbol.d, N=N, Omega=Omega)

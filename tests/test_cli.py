@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import io
@@ -406,6 +407,154 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
+    assert exc.value.code == 2
+
+
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# each action's options in order: (option strings, default, type, choices, required)
+CLI_SURFACE = {
+    "dgt forward": [
+        ("--params", None, None, None, True),
+        ("--signal", None, None, None, True),
+        ("--window", None, None, None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "dgt inverse": [
+        ("--params", None, None, None, True),
+        ("--coeffs", None, None, None, True),
+        ("--window", None, None, None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "theta eval": [
+        ("--params", None, None, None, True),
+        ("--z", None, None, None, True),
+        ("--order", 1, "int", None, False),
+        ("--tol", 1e-12, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "theta zero": [
+        ("--params", None, None, None, True),
+        ("--tol", 1e-10, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "frame check": [
+        ("--params", None, None, None, True),
+        ("--points", None, None, None, True),
+        ("--window", None, None, None, False),
+        ("--threshold", 1e-07, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "frame scan": [
+        ("--params", None, None, None, True),
+        ("--size/-K", None, "int", None, True),
+        ("--mode", "exhaustive", None, ("exhaustive", "random"), False),
+        ("--count", None, "int", None, False),
+        ("--seed", None, "int", None, False),
+        ("--window", None, None, None, False),
+        ("--threshold", 1e-07, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "bergman density": [
+        ("--params", None, None, None, True),
+        ("--oversample", 8, "int", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "spectrum restriction": [
+        ("--params", None, None, None, True),
+        ("--symbol", None, None, None, True),
+        ("--oversample", 4, "int", None, False),
+        ("--rel-tol", 1e-08, "float", None, False),
+        ("--alpha-grid", "0.5", "comma-separated float list", None, False),
+        ("--plunge-delta", 0.1, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+    "asymptotics sweep": [
+        ("--symbol", None, None, None, True),
+        ("--omega", None, None, None, True),
+        ("--n-list", None, "comma-separated int list", None, True),
+        ("--alpha-grid", "0.5", "comma-separated float list", None, False),
+        ("--oversample", 4, "int", None, False),
+        ("--rel-tol", 1e-08, "float", None, False),
+        ("--out", None, None, None, False),
+        ("--format", "json", None, ("json", "csv"), False),
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    # every action with its options, defaults, types, choices and required flags
+    surface = {}
+    for command, group in _subparsers(cli.build_parser()).items():
+        for action, parser in _subparsers(group).items():
+            surface[f"{command} {action}"] = [
+                ("/".join(a.option_strings), a.default, getattr(a.type, "__name__", None),
+                 a.choices, a.required)
+                for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            ]
+    assert surface == CLI_SURFACE
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    for _ in range(2):
+        assert _run(capsys, "theta", "zero", "--params", P4)[0] == 0
+    assert built.count("torusgabor") == 1
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    args = ("frame", "scan", "--params", P4, "-K", "4", "--format", "csv")
+    cli.build_parser.cache_clear()
+    alone = _run(capsys, *args)
+    with pytest.raises(SystemExit) as exc:
+        main(["frame", "scan", "--params", P4, "-K", "x", "--mode", "random"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _run(capsys, *args) == alone
+
+
+def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(transforms, "periodize_sample", exhausted)
+    code, out, err = _run(capsys, "frame", "check", "--params", P4, "--points", "0,0;1,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "out of memory" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_takes_d_from_omega(capsys):
+    omega = '{"omega_re": [[0, 0], [0, 0]], "omega_im": [[1, 0], [0, 1]]}'
+    code, out, _ = _run(capsys, "asymptotics", "sweep", "--symbol", "sin(pi*x1)^2*cos(pi*xi2)^2",
+                        "--omega", omega, "--n-list", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["provenance"]["d"] == 2
+    assert doc["rows"][0]["trace_scaled"] == pytest.approx(0.25, abs=1e-12)
+    # --d is gone: d is the size of --omega
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2",
+              "--d", "1"])
     assert exc.value.code == 2
 
 

@@ -505,7 +505,7 @@ def test_open_grid_samples_equal_the_pointwise_samples(d, text):
 def test_constant_term_target_has_no_aliasing():
     # in d = 2 the 48 midpoint nodes per axis alias frequency 48 onto the
     # mean: the sampled target of cos(96 pi x1) reads -1, its constant term 0
-    sw = asymptotic_sweep("cos(96*pi*x1)", [2], 1j * np.eye(2), d=2)
+    sw = asymptotic_sweep("cos(96*pi*x1)", [2], 1j * np.eye(2))
     assert sw.integral_target == 0.0
     assert _phase_space_targets(_Sampled(parse_symbol("cos(96*pi*x1)", 2)), ())[0] == -1.0
     # the volume targets are grid counts, aliased alike (the true volume is 2/3)
