@@ -21,10 +21,12 @@ text.  What can still differ between BLAS/LAPACK builds is the
 output of dense linear algebra: eigenvalues, and singular values at roundoff
 level, such as the 4.5314964572701556e-17 in tests/golden/frame_check.json.
 `frame scan` takes one SVD per translation orbit of subsets, batched per
-block: a subset's margin is that of its orbit's first scanned member, which
-can differ from the subset's own SVD, and from the single-matrix SVD of
+block, and builds each block's atoms from that block's shifts alone: a
+subset's margin is that of its orbit's first scanned member, which can
+differ from the subset's own SVD, and from the single-matrix SVD of
 `frame check`, at roundoff level (up to 1.6e-14 relative in a frame margin
-of the N=K=5 scan).
+of the N=K=5 scan).  Without --window, `frame check` and `frame scan` leave
+the Gaussian to frames, which periodizes it after the argument checks.
 A report never holds NaN or Infinity: a non-finite value is a domain error.
 So is a MemoryError, a request too large for the machine that no size check
 refused: `error:` on stderr and exit 1, as for a GaborError.
@@ -229,7 +231,8 @@ def _parse_omega(text):
     with _parsing("--omega: need 'a+bj' or JSON with omega_re, omega_im"):
         if s.startswith("{"):
             obj = json.loads(s)
-            return np.asarray(obj["omega_re"], float) + 1j * np.asarray(obj["omega_im"], float)
+            omega = np.asarray(obj["omega_re"], float) + 1j * np.asarray(obj["omega_im"], float)
+            return np.atleast_2d(omega)
         return np.array([[complex(s)]])
 
 
@@ -330,7 +333,7 @@ def _cmd_theta_zero(args, params):
 
 def _cmd_frame_check(args, params):
     D = _parse_points(args.points, params)
-    window = _window_coeffs(args, params)
+    window = _load_array(args.window, params.shape, "window") if args.window else None
     rep = frames.frame_bounds(D, params, window=window, svd_threshold=args.threshold)
     parity = rep.parity and dataclasses.asdict(rep.parity) | {"integer_form": rep.parity.no_frame}
     doc = {
@@ -347,7 +350,7 @@ def _cmd_frame_check(args, params):
 
 
 def _cmd_frame_scan(args, params):
-    window = _window_coeffs(args, params)
+    window = _load_array(args.window, params.shape, "window") if args.window else None
     res = frames.scan_subsets(
         params, args.size, window=window, mode=args.mode, count=args.count,
         seed=args.seed, svd_threshold=args.threshold)
@@ -433,7 +436,7 @@ def _cmd_asymptotics_sweep(args, _params):
             args,
             extra={
                 "symbol": args.symbol,
-                "d": len(np.atleast_2d(omega)),
+                "d": len(omega),
                 "omega_re": omega.real.tolist(),
                 "omega_im": omega.imag.tolist(),
                 "n_list": args.n_list,

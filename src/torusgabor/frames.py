@@ -16,9 +16,12 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
   N | sum k_j and N | sum l_j: an integer test that holds for every Omega,
   so this module evaluates no theta function and solves no lattice system.
 
-Atoms come from one batched transforms.time_frequency_shift call: one for
-frame_bounds' K points, one for all N^{2d} scan positions j = N^d k + l
-(k, l flat indices into Z_N^d).  A window is None (the Gaussian) or samples.
+Atoms come from batched transforms.time_frequency_shift calls: one for
+frame_bounds' K points, and one per SVD block of a scan, on the shifts of
+that block's subsets, whose positions j = N^d k + l are the pairs (k, l) of
+flat indices into Z_N^d.  Each atom has the bits of its own one-shift call,
+so no SVD input depends on the block it sits in.  A window is None (the
+Gaussian, periodized after the scan's argument checks) or samples.
 
 The scan driver runs both over subset families and reports every
 disagreement, keeping the margin distribution so the SVD threshold remains
@@ -29,10 +32,12 @@ has the same singular values.  Each subset gets a key naming its orbit (its
 least sorted translate), one np.unique over all keys picks each orbit's
 first scanned member, and only those members' atom stacks are SVD'd; their
 margins are scattered to the rest of the orbit.  With K < N^d the atoms
-cannot span and no SVD runs: every margin is 0.  The parity test is
-decided per subset from its integer sums.  Every block of keys, parity sums
-or atom stacks holds at most about transforms._CHUNK entries, and the
-results do not depend on where blocks split.
+cannot span and no SVD runs: every margin is 0.  The family is read once
+into a (subsets, K) array of positions, and the parity test is decided per
+subset from its integer sums over that array.  Every block of keys or atom
+stacks holds at most about transforms._CHUNK entries, so no table of all
+positions' atoms is built, and the results do not depend on where blocks
+split.
 """
 
 from __future__ import annotations
@@ -295,21 +300,17 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     (TooManySubsetsError).  Margins are the ratios A/B, recorded for every
     subset so the decision threshold stays auditable.
     """
-    h = _window_samples(window, params)
-    # position j = N^d k + l is the pair (cells[k], cells[l])
-    cells = list(np.ndindex(params.shape))
-    nd = len(cells)
+    nd = params.dim_sn
     total_positions = nd * nd
     if not 1 <= K <= total_positions:
         raise GaborError(f"subset size K must be in 1..{total_positions}, got {K}")
     parity_applicable = params.d == 1 and K == params.N
 
     if mode == "exhaustive":
-        n_subsets = math.comb(total_positions, K)
-        if n_subsets > _MAX_SUBSETS:
-            raise TooManySubsetsError(f"{n_subsets} subsets exceed the budget of {_MAX_SUBSETS}")
-        subset_iter = itertools.combinations(range(total_positions), K)
-        total = n_subsets
+        total = math.comb(total_positions, K)
+        if total > _MAX_SUBSETS:
+            raise TooManySubsetsError(f"{total} subsets exceed the budget of {_MAX_SUBSETS}")
+        family = itertools.combinations(range(total_positions), K)
     elif mode == "random":
         if count is None or count < 1:
             raise GaborError(f"random mode needs a draw count >= 1, got {count}")
@@ -318,55 +319,48 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         if seed is not None and seed < 0:
             raise GaborError(f"the seed must be a non-negative integer, got {seed}")
         rng = np.random.default_rng(seed)
-        subset_iter = (
-            tuple(sorted(rng.choice(total_positions, size=K, replace=False)))
-            for _ in range(count)
-        )
+        family = (rng.choice(total_positions, size=K, replace=False) for _ in range(count))
         total = count
     else:
         raise GaborError(f"unknown scan mode {mode!r}")
+    h = _window_samples(window, params)
+    # position j = N^d k + l is the pair (cells[k], cells[l])
+    cells = list(np.ndindex(params.shape))
 
-    by_count = K < nd
     # holds every position index, and so every flat index _orbit_keys forms
     index_dtype = np.min_scalar_type(total_positions - 1)
-    subsets = np.empty((total, K), dtype=index_dtype)
-    keys = []
-    if not by_count:
-        # diff[a, b] = flat index of k_a - k_b mod N, for k_a, k_b in Z_N^d
-        ks = np.array(cells)
-        diff = np.ravel_multi_index(np.moveaxis((ks[:, None] - ks) % params.N, -1, 0),
-                                    params.shape).astype(index_dtype)
-    pred = np.empty(total, dtype=bool)
-    block = max(1, transforms._CHUNK // (K * max(nd, K)))
-    for start in range(0, total, block):
-        idx = np.fromiter(itertools.islice(subset_iter, block), dtype=np.dtype((np.intp, K)))
-        rows = slice(start, start + len(idx))
-        subsets[rows] = idx
-        if not by_count:
-            keys.append(_orbit_keys(subsets[rows], diff))
-        if parity_applicable:
-            # in d = 1 the flat position index is k N + l
-            k, l = np.divmod(idx, params.N)
-            pred[rows] = _no_frame(k.sum(axis=1), l.sum(axis=1), params.N)
+    subsets = np.fromiter(family, dtype=(index_dtype, K), count=total)
+    if mode == "random":
+        subsets.sort(axis=1)
+    if parity_applicable:
+        # in d = 1 the flat position index is k N + l
+        k, l = np.divmod(subsets, params.N)
+        pred = _no_frame(k.sum(axis=1), l.sum(axis=1), params.N)
 
-    if by_count:
+    if K < nd:
         # fewer atoms than dimensions never span, so no SVD: these are the
         # zeros _frame_margin returns for fewer than N^d singular values
         smin, margins, orbits = np.zeros(total), np.zeros(total), 0
     else:
+        # diff[a, b] = flat index of k_a - k_b mod N, for k_a, k_b in Z_N^d
+        ks = np.array(cells)
+        diff = np.ravel_multi_index(np.moveaxis((ks[:, None] - ks) % params.N, -1, 0),
+                                    params.shape).astype(index_dtype)
+        block = max(1, transforms._CHUNK // (K * max(nd, K)))
+        keys = np.concatenate([_orbit_keys(subsets[i:i + block], diff)
+                               for i in range(0, total, block)])
         # translates share singular values, so one SVD per orbit: that of its
         # first scanned member, scattered to the others
-        keys = np.concatenate(keys)
         _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys[0].nbytes))).ravel(),
                                       return_index=True, return_inverse=True)
         orbits = len(first)
-        atoms_all = transforms.time_frequency_shift(
-            h, np.repeat(ks, nd, axis=0), np.tile(ks, (nd, 1))).reshape(total_positions, -1)
         rep_smin, rep_margins = np.empty(orbits), np.empty(orbits)
         block = max(1, transforms._CHUNK // (K * nd))
         for start in range(0, orbits, block):
             rows = slice(start, start + block)
-            svals = np.linalg.svd(atoms_all[subsets[first[rows]]], compute_uv=False)
+            k, l = np.divmod(subsets[first[rows]], nd)
+            atoms = transforms.time_frequency_shift(h, ks[k.ravel()], ks[l.ravel()])
+            svals = np.linalg.svd(atoms.reshape(k.shape + (nd,)), compute_uv=False)
             rep_smin[rows], _, rep_margins[rows] = _frame_margin(svals, nd)
         smin, margins = rep_smin[inverse], rep_margins[inverse]
 

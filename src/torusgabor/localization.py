@@ -624,8 +624,7 @@ _SERIES_BOUND = 1e-16
 
 def _heisenberg_form(params):
     # H of Q(nu) = nu' H nu (_heisenberg_kernel)
-    X, Y = params.re, params.im
-    Yinv = np.linalg.inv(Y)
+    X, Y, Yinv = params.re, params.im, params.im_inv
     return np.block([[Yinv, -Yinv @ X], [-X @ Yinv, X @ Yinv @ X + Y]])
 
 

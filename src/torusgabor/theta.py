@@ -69,7 +69,7 @@ class ToleranceUnreachableError(GaborError):
 
 
 class WindingNotOneError(GaborError):
-    """A zero count on the fundamental domain came out different from expected."""
+    """section_winding found no zero-free contour: each jittered one grazed a zero."""
 
 
 class ContourNearZeroError(GaborError):

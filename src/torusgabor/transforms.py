@@ -163,8 +163,8 @@ def time_frequency_shift(h, k, l):
 
 
 # numbers computed per block: DGT coefficients in dgt_inverse, symbol samples
-# and Heisenberg series terms in localization, atom-matrix entries in a frame
-# scan
+# and Heisenberg series terms in localization, orbit-key candidates and the
+# atoms of one SVD block in a frame scan
 _CHUNK = 1 << 17
 
 

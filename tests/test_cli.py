@@ -543,6 +543,37 @@ def test_out_of_memory_is_a_domain_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_frame_commands_refuse_arguments_before_they_sample_the_window(capsys, monkeypatch):
+    # without --window the frame commands leave the Gaussian to frames, which
+    # periodizes it after its argument checks: here 10^6 samples a bad K
+    # does not need
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the window was sampled")
+
+    monkeypatch.setattr(transforms, "periodize_sample", unexpected)
+    params = '{"d": 2, "N": 1000, "omega_re": [[0, 0], [0, 0]], "omega_im": [[1, 0], [0, 1]]}'
+    code, out, err = _run(capsys, "frame", "scan", "--params", params, "-K", "0")
+    assert code == 1 and out == ""
+    assert err == "error: subset size K must be in 1..1000000000000, got 0\n"
+
+
+def test_sweep_prints_the_omega_that_ran(capsys):
+    # a scalar and a JSON scalar, list or matrix are the same 1 x 1 Omega,
+    # and the provenance prints it as that matrix
+    runs = {
+        _run(capsys, "asymptotics", "sweep", "--symbol", "sin(pi*x1)^2", "--omega", omega,
+             "--n-list", "2")
+        for omega in ("1j", '{"omega_re": 0, "omega_im": 1}',
+                      '{"omega_re": [0], "omega_im": [1]}',
+                      '{"omega_re": [[0]], "omega_im": [[1]]}')
+    }
+    assert len(runs) == 1
+    code, out, _ = runs.pop()
+    assert code == 0
+    prov = json.loads(out)["provenance"]
+    assert prov["d"] == 1 and prov["omega_re"] == [[0]] and prov["omega_im"] == [[1]]
+
+
 def test_sweep_takes_d_from_omega(capsys):
     omega = '{"omega_re": [[0, 0], [0, 0]], "omega_im": [[1, 0], [0, 1]]}'
     code, out, _ = _run(capsys, "asymptotics", "sweep", "--symbol", "sin(pi*x1)^2*cos(pi*xi2)^2",

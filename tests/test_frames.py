@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,6 +428,21 @@ def test_scan_below_the_dimension_takes_no_svd(monkeypatch):
     assert matrices == [] and res.orbits == 0
     assert np.array_equal(res.margins, np.zeros(res.total))
     assert res.confusion["oracle_no_frame"] == res.total
+
+
+def test_scan_memory_does_not_grow_with_all_positions_atoms():
+    # the atoms of all N^2 positions of N = 128 are N^3 complex numbers
+    # (32 MiB); a one-draw scan builds only its one subset's 128 atoms
+    p = _p(128)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = scan_subsets(p, 128, mode="random", count=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.total == res.orbits == 1
+    assert peak < 8 * 2 ** 20
 
 
 @pytest.mark.parametrize("K", [0, 17])
