@@ -31,8 +31,16 @@ A report never holds NaN or Infinity: a non-finite value is a domain error.
 So is a MemoryError, a request too large for the machine that no size check
 refused: `error:` on stderr and exit 1, as for a GaborError.
 The CLI is declared once, in _COMMANDS: each (command, action) with its help,
-handler and options.  build_parser builds the argparse tree from it once per
-import, and main loads --params once and hands the params to the handler.
+handler and options.  build_parser builds argparse parsers from it, each at
+most once per import: with no arguments the whole tree, and with a command
+and action only the path to it (the top parser, the command's parser and the
+action's parser with its options, about a fifth of the tree's cost).  main
+parses an argv that names an action with that action's path.  Every other
+argv (help listings, --version, no action) goes to the whole tree, and so
+does every usage error: the path's parsers raise instead of printing, and
+main parses argv again with the whole tree, which prints the usage line and
+message of a whole-tree parse.  main then loads --params once and hands the
+params to the handler.
 """
 
 from __future__ import annotations
@@ -537,15 +545,35 @@ _COMMANDS = {
 }
 
 
+class _PathError(Exception):
+    """A usage error met by a path parser, which the whole tree reports instead."""
+
+
+class _PathParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _PathError(message)
+
+
 @functools.cache
-def build_parser():
-    top = argparse.ArgumentParser(
+def build_parser(command=None, action=None):
+    """The argparse tree of _COMMANDS, or with a command and action, only the path to it.
+
+    The path is the top parser, the command's parser and the action's parser
+    with its options; its usage errors raise _PathError instead of printing.
+    """
+    commands = _COMMANDS
+    parser_class = argparse.ArgumentParser
+    if command is not None:
+        command_help, actions = _COMMANDS[command]
+        commands = {command: (command_help, {action: actions[action]})}
+        parser_class = _PathParser
+    top = parser_class(
         prog="torusgabor",
         description="Gabor analysis on finite tori: transforms, theta evaluation, "
                     "frame certification, and localization spectra.")
     top.add_argument("--version", action="version", version=f"torusgabor {VERSION}")
     groups = top.add_subparsers(dest="command", required=True)
-    for command, (command_help, actions) in _COMMANDS.items():
+    for command, (command_help, actions) in commands.items():
         sub = groups.add_parser(command, help=command_help).add_subparsers(
             dest="action", required=True)
         for action, (action_help, run, options) in actions.items():
@@ -556,13 +584,22 @@ def build_parser():
     return top
 
 
+def _parse_args(argv):
+    # an argv that names an action is parsed by its path parser; help
+    # listings, --version and usage errors go to the whole tree, whose
+    # usage lines list every command and action
+    if len(argv) > 1 and argv[1] in _COMMANDS.get(argv[0], ((), {}))[1]:
+        with contextlib.suppress(_PathError):
+            return build_parser(argv[0], argv[1]).parse_args(argv)
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # a bare "--" value: [] from argparse before Python 3.12, "--" after
     for name, value in vars(args).items():
         if (isinstance(value, list) and not value) or value == "--":
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            build_parser().error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         # checked here so the message names the option
         if getattr(args, "oversample", 1) < 1:

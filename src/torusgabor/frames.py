@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from . import transforms
-from .core import GaborError
+from .core import MAX_NODES, GaborError
 
 
 class EmptyPointSetError(GaborError):
@@ -296,9 +296,10 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     mode="exhaustive" enumerates every subset in deterministic
     lexicographic order; mode="random" draws `count` subsets without
     replacement inside each draw from a generator seeded by a non-negative
-    seed (or None).  Either refuses more than _MAX_SUBSETS subsets
-    (TooManySubsetsError).  Margins are the ratios A/B, recorded for every
-    subset so the decision threshold stays auditable.
+    seed (or None).  Either refuses more than _MAX_SUBSETS subsets, or more
+    than core.MAX_NODES positions in all (TooManySubsetsError).  Margins are
+    the ratios A/B, recorded for every subset so the decision threshold stays
+    auditable.
     """
     nd = params.dim_sn
     total_positions = nd * nd
@@ -323,6 +324,10 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         total = count
     else:
         raise GaborError(f"unknown scan mode {mode!r}")
+    # the (subsets, K) array of positions below is allocated whole
+    if total * K > MAX_NODES:
+        raise TooManySubsetsError(f"{total} subsets of {K} positions ({total * K} entries) "
+                                  f"exceed the budget of {MAX_NODES}")
     h = _window_samples(window, params)
     # position j = N^d k + l is the pair (cells[k], cells[l])
     cells = list(np.ndindex(params.shape))

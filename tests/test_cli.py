@@ -521,6 +521,74 @@ def test_the_parser_is_built_once(capsys, monkeypatch):
     assert built.count("torusgabor") == 1
 
 
+def test_a_command_builds_only_its_path(capsys, monkeypatch):
+    # the top parser, the command's and the action's, with the action's
+    # options alone, built once per import
+    cli.build_parser.cache_clear()
+    progs, options = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse.ArgumentParser.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        progs.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    def counted_add_argument(self, *flags, **kwargs):
+        options.append(flags)
+        return add_argument(self, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted_add_argument)
+    for _ in range(2):
+        assert _run(capsys, "theta", "zero", "--params", P4)[0] == 0
+    assert progs == ["torusgabor", "torusgabor theta", "torusgabor theta zero"]
+    help_flags = ("-h", "--help")
+    assert options == [help_flags, ("--version",), help_flags, help_flags,
+                       ("--params",), ("--tol",), ("--out",), ("--format",)]
+
+
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument
+    argv = ["theta", "zero", "--params", P4]
+    code, out, err = _run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["torusgabor", *argv])
+    assert main() == code == 0
+    assert capsys.readouterr() == (out, err)
+    passed = list(argv)
+    assert main(passed) == 0
+    assert passed == argv
+
+
+def _whole_tree(argv):
+    # the reference for main: the whole tree parses argv and, for a bare "--"
+    # value, which it takes as a value, its top parser reports the error
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    bare = [name for name, value in vars(args).items() if value == [] or value == "--"]
+    parser.error(f"argument --{bare[0].replace('_', '-')}: expected one argument")
+
+
+@pytest.mark.parametrize("argv", [
+    *[[command, action, flag] for command, (_, actions) in cli._COMMANDS.items()
+      for action in actions for flag in ("--help", "-h")],
+    ["-h"], ["--help"], *[[command, "-h"] for command in cli._COMMANDS],
+    ["--version"], ["--vers"], ["theta", "zero", "--params", P4, "--version"],
+    [], ["nonsense"], ["-x"], ["theta"], ["theta", "bogus"], ["spectrum", "bogus"],
+    ["theta", "-h", "zero"], ["--", "theta", "zero"],
+    ["theta", "eval", "--params", P4],
+    ["theta", "zero", "--params", P4, "--tol", "x"],
+    ["theta", "zero", "--params", P4, "--format", "xml"],
+    ["theta", "zero", "--params", P4, "extra"],
+    ["theta", "zero", "--params"],
+    ["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--bogus"],
+    ["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2", "--d", "1"],
+    ["frame", "check", "--params", P4, "--points=--"],
+], ids=lambda argv: " ".join(argv).replace(P4, "P4") or "no-arguments")
+def test_help_and_usage_errors_print_the_whole_trees_bytes(argv):
+    # the path parser of a named action reports no usage error itself: the
+    # whole tree does, so each usage line lists every command and action
+    assert _run_captured(argv) == _run_captured(argv, _whole_tree)
+
+
 def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
     args = ("frame", "scan", "--params", P4, "-K", "4", "--format", "csv")
     cli.build_parser.cache_clear()
@@ -724,12 +792,12 @@ def test_float_lists_are_formatted_in_one_pass_with_the_same_bytes():
             _json_dumps({"x": [1.0, bad, 2.0]})
 
 
-def _run_captured(argv):
+def _run_captured(argv, run=main):
     # capsys is not reset between hypothesis examples, so capture here
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = run(list(argv))
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()

@@ -458,6 +458,21 @@ def test_exhaustive_scan_refuses_huge_families():
         scan_subsets(p, 12)  # C(25, 12) = 5200300
 
 
+@pytest.mark.parametrize("K,kw", [
+    (400, {"mode": "random", "count": 10 ** 6, "seed": 1}),  # 4 * 10^8 entries
+    (398, {}),  # C(400, 398) = 79800 subsets, 31760400 entries
+])
+def test_scan_budget_counts_the_entries_of_the_subset_array(monkeypatch, K, kw):
+    # each family is within the subset budget, but its (subsets, K) array is
+    # not; it is refused before the window is periodized
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the window was sampled")
+
+    monkeypatch.setattr(transforms, "periodize_sample", unexpected)
+    with pytest.raises(TooManySubsetsError, match="entries"):
+        scan_subsets(_p(20), K, **kw)
+
+
 def test_random_scan_is_seeded_and_reproducible():
     p = _p(6)
     r1 = scan_subsets(p, 7, mode="random", count=50, seed=11)
