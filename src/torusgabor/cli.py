@@ -342,10 +342,11 @@ def _cmd_theta_zero(args, params):
 def _cmd_frame_check(args, params):
     D = _parse_points(args.points, params)
     window = _load_array(args.window, params.shape, "window") if args.window else None
-    rep = frames.frame_bounds(D, params, window=window, svd_threshold=args.threshold)
+    rep = frames.frame_bounds(D, params, window=window)
     parity = rep.parity and dataclasses.asdict(rep.parity) | {"integer_form": rep.parity.no_frame}
     doc = {
-        "provenance": _provenance(args, params, extra={"threshold": args.threshold}),
+        "provenance": _provenance(
+            args, params, extra={"rank_tol": frames.rank_tol(len(D), params.dim_sn)}),
         "K": len(D),
         "A": rep.A,
         "B": rep.B,
@@ -360,10 +361,10 @@ def _cmd_frame_check(args, params):
 def _cmd_frame_scan(args, params):
     window = _load_array(args.window, params.shape, "window") if args.window else None
     res = frames.scan_subsets(
-        params, args.size, window=window, mode=args.mode, count=args.count,
-        seed=args.seed, svd_threshold=args.threshold)
+        params, args.size, window=window, mode=args.mode, count=args.count, seed=args.seed)
     doc = {
-        "provenance": _provenance(args, params, extra={"threshold": args.threshold}),
+        "provenance": _provenance(
+            args, params, extra={"rank_tol": frames.rank_tol(args.size, params.dim_sn)}),
         "total": res.total,
         "mode": res.mode,
         "parity_applicable": res.parity_applicable,
@@ -481,7 +482,6 @@ def _opt(*flags, **kwargs):
 # the options that several actions take, each declared once
 _PARAMS = _opt("--params", required=True)
 _WINDOW = _opt("--window")
-_THRESHOLD = _opt("--threshold", type=float, default=1e-7)
 _REL_TOL = _opt("--rel-tol", type=float, default=1e-8)
 _ALPHA_GRID = _opt("--alpha-grid", type=_floats, default="0.5")
 _OVERSAMPLE = _opt("--oversample", type=int, default=4)  # the localization commands'
@@ -512,7 +512,7 @@ _COMMANDS = {
             _PARAMS,
             _opt("--points", required=True,
                  help="'k,l;k,l;...' (components space-separated) or a JSON file"),
-            _WINDOW, _THRESHOLD,
+            _WINDOW,
         ]),
         "scan": ("sweep subsets and compare predicate vs SVD", _cmd_frame_scan, [
             _PARAMS,
@@ -520,7 +520,7 @@ _COMMANDS = {
             _opt("--mode", choices=("exhaustive", "random"), default="exhaustive"),
             _opt("--count", type=int),
             _opt("--seed", type=int),
-            _WINDOW, _THRESHOLD,
+            _WINDOW,
         ]),
     }),
     "bergman": ("coherent-state density", {

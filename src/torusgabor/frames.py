@@ -5,7 +5,7 @@ A subset D = {(k_j, l_j)} of I_N x I_N generates the system
 
 * a numerical oracle: the K x N^d matrix whose rows are the generated atoms
   has frame bounds A = sigma_{N^d}^2 and B = sigma_1^2, so D is a frame
-  exactly when the atoms span, decided by an SVD with a relative threshold;
+  exactly when the atoms span, decided by the SVD's numerical rank (rank_tol);
 
 * for d = 1, K = N and distinct points, an algebraic parity predicate: with
   z_j = -i(Omega k_j/N + l_j/N) and z0 the zero of z -> theta_1(i z, Omega),
@@ -23,9 +23,8 @@ flat indices into Z_N^d.  Each atom has the bits of its own one-shift call,
 so no SVD input depends on the block it sits in.  A window is None (the
 Gaussian, periodized after the scan's argument checks) or samples.
 
-The scan driver runs both over subset families and reports every
-disagreement, keeping the margin distribution so the SVD threshold remains
-auditable.  The oracle takes one SVD per translation orbit, not per subset:
+The scan driver runs both over subset families, reports every disagreement
+and keeps every margin.  The oracle takes one SVD per translation orbit, not per subset:
 for any window h, M_{l+l0} T_{k+k0} h = e^{2 pi i l.k0/N} M_{l0} T_{k0} M_l T_k h,
 so the atom matrix of D + t is a row-phased copy of D's times a unitary and
 has the same singular values.  Each subset gets a key naming its orbit (its
@@ -87,9 +86,13 @@ class PointSet:
         return self.ks.shape[0]
 
     @property
+    def n_distinct(self):
+        """The number of distinct positions (k, l)."""
+        return len(np.unique(np.hstack([self.ks, self.ls]), axis=0))
+
+    @property
     def distinct(self):
-        seen = {(tuple(k), tuple(l)) for k, l in zip(self.ks, self.ls)}
-        return len(seen) == len(self)
+        return self.n_distinct == len(self)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -103,20 +106,24 @@ class CountingGuarantees:
     seshadri_upper: float
 
 
-def counting_guarantees(K, params):
-    """Guarantees that follow from |D| = K alone.
+def counting_guarantees(K, params, distinct=None):
+    """Guarantees that follow from |D| = K and its number of distinct positions alone.
 
-    Density K > N certifies a frame in d = 1; K below the space dimension
-    can never span; N > d K certifies interpolation via the uniform lower
-    Seshadri bound 1/K, whose companion upper bound is (d!/K)^{1/d}.
+    A repeated position repeats an atom, so only the n = distinct positions
+    (K when None) count: density n > N certifies a frame in d = 1; n below
+    the space dimension can never span; N > d n certifies interpolation via
+    the uniform lower Seshadri bound 1/n, whose companion upper bound is
+    (d!/n)^{1/d}, when no position repeats (a repeated atom interpolates
+    nothing).
     """
     d, N = params.d, params.N
+    n = K if distinct is None else distinct
     return CountingGuarantees(
-        frame_by_count=(d == 1 and K > N),
-        no_frame_by_count=(K < N ** d or (d == 1 and K < N)),
-        interpolation_by_count=(N > d * K),
-        seshadri_lower=1.0 / K if K > 0 else float("inf"),
-        seshadri_upper=(math.factorial(d) / K) ** (1.0 / d) if K > 0 else float("inf"),
+        frame_by_count=(d == 1 and n > N),
+        no_frame_by_count=(n < N ** d),
+        interpolation_by_count=(N > d * n and n == K),
+        seshadri_lower=1.0 / n if n > 0 else float("inf"),
+        seshadri_upper=(math.factorial(d) / n) ** (1.0 / d) if n > 0 else float("inf"),
     )
 
 
@@ -201,17 +208,22 @@ def _orbit_keys(subsets, diff):
     return cand[np.arange(B), least.argmax(axis=1)]
 
 
-def _frame_margin(svals, nd):
-    """(sigma_min, sigma_max, margin) from singular values sorted along the last axis.
+def rank_tol(K, nd):
+    """numpy.linalg.matrix_rank's default cut for K x N^d matrices, relative to sigma_max."""
+    return max(K, nd) * np.finfo(float).eps
+
+
+def _frame_margin(svals, K, nd):
+    """(sigma_min, sigma_max, margin, is_frame) of K x N^d matrices from sorted singular values.
 
     sigma_min is the N^d-th singular value (0 with fewer than N^d of them),
-    and margin = (sigma_min / sigma_max)^2 = A/B (0 when sigma_max = 0), the
-    ratio that frame_bounds and scan_subsets compare with the threshold.
+    margin = (sigma_min / sigma_max)^2 = A/B (0 when sigma_max = 0), and the
+    verdict is numerical rank N^d: sigma_min > sigma_max rank_tol(K, N^d).
     """
     smax = svals[..., 0]
     smin = svals[..., nd - 1] if svals.shape[-1] >= nd else np.zeros_like(smax)
     margin = np.divide(smin, smax, out=np.zeros_like(smax), where=smax > 0) ** 2
-    return smin, smax, margin
+    return smin, smax, margin, smin > smax * rank_tol(K, nd)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -234,11 +246,11 @@ def _window_samples(window, params):
     return np.asarray(window, dtype=complex)
 
 
-def frame_bounds(D, params, window=None, svd_threshold=1e-7):
+def frame_bounds(D, params, window=None):
     """Frame bounds of {M_l T_k h : (k,l) in D} plus all applicable verdicts.
 
     A is the squared N^d-th singular value of the atom matrix (zero when
-    K < N^d), B the squared largest; the frame decision is A/B > threshold.
+    K < N^d), B the squared largest; the verdict is its numerical rank (_frame_margin).
     """
     if len(D) == 0:
         raise EmptyPointSetError("sampling set is empty")
@@ -249,7 +261,7 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     # one 2-D SVD, not a stacked one: the reported singular values keep the
     # bits of the single-matrix LAPACK call
     svals = np.linalg.svd(atoms, compute_uv=False)
-    smin, smax, margin = _frame_margin(svals, params.dim_sn)
+    smin, smax, _, is_frame = _frame_margin(svals, len(D), params.dim_sn)
     A, B = float(smin) ** 2, float(smax) ** 2
     parity = None
     try:
@@ -259,10 +271,10 @@ def frame_bounds(D, params, window=None, svd_threshold=1e-7):
     return FrameReport(
         A=A,
         B=B,
-        is_frame=bool(margin > svd_threshold),
+        is_frame=bool(is_frame),
         singular_values=svals,
         parity=parity,
-        guarantees=counting_guarantees(len(D), params),
+        guarantees=counting_guarantees(len(D), params, D.n_distinct),
     )
 
 
@@ -289,17 +301,15 @@ class ScanResult:
 _MAX_SUBSETS = 10 ** 6
 
 
-def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=None,
-                 svd_threshold=1e-7):
+def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=None):
     """Run the SVD oracle (and parity when applicable) over K-subsets of I_N^2.
 
     mode="exhaustive" enumerates every subset in deterministic
     lexicographic order; mode="random" draws `count` subsets without
     replacement inside each draw from a generator seeded by a non-negative
     seed (or None).  Either refuses more than _MAX_SUBSETS subsets, or more
-    than core.MAX_NODES positions in all (TooManySubsetsError).  Margins are
-    the ratios A/B, recorded for every subset so the decision threshold stays
-    auditable.
+    than core.MAX_NODES positions in all (TooManySubsetsError).  Verdicts are
+    frame_bounds'; the margins A/B of every subset are kept for any other cut.
     """
     nd = params.dim_sn
     total_positions = nd * nd
@@ -343,9 +353,8 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         pred = _no_frame(k.sum(axis=1), l.sum(axis=1), params.N)
 
     if K < nd:
-        # fewer atoms than dimensions never span, so no SVD: these are the
-        # zeros _frame_margin returns for fewer than N^d singular values
-        smin, margins, orbits = np.zeros(total), np.zeros(total), 0
+        # K < N^d atoms never span: no SVD, and _frame_margin's zeros and verdicts
+        smin, margins, oracle, orbits = np.zeros(total), np.zeros(total), np.zeros(total, bool), 0
     else:
         # diff[a, b] = flat index of k_a - k_b mod N, for k_a, k_b in Z_N^d
         ks = np.array(cells)
@@ -359,17 +368,15 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
         _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys[0].nbytes))).ravel(),
                                       return_index=True, return_inverse=True)
         orbits = len(first)
-        rep_smin, rep_margins = np.empty(orbits), np.empty(orbits)
+        reps = []
         block = max(1, transforms._CHUNK // (K * nd))
         for start in range(0, orbits, block):
-            rows = slice(start, start + block)
-            k, l = np.divmod(subsets[first[rows]], nd)
+            k, l = np.divmod(subsets[first[start:start + block]], nd)
             atoms = transforms.time_frequency_shift(h, ks[k.ravel()], ks[l.ravel()])
             svals = np.linalg.svd(atoms.reshape(k.shape + (nd,)), compute_uv=False)
-            rep_smin[rows], _, rep_margins[rows] = _frame_margin(svals, nd)
-        smin, margins = rep_smin[inverse], rep_margins[inverse]
+            reps.append(_frame_margin(svals, K, nd))
+        smin, _, margins, oracle = (np.concatenate(r)[inverse] for r in zip(*reps))
 
-    oracle = margins > svd_threshold
     # a disagreement: predicted no-frame where the oracle finds a frame, or the
     # reverse
     disagreements = [

@@ -34,7 +34,7 @@ import math
 import numpy as np
 
 from . import theta
-from .core import GaborError, check_nodes
+from .core import MAX_NODES, GaborError, check_nodes
 
 
 class ShapeMismatchError(GaborError):
@@ -79,8 +79,15 @@ def _delta_stft(params, X, XI, tol):
     # u = n - x is recentred to u0 = u - N m, m = round(u/N), so the series
     # runs over w = u0 - N k, k in Z^d.  A term
     # e^{pi i w'Omega w/N - 2 pi i xi.(n - N m - N k)} is a(row) + b(row).k + c(k)
-    # in the exponent and at most e^{-pi lambda_min(Y) N |k - u0/N|^2}
+    # in the exponent and at most e^{-pi lambda_min(Y) N |k - u0/N|^2}, with
+    # |u0/N|_inf <= 1/2.  The rows times the terms of the a-priori box are
+    # refused above MAX_NODES before any per-row array is built
     N, d, om = params.N, params.d, params.Omega
+    decay = math.pi * params.im_min * N
+    rows, terms = params.dim_sn * len(X), (2 * theta.tail_radius(decay, d, tol) + 1) ** d
+    if rows * terms > MAX_NODES:
+        raise GaborError(f"the window series of {rows} rows x {terms} terms = {rows * terms} "
+                         f"exceeds the limit of {MAX_NODES}")
     n = np.indices(params.shape).reshape(d, -1).T[:, None, :]
     u = n - X
     m = np.floor(u / N + 0.5)
@@ -98,7 +105,7 @@ def _delta_stft(params, X, XI, tol):
         return e
 
     offset = max(0.5, float(np.abs(u0).max(initial=0.0)) / N)
-    s, _, _ = theta.certified_lattice_sum(exponent_fn, math.pi * params.im_min * N, d, tol,
+    s, _, _ = theta.certified_lattice_sum(exponent_fn, decay, d, tol,
                                           offset=offset, log_scale=np.zeros(len(a)))
     return s.to_complex().reshape(u.shape[:-1])
 
@@ -107,7 +114,9 @@ def periodize_sample(window):
     """Sample the periodization (P h)[n] = sum_k h(n - kN) of a GaussianWindow on I_N.
 
     It is conj(V_h eps_n(0, 0)), one certified series per n, each truncated
-    at _PERIODIZE_TOL relative to its own value.
+    at _PERIODIZE_TOL relative to its own value.  N^d rows times the terms of
+    the a-priori box above core.MAX_NODES is a GaborError, raised before the
+    rows are built.
     """
     p = window.params
     zero = np.zeros((1, p.d))
@@ -120,7 +129,9 @@ def stft_basis_grid(window, X, XI):
     X, XI have shape (..., d) and broadcast; the result has shape (N^d, ...)
     ordered by C-order enumeration of I_N.  Positions need not be reduced:
     n - x is recentred in the series (module docstring), whose truncation is
-    certified to _STFT_TOL relative to each value.
+    certified to _STFT_TOL relative to each value.  N^d times the points
+    (rows) times the terms of the a-priori box above core.MAX_NODES is a
+    GaborError, raised before the rows are built.
     """
     p = window.params
     X, XI = np.broadcast_arrays(np.atleast_2d(np.asarray(X, dtype=float)),

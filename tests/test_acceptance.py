@@ -145,7 +145,7 @@ def test_criterion_08_parity_predicate_vs_svd_oracle():
         for N in (2, 3, 4):
             p = _params(1, N, om)
             t0 = time.monotonic()
-            res = scan_subsets(p, N, svd_threshold=1e-7)
+            res = scan_subsets(p, N)
             dt = time.monotonic() - t0
             assert res.parity_applicable
             assert res.confusion["pred_no_frame_oracle_frame"] == 0

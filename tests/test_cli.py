@@ -449,7 +449,6 @@ CLI_SURFACE = {
         ("--params", None, None, None, True),
         ("--points", None, None, None, True),
         ("--window", None, None, None, False),
-        ("--threshold", 1e-07, "float", None, False),
         ("--out", None, None, None, False),
         ("--format", "json", None, ("json", "csv"), False),
     ],
@@ -460,7 +459,6 @@ CLI_SURFACE = {
         ("--count", None, "int", None, False),
         ("--seed", None, "int", None, False),
         ("--window", None, None, None, False),
-        ("--threshold", 1e-07, "float", None, False),
         ("--out", None, None, None, False),
         ("--format", "json", None, ("json", "csv"), False),
     ],
@@ -679,6 +677,8 @@ P4_RE03 = '{"d": 1, "N": 4, "omega_re": [[0.3]], "omega_im": [[1.0]]}'
 # N^2 tables of a terabyte and more, which must be refused before allocation
 P300K = '{"d": 1, "N": 300000, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
 P2_18 = '{"d": 1, "N": 262144, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
+# a window series of 9 * 10^6 rows
+P3000_D2 = '{"d": 2, "N": 3000, "omega_re": [[0, 0], [0, 0]], "omega_im": [[1, 0], [0, 1]]}'
 
 
 class _Zeros:
@@ -699,8 +699,9 @@ class _Zeros:
     (["spectrum", "restriction", "--params", P4, "--symbol", "1e308"], 1, "overflowed"),
     (["frame", "check", "--params", P4, "--points", "0,0;1"], 1, "error:"),
     (["frame", "check", "--params", P4_NO_OMEGA_RE, "--points", "0,0;1,1"], 1, "error:"),
-    (["frame", "check", "--params", P4, "--points", "0,0;1,1", "--threshold", "nan"], 1,
-     "non-finite"),
+    # frames are decided by the SVD's own rank tolerance; the option is gone
+    (["frame", "check", "--params", P4, "--points", "0,0;1,1", "--threshold", "nan"], 2,
+     "unrecognized arguments: --threshold"),
     (["asymptotics", "sweep", "--symbol", "x1", "--omega", "1j", "--n-list", "2,x"], 2, "error:"),
     (["spectrum", "restriction", "--params", P4, "--symbol", "x1", "--alpha-grid", "0.5,a"], 2,
      "error:"),
@@ -742,6 +743,8 @@ class _Zeros:
       "--seed", "-1"], 1, "seed"),
     (["spectrum", "restriction", "--params", P4, "--symbol", "sin(pi*x1)^2",
       "--plunge-delta", "nan"], 1, "plunge delta"),
+    (["frame", "check", "--params", P3000_D2, "--points", "0 0,0 0;1 1,1 1"], 1,
+     "9000000 rows x 9 terms"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
         "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
@@ -749,7 +752,7 @@ class _Zeros:
         "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf", "sweep-target-inf",
         "sweep-target-pole", "sweep-target-sum-overflow", "restriction-oversample-grid",
         "sweep-restriction-table", "restriction-table", "dgt-forward-table",
-        "scan-random-count", "scan-negative-seed", "plunge-delta-nan"])
+        "scan-random-count", "scan-negative-seed", "plunge-delta-nan", "window-series"])
 def test_malformed_input_exits_with_a_message(argv, code, message, tmp_path):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr

@@ -57,6 +57,7 @@ def test_pointset_detects_collision_after_reduction():
     p = _p(3)
     D = _set([(1, 2), (4, -1)], p)
     assert not D.distinct
+    assert D.n_distinct == 1
 
 
 def test_pointset_rejects_wrong_width():
@@ -80,6 +81,27 @@ def test_counting_guarantees_thresholds():
     assert not g2.frame_by_count  # density alone certifies nothing in d = 2
     assert g2.no_frame_by_count  # 5 < 9
     assert g2.seshadri_upper == pytest.approx((2 / 5) ** 0.5)
+    # a repeated position repeats an atom: only the distinct positions count
+    g = counting_guarantees(6, p, distinct=1)
+    assert not g.frame_by_count and g.no_frame_by_count
+    assert g.seshadri_lower == g.seshadri_upper == 1.0
+    assert not counting_guarantees(2, p, distinct=1).interpolation_by_count
+
+
+@pytest.mark.parametrize("pairs, frame_by_count, interpolation_by_count", [
+    ([(0, 0)] * 5, False, False),
+    ([(0, 0)] * 2, False, False),
+    ([(0, 0), (1, 2), (3, 1), (2, 3), (1, 1)], True, False),
+    ([(0, 0), (1, 2)], False, True),
+], ids=["five-repeats", "two-repeats", "five-distinct", "two-distinct"])
+def test_frame_bounds_counts_distinct_points(pairs, frame_by_count, interpolation_by_count):
+    p = _p(4)
+    rep = frame_bounds(_set(pairs, p), p)
+    g = rep.guarantees
+    assert g.frame_by_count is frame_by_count
+    assert g.interpolation_by_count is interpolation_by_count
+    assert not g.frame_by_count or rep.is_frame
+    assert not g.no_frame_by_count or not rep.is_frame
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +308,75 @@ def test_scan_verdicts_equal_the_parity_predicate():
 OMEGA_2D = np.array([[0.1 + 1j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
 
 
-def _scan_reference(p, K, mode="exhaustive", count=None, seed=None, svd_threshold=1e-7):
-    # one 2-D SVD and one parity_predicate per subset, in the scan's order
+@pytest.mark.parametrize("omega", [1j, 2j])
+@pytest.mark.parametrize("N", [8, 9, 12, 16, 20])
+def test_random_parity_scans_agree_with_the_rank_verdict(N, omega):
+    # the parity theorem is exact, so the rank verdict must reproduce it; a
+    # fixed cut of 1e-7 on the margin called 1 to 576 of these draws' frames
+    # "no frame" for even N.  The odd N = 9, where about 1 draw in 81 has
+    # N | sum k and N | sum l, is what makes the rule's "N even" matter
+    res = scan_subsets(_p(N, omega=omega), N, mode="random", count=2000, seed=1)
+    assert res.parity_applicable
+    assert res.disagreements == []
+    assert res.confusion["pred_no_frame_oracle_frame"] == 0
+    assert res.confusion["pred_frame_oracle_no_frame"] == 0
+
+
+@pytest.mark.parametrize("p", [_p(7, omega=0.25 + 2j), _p(8, omega=2j),
+                               GaborParams(d=2, N=3, Omega=OMEGA_2D),
+                               GaborParams(d=2, N=5, Omega=OMEGA_2D)],
+                         ids=["d1-N7", "d1-N8", "d2-N3", "d2-N5"])
+def test_frame_verdict_is_numpys_matrix_rank(p):
+    # random sets of every size, drawn with repeats from a few positions too,
+    # and in d = 1 sets whose sums the parity rule calls no frame
+    rng = np.random.default_rng(31)
     h = periodize_sample(GaussianWindow(p))
+    nd = p.dim_sn
+    sets = []
+    for _ in range(60):
+        K = int(rng.integers(1, nd + 3))
+        pool = rng.integers(0, p.N, (int(rng.integers(1, 2 * K + 1)), 2, p.d))
+        sets.append(pool[rng.integers(0, len(pool), K)])
+        sets.append(rng.integers(0, p.N, (K, 2, p.d)))
+    if p.d == 1:
+        for _ in range(20):
+            pts = rng.integers(0, p.N, (p.N, 2, 1))
+            pts[-1] = (pts[-1] - pts.sum(axis=0)) % p.N
+            sets.append(pts)
+    verdicts = set()
+    for pts in sets:
+        D = PointSet.from_pairs(zip(pts[:, 0], pts[:, 1]), p)
+        rep = frame_bounds(D, p)
+        atoms = time_frequency_shift(h, D.ks, D.ls).reshape(len(D), -1)
+        rank = np.linalg.matrix_rank(atoms)
+        assert rep.is_frame == (rank == nd)
+        g = rep.guarantees
+        assert not g.frame_by_count or rep.is_frame
+        assert not g.no_frame_by_count or not rep.is_frame
+        assert not g.interpolation_by_count or rank == len(D)
+        verdicts.add((rep.is_frame, g.interpolation_by_count))
+    assert (True, False) in verdicts and (False, False) in verdicts
+    if p.N > p.d * 2:
+        assert (False, True) in verdicts
+
+
+@pytest.mark.parametrize("omega, singular", [
+    (1j * np.eye(2), 544),
+    (OMEGA_2D, 240),
+    (np.diag([0.25 + 1j, 1j]), 536),
+], ids=["iI", "bench", "diag"])
+def test_exhaustive_d2_census(omega, singular):
+    # every 4-subset of the 16 positions of d = 2, N = 2; the count moves with
+    # Omega, so no rule that ignores Omega decides d = 2
+    res = scan_subsets(GaborParams(d=2, N=2, Omega=omega), 4)
+    assert res.total == 1820
+    assert res.confusion["oracle_no_frame"] == singular
+
+
+def _scan_reference(p, K, mode="exhaustive", count=None, seed=None, window=None):
+    # one 2-D SVD, one matrix_rank and one parity_predicate per subset, in the
+    # scan's order
+    h = periodize_sample(GaussianWindow(p)) if window is None else window
     positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
     atoms_all = np.stack([time_frequency_shift(h, np.asarray(k), np.asarray(l)).reshape(-1)
                           for k, l in positions])
@@ -308,7 +396,7 @@ def _scan_reference(p, K, mode="exhaustive", count=None, seed=None, svd_threshol
         svals = np.linalg.svd(atoms_all[list(idx)], compute_uv=False)
         smin = float(svals[nd - 1]) if len(svals) >= nd else 0.0
         margin = (smin / float(svals[0])) ** 2
-        oracle_frame = margin > svd_threshold
+        oracle_frame = np.linalg.matrix_rank(atoms_all[list(idx)]) == nd
         margins.append(margin)
         confusion["oracle_frame" if oracle_frame else "oracle_no_frame"] += 1
         if not applicable:
@@ -352,7 +440,7 @@ def test_block_scan_matches_a_per_subset_reference(case, monkeypatch):
     assert res.total == len(margins)
     assert res.confusion == confusion
     assert np.allclose(res.margins, margins, rtol=1e-12, atol=1e-30)
-    assert res.all_frames == bool(np.all(margins > 1e-7))
+    assert res.all_frames == (confusion["oracle_no_frame"] == 0)
     _same_disagreements(res.disagreements, disagreements)
     # blocks of 7 subsets give the same bits as the default block bound
     monkeypatch.setattr(transforms, "_CHUNK", 7 * K * p.dim_sn)
@@ -364,29 +452,36 @@ def test_block_scan_matches_a_per_subset_reference(case, monkeypatch):
 
 
 def test_scan_reports_every_disagreement_in_subset_order(monkeypatch):
-    # a threshold above every margin makes each subset an oracle no-frame, so
-    # every subset the predicate calls a frame is a disagreement
+    # with the delta window eps_0 the atom of (k, l) is a phase times eps_k, so
+    # a subset spans exactly when its N points hold N distinct k: each k once,
+    # so sum k = N(N-1)/2 = 6, which 4 does not divide, and the predicate calls
+    # it a frame.  Every subset the predicate calls a frame but that repeats a
+    # k is a disagreement
     p = _p(4)
-    res = scan_subsets(p, 4, svd_threshold=2.0)
+    delta = np.zeros(4, dtype=complex)
+    delta[0] = 1
+    res = scan_subsets(p, 4, window=delta)
     c = res.confusion
-    assert c["oracle_no_frame"] == 1820 and c["oracle_frame"] == 0
-    assert c["pred_frame_oracle_no_frame"] == 1704
+    assert c["oracle_frame"] == c["agree_frame"] == 4 ** 4
+    assert c["oracle_no_frame"] == 1820 - 4 ** 4
     assert c["agree_no_frame"] == 116
-    assert c["agree_frame"] == c["pred_no_frame_oracle_frame"] == 0
+    assert c["pred_frame_oracle_no_frame"] == 1820 - 4 ** 4 - 116
+    assert c["pred_no_frame_oracle_frame"] == 0
     assert not res.all_frames
-    confusion, _, expected = _scan_reference(p, 4, svd_threshold=2.0)
+    confusion, _, expected = _scan_reference(p, 4, window=delta)
     assert res.confusion == confusion
     _same_disagreements(res.disagreements, expected)
     # for Omega = i the predicate is the integer test: N | sum k and N | sum l
     positions = list(itertools.product(np.ndindex(p.shape), np.ndindex(p.shape)))
     frames_by_sums = [
         [positions[i] for i in idx] for idx in itertools.combinations(range(16), 4)
-        if sum(positions[i][0][0] for i in idx) % 4 or sum(positions[i][1][0] for i in idx) % 4
+        if len({positions[i][0] for i in idx}) < 4
+        and (sum(positions[i][0][0] for i in idx) % 4 or sum(positions[i][1][0] for i in idx) % 4)
     ]
     assert [rec["positions"] for rec in res.disagreements] == frames_by_sums
-    assert all(rec["margin"] > 1e-4 and not rec["pred_no_frame"] for rec in res.disagreements)
+    assert all(rec["margin"] < 1e-30 and not rec["pred_no_frame"] for rec in res.disagreements)
     monkeypatch.setattr(transforms, "_CHUNK", 7 * 4 * 4)
-    assert scan_subsets(p, 4, svd_threshold=2.0).disagreements == res.disagreements
+    assert scan_subsets(p, 4, window=delta).disagreements == res.disagreements
 
 
 def _count_svd_matrices(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from dgt_reference import dgt_direct
 from grids import tn_grid, window_l2_norm_sq
 from torusgabor import transforms
-from torusgabor.core import GaborParams
+from torusgabor.core import MAX_NODES, GaborError, GaborParams
 from torusgabor.theta import ToleranceUnreachableError, theta_eval
 from torusgabor.transforms import (
     GaussianWindow,
@@ -151,6 +151,27 @@ def test_stft_basis_grid_matches_a_fixed_box_sum(name):
     size = 1.0 + np.abs(np.log(np.maximum(np.abs(ref), 1e-300))) \
         + 2 * np.pi * (np.abs(XI) * (np.abs(X) + p.N)).sum(axis=1)
     _assert_close_to_each_value(V, ref, 1e-14 * size)
+
+
+def test_window_series_are_refused_above_the_node_budget():
+    # d = 2, N = 3000: 9 * 10^6 rows of a 3 x 3 box, 8.1 * 10^7 terms, are
+    # refused before a per-row array is built
+    p = GaborParams(d=2, N=3000, Omega=np.eye(2) * 1j)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GaborError, match="9000000 rows x 9 terms"):
+            periodize_sample(GaussianWindow(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    # rows are N^d per point: 2048 rows of a 3-term box per point are refused
+    # at 2^12 points (2.5 * 10^7 terms)
+    p = _p(1j, N=2048)
+    zero = np.zeros((2 ** 12, 1))
+    with pytest.raises(GaborError, match=f"limit of {MAX_NODES}"):
+        stft_basis_grid(GaussianWindow(p), zero, zero)
+    assert stft_basis_grid(GaussianWindow(p), zero[:1], zero[:1]).shape == (2048, 1)
 
 
 def test_stft_basis_grid_keeps_the_point_shape():
