@@ -13,8 +13,6 @@ phase-space restriction operators; `cli` exposes the lot as subcommands.
 from .core import (
     GaborError,
     GaborParams,
-    dual_lattice_member,
-    lattice_coefficients,
     params_from_json,
     params_to_json,
 )
@@ -27,7 +25,6 @@ from .transforms import (
     time_frequency_shift,
 )
 from .bargmann import (
-    bargmann_basis,
     bergman_density,
     gram,
     section_winding,
@@ -55,8 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GaborError",
     "GaborParams",
-    "dual_lattice_member",
-    "lattice_coefficients",
     "params_from_json",
     "params_to_json",
     "ScaledComplex",
@@ -68,7 +63,6 @@ __all__ = [
     "dgt_inverse",
     "periodize_sample",
     "time_frequency_shift",
-    "bargmann_basis",
     "bergman_density",
     "gram",
     "section_winding",

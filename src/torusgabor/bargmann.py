@@ -36,7 +36,7 @@ import numpy as np
 from . import localization
 from . import theta as theta_mod
 from .core import GaborError, _exact_tiled_sum, check_nodes
-from .theta import ScaledComplex, ToleranceUnreachableError, certified_lattice_sum
+from .theta import ScaledComplex, certified_lattice_sum
 
 
 def weight_phi(z, params):
@@ -61,16 +61,6 @@ class SectionValue:
     weighted_mag: float
 
 
-def bargmann_basis(n, z, params, tol=1e-12):
-    """Evaluate the basis section B eps_n at z of shape (d,) or (P, d); see bargmann."""
-    n = np.atleast_1d(np.asarray(n, dtype=int))
-    if n.shape != (params.d,):
-        raise GaborError(f"n must be a {params.d}-vector")
-    coeffs = np.zeros(params.shape, dtype=complex)
-    coeffs[tuple(n % params.N)] = 1.0
-    return bargmann(coeffs, z, params, tol)
-
-
 def bargmann(coeffs, z, params, tol=1e-12):
     """Section value B a(z) for a signal a at one point z (d,) or at P points (P, d).
 
@@ -84,8 +74,9 @@ def bargmann(coeffs, z, params, tol=1e-12):
     and the tail is certified relative to B a(zr), also near a zero of the section.
     Each exponent is off by about |e| 2^-52; ToleranceUnreachableError is also
     raised when that rounding, weighted by the term's size relative to the
-    bound, exceeds tol for some term.  weighted_mag is |B a(zr)| e^{-N phi(zr)/2},
-    which equals |B a(z)| e^{-N phi(z)/2} and keeps its digits far from the cell.
+    bound, exceeds tol for some term (theta._check_rounding, as in theta_eval).
+    weighted_mag is |B a(zr)| e^{-N phi(zr)/2}, which equals |B a(z)| e^{-N phi(z)/2}
+    and keeps its digits far from the cell.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != params.shape:
@@ -108,15 +99,7 @@ def bargmann(coeffs, z, params, tol=1e-12):
             quad = ((m @ om) * m).sum(axis=-1)
             e0 = 1j * np.pi * quad / N - 2.0 * np.pi * np.einsum("pki,pi->pk", m, zr[rows])
             e = e0 + loga[tuple(np.moveaxis(m.astype(int) % N, -1, 0))]
-            # each exponent is off by about err; if that is above tol, weigh it by the
-            # term's size relative to exp(scale), which err may understate by e^err
-            err = 2.0 ** -52 * np.abs(e0)
-            rounding = float(err.max())
-            if rounding > tol:
-                rounding = float((err * np.exp(e.real - scale[rows, None] + err)).max())
-        if not rounding <= tol:
-            raise ToleranceUnreachableError(
-                f"section exponents are rounded by {rounding:.1e}, not certified to tol={tol:.1e}")
+        theta_mod._check_rounding(e0, e, scale, rows, tol, "section")
         return e
 
     s, _, _ = certified_lattice_sum(
@@ -170,18 +153,18 @@ def gram(params):
 # zero counting and the Bergman density
 
 
-def section_winding(coeffs, params, tol=1e-10):
+def section_winding(coeffs, params):
     """Winding number of z -> B coeffs(z) along the fundamental parallelogram (d = 1).
 
-    Counts the zeros of the section in one fundamental domain; the contour is
-    jittered when it grazes a zero.
+    Counts the zeros of the section in one fundamental domain, from its values
+    at tol 1e-10; the contour is jittered when it grazes a zero.
     """
     if params.d != 1:
         raise GaborError("zero counting by winding is a d = 1 operation")
     om = complex(params.Omega[0, 0])
 
     def f(zz):
-        return bargmann(coeffs, zz[:, None], params, tol=tol).raw
+        return bargmann(coeffs, zz[:, None], params, tol=1e-10).raw
 
     last = None
     for attempt in range(5):

@@ -145,8 +145,11 @@ def _emit(doc, args, csv_header=None, csv_rows=None):
     else:
         text = _json_dumps(doc) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GaborError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -21,7 +21,8 @@ frame_bounds' K points, and one per SVD block of a scan, on the shifts of
 that block's subsets, whose positions j = N^d k + l are the pairs (k, l) of
 flat indices into Z_N^d.  Each atom has the bits of its own one-shift call,
 so no SVD input depends on the block it sits in.  A window is None (the
-Gaussian, periodized after the scan's argument checks) or samples.
+Gaussian, periodized after the scan's argument checks) or samples, refused
+before any atom is built if not finite, zero or of overflowing K ||h||^2.
 
 The scan driver runs both over subset families, reports every disagreement
 and keeps every margin.  The oracle takes one SVD per translation orbit, not per subset:
@@ -49,6 +50,7 @@ import numpy as np
 
 from . import transforms
 from .core import MAX_NODES, GaborError
+from .theta import ToleranceUnreachableError
 
 
 class EmptyPointSetError(GaborError):
@@ -238,12 +240,21 @@ class FrameReport:
     guarantees: CountingGuarantees
 
 
-def _window_samples(window, params):
-    if window is None:
-        return transforms.periodize_sample(transforms.GaussianWindow(params))
-    if np.shape(window) != params.shape:
+def _window_samples(window, params, K):
+    """The window's samples: no non-finite entry, nonzero, and K ||h||^2 (>= B) finite."""
+    if window is not None and np.shape(window) != params.shape:
         raise transforms.ShapeMismatchError(f"window samples must have shape {params.shape}")
-    return np.asarray(window, dtype=complex)
+    h = (transforms.periodize_sample(transforms.GaussianWindow(params)) if window is None
+         else np.asarray(window, dtype=complex))
+    transforms._require_finite(h, "window")
+    with np.errstate(over="ignore"):
+        energy = K * float(np.vdot(h, h).real)
+    if energy == 0.0:
+        raise transforms.ZeroWindowError("window has zero norm")
+    if energy == math.inf:
+        raise ToleranceUnreachableError(
+            f"the squared norms of {K} atoms overflow double precision")
+    return h
 
 
 def frame_bounds(D, params, window=None):
@@ -254,9 +265,7 @@ def frame_bounds(D, params, window=None):
     """
     if len(D) == 0:
         raise EmptyPointSetError("sampling set is empty")
-    h = _window_samples(window, params)
-    if float(np.vdot(h, h).real) == 0.0:
-        raise transforms.ZeroWindowError("window has zero norm")
+    h = _window_samples(window, params, len(D))
     atoms = transforms.time_frequency_shift(h, D.ks, D.ls).reshape(len(D), -1)
     # one 2-D SVD, not a stacked one: the reported singular values keep the
     # bits of the single-matrix LAPACK call
@@ -338,7 +347,7 @@ def scan_subsets(params, K, window=None, mode="exhaustive", count=None, seed=Non
     if total * K > MAX_NODES:
         raise TooManySubsetsError(f"{total} subsets of {K} positions ({total * K} entries) "
                                   f"exceed the budget of {MAX_NODES}")
-    h = _window_samples(window, params)
+    h = _window_samples(window, params, K)
     # position j = N^d k + l is the pair (cells[k], cells[l])
     cells = list(np.ndindex(params.shape))
 

@@ -204,14 +204,6 @@ class TrigPoly(Symbol):
             return None
         return dict(self.terms)
 
-    def shifted(self, by):
-        """Translate by a phase-space vector: a(. - by)."""
-        by = np.asarray(by, dtype=float)
-        return TrigPoly(self.d, {
-            nu: c * np.exp(-2j * np.pi * float(np.dot(nu, by)))
-            for nu, c in self.terms.items()
-        })
-
 
 _FUNCS = {
     "sin": np.sin,
@@ -784,7 +776,9 @@ def _quadrature_matrix(symbol, params, oversample, rel_tol):
         M = _level_matrix(symbol, params, ov * N, kernel)
         history.append((ov, complex(np.trace(M))))
         if prev is not None:
-            change = float(np.linalg.norm(M - prev) / max(np.linalg.norm(M), 1e-300))
+            # both scaled by a power of two, so they cannot overflow and keep their bits
+            s = 2.0 ** -math.frexp(max(np.abs(M.real).max(), np.abs(M.imag).max()))[1]
+            change = float(np.linalg.norm(s * M - s * prev) / max(np.linalg.norm(s * M), 1e-300))
             if change <= rel_tol:
                 return M, ov, history, change
         prev = M
@@ -864,9 +858,6 @@ class SpectrumReport:
 
     def count_below(self, alpha):
         return int(np.count_nonzero(self.eigenvalues.real < alpha))
-
-    def count_above(self, alpha):
-        return int(np.count_nonzero(self.eigenvalues.real > alpha))
 
     def plunge_fraction(self, delta):
         """Share of the eigenvalues, by real part, in (delta, 1 - delta), for delta in [0, 1/2]."""

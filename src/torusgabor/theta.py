@@ -21,7 +21,8 @@ log-magnitude plus a unit phase (ScaledComplex).  The factor's exponent e is
 off, in its phase and in its log-magnitude alike, by at most a few 2^-52
 times the summed size of its terms; where that bound exceeds the requested
 tol, e is rounded once from its exact rational value, and where even that
-half ulp exceeds tol the result is an error, not a value.
+half ulp exceeds tol the result is an error, not a value; so is a series
+whose own exponents are rounded past tol, weighted by term (_check_rounding).
 
 For d = 1 the order-1 series vanishes once per cell, at the half period
 (1 + Omega)/2; theta_zero_1d returns that point and checks it with theta_eval.
@@ -116,9 +117,6 @@ class ScaledComplex:
         return ScaledComplex(self.logmag + other.logmag, self.phase * other.phase)
 
     __rmul__ = __mul__
-
-    def conjugate(self):
-        return ScaledComplex(self.logmag, np.conj(self.phase))
 
     def to_complex(self):
         """May overflow to inf; magnitude reporting should use magnitude()."""
@@ -218,19 +216,18 @@ def _shell_box(R, d):
     return box
 
 
-def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
-                          min_radius=0, r_cap=200):
+def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0):
     """Sum exp(exponent_fn(k, rows)) over k in Z^d on a certified box, for each of P points.
 
     log_scale holds one number per point (a scalar is one point).  Every term of
     point p must satisfy |exp(e)| <= exp(log_scale[p] - decay |k + c|^2) for some
     |c|_inf <= offset, where exponent_fn(k, rows) maps the (K, d) box to the
     (len(rows), K) exponents e of the point indices rows.  Every point is summed
-    on the box of the a-priori radius tail_radius(decay, d, tol, offset), at least
-    min_radius, in blocks of points whose exponents hold about _BLOCK numbers.  A
-    point whose tail exceeds tol relative to its sum is summed again, with the
-    other such points of its radius, on the box of the radius certified relative
-    to that sum, then to tail underflow (ToleranceUnreachableError past r_cap).
+    on the box of the a-priori radius tail_radius(decay, d, tol, offset), in
+    blocks of points whose exponents hold about _BLOCK numbers.  A point whose
+    tail exceeds tol relative to its sum is summed again, with the other such
+    points of its radius, on the box of the radius certified relative to that
+    sum, then to tail underflow (ToleranceUnreachableError past radius 200).
     So a point's bits do not depend on the other points.  The box runs in shell
     order, in which the sum once grew, so a cancelling sum keeps its bits (and the
     golden files); exponent_fn gets the read-only box that _shell_box caches per
@@ -253,7 +250,7 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
         return lm, ph, np.array([relative(tail, ls, m)
                                  for ls, m in zip(scale[rows].tolist(), lm.tolist())])
 
-    radius = max(tail_radius(decay, d, tol, offset, r_cap=r_cap), min_radius)
+    radius = tail_radius(decay, d, tol, offset)
     logmag, phase, bound = sums(np.arange(len(scale)), radius)
     largest = radius
     for grow in range(2):  # the radius certified relative to the sum, then underflow
@@ -263,7 +260,7 @@ def certified_lattice_sum(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0,
         radii = {}
         for i in np.flatnonzero(~certified).tolist():
             target = tol * math.exp(min(logmag[i] - scale[i], 0.0)) if grow == 0 else 0.0
-            radii.setdefault(tail_radius(decay, d, target, offset, r_cap=r_cap), []).append(i)
+            radii.setdefault(tail_radius(decay, d, target, offset), []).append(i)
         for R, rows in radii.items():
             logmag[rows], phase[rows], bound[rows] = sums(np.array(rows), R)
         largest = max(largest, *radii)
@@ -372,31 +369,51 @@ def _reduce(w, params, order, tol):
     return wr, e, c + k0
 
 
-def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
+def _check_rounding(e0, e, scale, rows, tol, what):
+    """Raise ToleranceUnreachableError where the exponents e0 are rounded past tol.
+
+    Each e0 is off by about err = |e0| 2^-52.  Above tol, err is weighed by its
+    term's size exp(e) relative to exp(scale) of its point (one of rows), which
+    err may understate by e^err.
+    """
+    rounding = 2.0 ** -52 * float(np.abs(e0).max())  # the cheap test; most calls stop here
+    if rounding > tol:
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = 2.0 ** -52 * np.abs(e0)
+            rounding = float((err * np.exp(e.real - scale[rows, None] + err)).max())
+    if not rounding <= tol:
+        raise ToleranceUnreachableError(
+            f"{what} exponents are rounded by {rounding:.1e}, not certified to tol={tol:.1e}")
+
+
+def theta_eval(z, params, order=1, tol=1e-12):
     """Evaluate theta_order(z, Omega) at one point z (d,) or at P points (P, d), certified.
 
     Each point is first translated by a lattice vector m + Omega k into the
     centred cell (_reduce); the exact quasiperiodicity factor, certified to tol,
     is multiplied back into the returned ScaledComplex, so the reported value is
     the series at the original z.  tail_bound is the certified bound on the
-    omitted terms relative to the kept partial sum.  All points make one
+    omitted terms relative to the kept partial sum.  Exponents rounded past tol,
+    as for a large Re Omega, raise ToleranceUnreachableError (_check_rounding,
+    as in bargmann).  All points make one
     certified_lattice_sum call, and each keeps the bits of its one-point call.
     """
     if order < 1:
         raise GaborError("order must be a positive integer")
     w, one = _points(z, params.d)
     wr, e, c = _reduce(w, params, order, tol)
-
-    def exponent_fn(k, rows):  # k is a shell box, whose last row is (R, ..., R)
-        return (_theta_quad(params, order, int(k[-1, 0]))
-                + 2j * np.pi * order * np.vecdot(k, wr[rows, None, :]))
-
     # a term is at most exp(pi n c'Y c - pi n lambda_min(Y) |k + c|^2), with
     # c'Y c = c' Im wr and |c|_inf <= 1/2, the default offset
+    scale = math.pi * order * np.vecdot(c, wr.imag)
+
+    def exponent_fn(k, rows):  # k is a shell box, whose last row is (R, ..., R)
+        ek = (_theta_quad(params, order, int(k[-1, 0]))
+              + 2j * np.pi * order * np.vecdot(k, wr[rows, None, :]))
+        _check_rounding(ek, ek, scale, rows, tol, "series")
+        return ek
+
     s, radius, bound = certified_lattice_sum(
-        exponent_fn, math.pi * order * params.im_min, params.d, tol,
-        log_scale=math.pi * order * np.vecdot(c, wr.imag), min_radius=min_radius, r_cap=r_cap,
-    )
+        exponent_fn, math.pi * order * params.im_min, params.d, tol, log_scale=scale)
     value = ScaledComplex.from_exponent(e) * s
     if not value.logmag.max(initial=-math.inf) < math.inf:
         raise ToleranceUnreachableError("theta value overflows double precision")
@@ -410,16 +427,17 @@ def theta_eval(z, params, order=1, tol=1e-12, min_radius=0, r_cap=200):
 # winding numbers along polygonal contours
 
 
-# intervals per polygon edge in winding_number's first call
+# intervals per polygon edge in winding_number's first call; bisection levels
 _SAMPLES_PER_EDGE = 32
+_MAX_DEPTH = 28
 
 
-def winding_number(f, vertices, max_depth=28):
+def winding_number(f, vertices):
     """Winding of t -> f(gamma(t)) around 0 along a closed polygon.
 
     f maps a 1-d array of complex points to a ScaledComplex of that shape.  One
     call samples _SAMPLES_PER_EDGE intervals per edge; one call per level bisects
-    those whose phase step exceeds pi/2, so f runs at most max_depth + 1 times.
+    those whose phase step exceeds pi/2, so f runs at most _MAX_DEPTH + 1 times.
     The count is exact unless the contour passes essentially through a zero:
     then ContourNearZeroError is raised and the caller may jitter the contour.
     """
@@ -437,13 +455,13 @@ def winding_number(f, vertices, max_depth=28):
     p0, p1 = pts[:, :-1].ravel(), pts[:, 1:].ravel()
     v0, v1 = vals[:, :-1].ravel(), vals[:, 1:].ravel()
     total = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         d_ang = np.angle(v1 / v0)
         ok = np.abs(d_ang) <= 0.5 * math.pi
         total += math.fsum(d_ang[ok])
         if ok.all():
             break
-        if depth == max_depth:
+        if depth == _MAX_DEPTH:
             raise ContourNearZeroError("phase step stayed above pi/2 after repeated bisection")
         p0, p1, v0, v1 = p0[~ok], p1[~ok], v0[~ok], v1[~ok]
         pm = 0.5 * (p0 + p1)

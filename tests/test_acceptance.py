@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from box_sum import theta_box
 from dgt_reference import dgt_direct
 from lattice import complex_distance_mod_lattice
 from torusgabor.bargmann import bergman_density, gram, section_winding
@@ -102,12 +103,11 @@ def test_criterion_04_theta_quasiperiodicity_and_tail_honesty():
         # |lhs - rhs| / |rhs|, formed in the scale of rhs
         residual = abs(np.exp(lhs.logmag - rhs.logmag) * lhs.phase - rhs.phase)
         assert residual <= 1e-10
-        # honesty: refining past the certified radius moves the value by
-        # less than the claimed tail bound; the floor covers summation
-        # roundoff, which the bound cannot see
-        finer = theta_eval(z, p, order=order, tol=1e-13,
-                           min_radius=base.radius + 4)
-        drift = abs(base.value.to_complex() - finer.value.to_complex())
+        # honesty: a brute-force sum on a box four shells past the certified
+        # radius differs by less than the claimed tail bound; the floor
+        # covers summation roundoff, which the bound cannot see
+        finer = theta_box(z, p, order, base.radius + 4)
+        drift = abs(base.value.to_complex() - finer)
         floor = 1e-13 * base.value.magnitude()
         assert drift <= base.tail_bound * (1 + 1e-6) + floor
 

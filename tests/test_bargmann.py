@@ -5,7 +5,6 @@ import pytest
 
 from torusgabor.bargmann import (
     bargmann,
-    bargmann_basis,
     bergman_density,
     gram,
     section_winding,
@@ -25,6 +24,13 @@ def _p(omega=1j, N=2, d=1):
     else:
         om = np.array([[0.1 + 1.0j, 0.05 + 0.1j], [0.05 + 0.1j, 1.3j]])
     return GaborParams(d=d, N=N, Omega=om)
+
+
+def _eps(n, p):
+    # the delta basis vector eps_n: B eps_n is the n-th basis section
+    a = np.zeros(p.shape, dtype=complex)
+    a[tuple(np.atleast_1d(n))] = 1.0
+    return a
 
 
 def _brute_basis(n, z, p, box=14):
@@ -76,7 +82,7 @@ def test_basis_matches_brute_force_series():
         for _ in range(8):
             n = int(rng.integers(0, N))
             z = np.array([complex(rng.uniform(-0.5, 0.5), rng.uniform(-1, 1))])
-            got = bargmann_basis(np.array([n]), z, p, tol=SERIES_TOL)
+            got = bargmann(_eps(np.array([n]), p), z, p, tol=SERIES_TOL)
             expect = _brute_basis(n, z[0], p)
             assert abs(got.raw.to_complex() - expect) < 1e-11 * max(1.0, abs(expect))
 
@@ -89,13 +95,13 @@ def test_basis_shift_identities():
         for _ in range(6):
             n = rng.integers(0, p.N, p.d)
             z = rng.uniform(-0.5, 0.5, p.d) + 1j * rng.uniform(-1, 1, p.d)
-            base = bargmann_basis(n, z, p, tol=SERIES_TOL).raw
+            base = bargmann(_eps(n, p), z, p, tol=SERIES_TOL).raw
             m = rng.integers(-2, 3, p.d).astype(float)
-            per = bargmann_basis(n, z + 1j * m, p, tol=SERIES_TOL).raw
+            per = bargmann(_eps(n, p), z + 1j * m, p, tol=SERIES_TOL).raw
             assert per.logmag == pytest.approx(base.logmag, abs=1e-9)
             assert abs(per.phase - base.phase) < 1e-9
             k = rng.integers(-1, 2, p.d).astype(float)
-            shifted = bargmann_basis(n, z - 1j * (om @ k), p, tol=SERIES_TOL).raw
+            shifted = bargmann(_eps(n, p), z - 1j * (om @ k), p, tol=SERIES_TOL).raw
             fac = ScaledComplex.from_exponent(
                 -1j * np.pi * p.N * (k @ om @ k) + 2 * np.pi * p.N * (k @ z)
             )
@@ -114,8 +120,8 @@ def test_weighted_magnitude_is_gauge_invariant():
         z = rng.uniform(-0.5, 0.5, 1) + 1j * rng.uniform(-1, 1, 1)
         k = rng.integers(-2, 3, 1).astype(float)
         m = rng.integers(-2, 3, 1).astype(float)
-        w1 = bargmann_basis(n, z, p, tol=SERIES_TOL).weighted_mag
-        w2 = bargmann_basis(n, z - 1j * (om @ k) + 1j * m, p, tol=SERIES_TOL).weighted_mag
+        w1 = bargmann(_eps(n, p), z, p, tol=SERIES_TOL).weighted_mag
+        w2 = bargmann(_eps(n, p), z - 1j * (om @ k) + 1j * m, p, tol=SERIES_TOL).weighted_mag
         assert w2 == pytest.approx(w1, rel=1e-9)
 
 
@@ -128,7 +134,7 @@ def test_theta_form_cross_check_agrees():
         for _ in range(5):
             n = rng.integers(0, p.N, p.d)
             z = rng.uniform(-0.5, 0.5, p.d) + 1j * rng.uniform(-1, 1, p.d)
-            got = bargmann_basis(n, z, p, tol=SERIES_TOL).raw
+            got = bargmann(_eps(n, p), z, p, tol=SERIES_TOL).raw
             pref = ScaledComplex.from_exponent(1j * np.pi * (n @ om @ n) / p.N - 2 * np.pi * (z @ n))
             other = pref * theta_eval(om @ n / p.N + 1j * z, p, order=p.N, tol=SERIES_TOL).value
             diff = abs(got.to_complex() - other.to_complex())
@@ -141,7 +147,7 @@ def test_combination_is_linear_in_coefficients():
     a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     z = np.array([0.2 - 0.6j])
     direct = sum(
-        a[n] * bargmann_basis(np.array([n]), z, p, tol=SERIES_TOL).raw.to_complex()
+        a[n] * bargmann(_eps(np.array([n]), p), z, p, tol=SERIES_TOL).raw.to_complex()
         for n in range(3)
     )
     got = bargmann(a, z, p, tol=SERIES_TOL).raw.to_complex()
@@ -164,8 +170,8 @@ def test_section_near_its_zero_keeps_tol(p, tol):
     n0, n1 = (0,) * p.d, (1,) * p.d
     z1 = p.im @ np.full(p.d, 0.3) + 0.21j
     a = np.zeros(p.shape, dtype=complex)
-    a[n0] = bargmann_basis(n1, z1, p, tol=1e-15).raw.to_complex()
-    a[n1] = -bargmann_basis(n0, z1, p, tol=1e-15).raw.to_complex()
+    a[n0] = bargmann(_eps(n1, p), z1, p, tol=1e-15).raw.to_complex()
+    a[n1] = -bargmann(_eps(n0, p), z1, p, tol=1e-15).raw.to_complex()
     z = z1 + 1e-7
     want = _brute_section(a, z, p)
     got = bargmann(a, z, p, tol=tol).raw.to_complex()
@@ -180,8 +186,8 @@ def test_batched_sections_are_the_single_calls():
         n = np.ones(p.d, dtype=int)
         for batch, one in ((bargmann(a, Z, p, tol=SERIES_TOL),
                             lambda z: bargmann(a, z, p, tol=SERIES_TOL)),
-                           (bargmann_basis(n, Z, p, tol=SERIES_TOL),
-                            lambda z: bargmann_basis(n, z, p, tol=SERIES_TOL))):
+                           (bargmann(_eps(n, p), Z, p, tol=SERIES_TOL),
+                            lambda z: bargmann(_eps(n, p), z, p, tol=SERIES_TOL))):
             assert batch.raw.logmag.shape == batch.weighted_mag.shape == (9,)
             for j, z in enumerate(Z):
                 single = one(z)
@@ -299,7 +305,7 @@ def test_gram_is_the_weighted_section_sum(p, nx, nxi, tol):
     # put the aliasing error below tol
     X, XI, cell = tn_grid(p, nx, nxi, midpoint=True)
     Z = 1j * (X @ p.Omega.T / p.N + XI)
-    B = np.array([bargmann_basis(np.array(n), Z, p).raw.to_complex()
+    B = np.array([bargmann(_eps(np.array(n), p), Z, p).raw.to_complex()
                   for n in np.ndindex(p.shape)]).T
     # dA(z) = det Im Omega / N^d dx dxi
     w = np.exp(-p.N * weight_phi(Z, p)) * cell * np.linalg.det(p.im) / p.N ** p.d
@@ -325,7 +331,7 @@ def test_table_is_the_sections_times_one_phase():
         for j in rng.choice(len(X), 8, replace=False):
             V = transforms.stft_basis_grid(window, X[j], XI[j])[:, 0]
             z = 1j * (p.Omega @ X[j] / p.N + XI[j])
-            B = np.array([bargmann_basis(n, z, p, tol=1e-14).raw.to_complex() for n in ns])
+            B = np.array([bargmann(_eps(n, p), z, p, tol=1e-14).raw.to_complex() for n in ns])
             # some sections vanish at grid points, so no entrywise ratio
             c = np.exp(1j * np.pi * (X[j] @ p.Omega @ X[j]) / p.N)
             assert np.abs(V - c * B).max() <= 1e-12 * np.abs(V).max()

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgt_reference import dgt_direct
-from torusgabor import GaborParams, cli, theta_eval, transforms
+import torusgabor
+from torusgabor import GaborParams, cli, theta, theta_eval, transforms
 from torusgabor.bargmann import bergman_density
 from torusgabor.cli import _fmt_float, _json_dumps, main
 from torusgabor.core import GaborError
@@ -504,6 +506,26 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+def test_library_surface_is_pinned():
+    # the package's names, and the four functions whose test-only knobs were
+    # made constants: a caller sets only these arguments
+    assert torusgabor.__all__ == [
+        "GaborError", "GaborParams", "params_from_json", "params_to_json",
+        "ScaledComplex", "theta_eval", "theta_zero_1d", "winding_number",
+        "GaussianWindow", "dgt", "dgt_inverse", "periodize_sample", "time_frequency_shift",
+        "bergman_density", "gram", "section_winding", "weight_phi",
+        "PointSet", "counting_guarantees", "frame_bounds", "parity_predicate", "scan_subsets",
+        "BoxIndicator", "Constant", "TrigPoly", "asymptotic_sweep", "parse_symbol",
+        "restriction_matrix", "spectrum", "__version__",
+    ]
+    for fn, text in ((torusgabor.theta_eval, "(z, params, order=1, tol=1e-12)"),
+                     (theta.certified_lattice_sum,
+                      "(exponent_fn, decay, d, tol, offset=0.5, log_scale=0.0)"),
+                     (torusgabor.winding_number, "(f, vertices)"),
+                     (torusgabor.section_winding, "(coeffs, params)")):
+        assert str(inspect.signature(fn)) == text
+
+
 def test_the_parser_is_built_once(capsys, monkeypatch):
     cli.build_parser.cache_clear()
     built = []
@@ -679,6 +701,9 @@ P300K = '{"d": 1, "N": 300000, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
 P2_18 = '{"d": 1, "N": 262144, "omega_re": [[0.0]], "omega_im": [[1.0]]}'
 # a window series of 9 * 10^6 rows
 P3000_D2 = '{"d": 2, "N": 3000, "omega_re": [[0, 0], [0, 0]], "omega_im": [[1, 0], [0, 1]]}'
+# e^{pi i k^2 Re Omega} is that of Re Omega = 0.5, but pi k^2 10^6 is rounded by 1e-10
+P1_RE1E6 = '{"d": 1, "N": 1, "omega_re": [[1000000.5]], "omega_im": [[1.0]]}'
+POINTS4 = "0,0;1,1;2,3;1,0"
 
 
 class _Zeros:
@@ -745,6 +770,25 @@ class _Zeros:
       "--plunge-delta", "nan"], 1, "plunge delta"),
     (["frame", "check", "--params", P3000_D2, "--points", "0 0,0 0;1 1,1 1"], 1,
      "9000000 rows x 9 terms"),
+    (["theta", "eval", "--params", P1_RE1E6, "--z", "0.3+0.2j"], 1, "series exponents"),
+    (["frame", "check", "--params", P4, "--points", POINTS4,
+      "--window", _signal_doc([np.nan, 1, 0, 0])], 1, "non-finite"),
+    (["frame", "check", "--params", P4, "--points", POINTS4,
+      "--window", _signal_doc([1e200, 1, 0, 0])], 1, "overflow"),
+    (["frame", "check", "--params", P4, "--points", POINTS4,
+      "--window", _signal_doc([0, 0, 0, 0])], 1, "zero norm"),
+    (["frame", "scan", "--params", P4, "-K", "4", "--window", _signal_doc([np.nan, 1, 0, 0])],
+     1, "non-finite"),
+    (["frame", "scan", "--params", P4, "-K", "2", "--window", _signal_doc([np.nan, 1, 0, 0])],
+     1, "non-finite"),
+    (["frame", "scan", "--params", P4, "-K", "4", "--window", _signal_doc([0, 0, 0, 0])],
+     1, "zero norm"),
+    (["theta", "zero", "--params", P4, "--out", "/nonexistent/dir/x.json"], 1,
+     "cannot write --out: [Errno 2] No such file or directory"),
+    # finite matrices whose Frobenius norm overflows: the sawtooth x1 does not
+    # settle, at any scale, and says by how much
+    (["spectrum", "restriction", "--params", P4, "--symbol", "1e300*x1"], 1,
+     "relative matrix change (Frobenius) 7.636e-05"),
 ], ids=["symbol-x1/0", "symbol-0/0", "symbol-overflow", "points-half-pair",
         "params-no-omega_re", "threshold-nan", "n-list-letter", "alpha-grid-letter",
         "scan-K0", "scan-K-above-positions", "params-nan-omega", "points-double-dash",
@@ -752,7 +796,10 @@ class _Zeros:
         "dgt-inverse-overflow", "dgt-forward-nan", "dgt-inverse-inf", "sweep-target-inf",
         "sweep-target-pole", "sweep-target-sum-overflow", "restriction-oversample-grid",
         "sweep-restriction-table", "restriction-table", "dgt-forward-table",
-        "scan-random-count", "scan-negative-seed", "plunge-delta-nan", "window-series"])
+        "scan-random-count", "scan-negative-seed", "plunge-delta-nan", "window-series",
+        "theta-eval-rounding", "check-window-nan", "check-window-overflow", "check-window-zero",
+        "scan-window-nan", "scan-below-dimension-window-nan", "scan-window-zero",
+        "out-missing-directory", "restriction-norm-overflow"])
 def test_malformed_input_exits_with_a_message(argv, code, message, tmp_path):
     # a separate interpreter, so an uncaught exception would show as a traceback
     # and a numpy warning would show on stderr

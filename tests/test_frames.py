@@ -19,7 +19,7 @@ from torusgabor.frames import (
     parity_predicate,
     scan_subsets,
 )
-from torusgabor.theta import theta_zero_1d
+from torusgabor.theta import ToleranceUnreachableError, theta_zero_1d
 from torusgabor.transforms import (
     GaussianWindow,
     ZeroWindowError,
@@ -153,6 +153,39 @@ def test_zero_window_raises():
     p = _p(2)
     with pytest.raises(ZeroWindowError):
         frame_bounds(_set([(0, 0), (1, 1)], p), p, window=np.zeros(2, complex))
+
+
+@pytest.mark.parametrize("entry,error", [
+    (np.nan, transforms.NonFiniteInputError),
+    (np.inf, transforms.NonFiniteInputError),
+    (1e200, ToleranceUnreachableError),
+    (0.0, ZeroWindowError),
+], ids=["nan", "inf", "overflow", "zero"])
+def test_window_values_are_checked_before_any_atom(entry, error, monkeypatch):
+    # the same verdict from frame_bounds and from scans above and below N^d
+    # (no SVD there), before time_frequency_shift builds an atom
+    p = _p(4)
+    h = np.zeros(4, complex)
+    h[0] = entry
+
+    def no_atoms(*args):
+        raise AssertionError("an atom was built")
+
+    monkeypatch.setattr(transforms, "time_frequency_shift", no_atoms)
+    with pytest.raises(error):
+        frame_bounds(_set([(0, 0), (1, 1), (2, 3), (1, 0)], p), p, window=h)
+    for K in (2, 4):
+        with pytest.raises(error):
+            scan_subsets(p, K, window=h)
+
+
+def test_window_overflow_counts_the_atoms():
+    # one atom of squared norm 1e308 is finite; two sum past the largest double
+    p = _p(2)
+    h = np.array([1e154, 0], complex)
+    assert frame_bounds(_set([(0, 0)], p), p, window=h).B == pytest.approx(1e308)
+    with pytest.raises(ToleranceUnreachableError, match="2 atoms"):
+        frame_bounds(_set([(0, 0), (1, 1)], p), p, window=h)
 
 
 def test_window_is_none_or_its_samples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box_sum import box_sum, theta_box
 from lattice import complex_distance_mod_lattice
 from torusgabor import theta as theta_mod
 from torusgabor.core import GaborError, GaborParams
@@ -71,9 +72,8 @@ def test_scaled_magnitude_with_log_shift():
     assert s.magnitude(-1000.0) == pytest.approx(1.0)
 
 
-def test_scaled_conjugate_and_negation():
+def test_scaled_negation():
     s = ScaledComplex.from_complex(3 + 4j)
-    assert abs(s.conjugate().to_complex() - (3 - 4j)) < 1e-14
     assert abs((-1 * s).to_complex() + (3 + 4j)) < 1e-14
 
 
@@ -160,19 +160,19 @@ def test_certified_sum_radius_cap():
     def fn(k):
         return -1e-4 * (k ** 2).sum(axis=1).astype(complex)
 
-    with pytest.raises(ToleranceUnreachableError):
-        certified_lattice_sum(_one_point(fn), 1e-4, 1, 1e-12, r_cap=5)
+    # the tail at radius 200, the cap, is still far above 1e-12
+    with pytest.raises(ToleranceUnreachableError, match="at radius 200"):
+        certified_lattice_sum(_one_point(fn), 1e-4, 1, 1e-12)
 
 
-def test_certified_sum_min_radius_honesty():
-    # forcing extra shells must not move a certified value
+def test_certified_sum_truncation_honesty():
+    # four more shells, summed by brute force, must not move a certified value
     def fn(k):
         return (-0.9 * (k ** 2).sum(axis=1) + 0.3j * k[:, 0]).astype(complex)
 
     s1, r1, _ = certified_lattice_sum(_one_point(fn), 0.9, 1, 1e-13)
-    s2, r2, _ = certified_lattice_sum(_one_point(fn), 0.9, 1, 1e-13, min_radius=r1 + 4)
-    assert r2 >= r1 + 4
-    assert abs(s1.to_complex()[0] - s2.to_complex()[0]) <= 1e-12 * abs(s2.to_complex()[0])
+    s2 = box_sum(fn, r1 + 4, 1)
+    assert abs(s1.to_complex()[0] - s2) <= 1e-12 * abs(s2)
 
 
 def _theta_i_exponents(ws):
@@ -377,14 +377,24 @@ def test_theta_eval_batch_is_the_single_calls():
 
 
 def test_theta_truncation_honesty():
-    # evaluating with a larger forced box must reproduce the certified value
+    # a brute-force sum on a box four shells larger must reproduce the certified value
     p = _p(0.3 + 1j)
     z = np.array([0.37 + 0.41j])
     e1 = theta_eval(z, p, tol=1e-12)
-    e2 = theta_eval(z, p, tol=1e-12, min_radius=e1.radius + 4)
-    assert e2.radius >= e1.radius + 4
-    d = abs(e1.value.to_complex() - e2.value.to_complex())
-    assert d <= 1e-11 * abs(e2.value.to_complex())
+    e2 = theta_box(z, p, 1, e1.radius + 4)
+    d = abs(e1.value.to_complex() - e2)
+    assert d <= 1e-11 * abs(e2)
+
+
+def test_theta_refuses_exponents_rounded_past_tol():
+    # e^{pi i k^2 Re Omega} depends on Re Omega mod 2 alone, so these are one
+    # series; but pi k^2 Re Omega is rounded by about |.| 2^-52, 1e-10 at 10^6
+    z = np.array([0.3 + 0.2j])
+    ref = theta_eval(z, _p(0.5 + 1j)).value.to_complex()
+    near = theta_eval(z, _p(1e4 + 0.5 + 1j)).value.to_complex()
+    assert abs(near - ref) <= 1e-12 * abs(ref)
+    with pytest.raises(ToleranceUnreachableError, match="series exponents are rounded"):
+        theta_eval(z, _p(1e6 + 0.5 + 1j))
 
 
 def test_theta_rejects_bad_order_and_shape():
@@ -443,11 +453,11 @@ def test_winding_calls_f_once_per_bisection_level():
     assert winding_number(counted([0.3 + 0.4j, 0.6 + 0.2j]), SQUARE) == 2
     assert 1 <= len(calls) <= 28 + 2
     assert calls[0] == (4 * 33,)
-    # a zero 1e-12 off the contour needs more bisection levels than the cap
+    # a zero 1e-12 off the contour needs more bisection levels than the cap, 28
     calls.clear()
     with pytest.raises(ContourNearZeroError):
-        winding_number(counted([0.51 + 1e-12j]), SQUARE, max_depth=20)
-    assert len(calls) <= 20 + 2
+        winding_number(counted([0.51 + 1e-12j]), SQUARE)
+    assert len(calls) <= 28 + 2
 
 
 # ---------------------------------------------------------------------------
